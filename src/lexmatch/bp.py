@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import BLOCKING, FREE, MANDATORY, CycleError, Matching
+from .exact import BLOCKING, FREE, MANDATORY, Matching, _orient_forest
 from .randgraph import WeightedGraph
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ZERO",
     "top_msg",
     "FieldInconsistencyError",
-    "RegimeError",
     "MessageField",
     "SqueezeResult",
     "sweep_tree",
@@ -43,7 +42,6 @@ __all__ = [
     "flexibility",
     "sweep_bounded",
     "squeeze",
-    "macroscopic_sweep",
     "macroscopic_squeeze",
     "classify_edges_from_levels",
     "scalar_sweep_eps",
@@ -65,10 +63,6 @@ class FieldInconsistencyError(AssertionError):
     """Edge rule and vertex rule disagreed on a supposedly valid field."""
 
 
-class RegimeError(ValueError):
-    """Operation requires a different macroscopic regime."""
-
-
 @dataclass
 class MessageField:
     """Messages on all directed edges of a forest plus boundary bookkeeping."""
@@ -79,42 +73,6 @@ class MessageField:
 
     def msg(self, u: int, v: int):
         return self.messages[(u, v)]
-
-
-def _orient(g: WeightedGraph, avoid=frozenset()):
-    """(parent, bfs_order); raises CycleError unless g is a forest.
-
-    Components are rooted at a vertex outside `avoid` whenever one exists,
-    so that pinned boundary vertices are BFS leaves.
-    """
-    parent = [-2] * g.n
-    order = []
-    root_pref = g.root_vertex() if g.n else 0
-    starts = [v for v in [root_pref] if v not in avoid]
-    starts += [v for v in range(g.n) if v != root_pref and v not in avoid]
-    starts += [v for v in range(g.n) if v in avoid]
-    tree_edges = 0
-    for s in starts:
-        if parent[s] != -2:
-            continue
-        parent[s] = -1
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for w in g.adjacency[v]:
-                if w == parent[v]:
-                    continue
-                if parent[w] != -2:
-                    raise CycleError("message passing requires a forest")
-                parent[w] = v
-                tree_edges += 1
-                queue.append(w)
-    if tree_edges != g.m:
-        raise CycleError("message passing requires a forest")
-    return parent, order
 
 
 def _sub(kw, msg):
@@ -139,66 +97,70 @@ def _resolve_boundary(g: WeightedGraph, k: int, spec):
     return out
 
 
-def _sweep(g: WeightedGraph, k: int, pinned: dict) -> MessageField:
-    """Two-pass computation of all directed-edge messages.
+def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) -> dict:
+    """Two-pass computation of all directed-edge messages, keyed (u, v).
 
-    pinned maps a boundary vertex b to the exogenous message (parent(b), b).
-    Pinned vertices must not have children inside g (true for radius
-    boundaries of tree balls).
+    pinned maps a boundary vertex b to the exogenous message (parent(b), b);
+    pinned vertices must not have children inside g (true for radius
+    boundaries of tree balls).  `oriented` is a precomputed
+    _orient_forest(g, avoid=pinned) and `weights` replaces g.weights.
     """
-    parent, order = _orient(g, avoid=frozenset(pinned))
-    kw = {}
-    for (u, v), w in g.weights.items():
-        kw[(u, v)] = (k, w)
-        kw[(v, u)] = (k, w)
-
-    up = [ZERO] * g.n  # up[v] = msg(parent(v), v)
+    parent, order = oriented or _orient_forest(g, avoid=frozenset(pinned))
+    if weights is None:
+        weights = g.weights
+    n = g.n
+    children = [[] for _ in range(n)]
+    pw = [0.0] * n  # weight of the edge (v, parent(v))
+    # upward pass: up[v] = msg(parent(v), v); its candidate
+    # (k, pw[v]) - up[v] is pushed into the parent's two running maxima
+    # top1 >= top2 (arg = the child giving top1), which start at (0, 0)
+    up = [ZERO] * n
+    top1 = [ZERO] * n
+    top2 = [ZERO] * n
+    arg = [-1] * n
     for v in reversed(order):
         if v in pinned:
-            up[v] = pinned[v]
-            if any(parent[w] == v for w in g.adjacency[v]):
-                raise FieldInconsistencyError(
-                    f"pinned boundary vertex {v} has interior children"
-                )
+            if children[v]:
+                raise FieldInconsistencyError(f"pinned boundary vertex {v} has interior children")
+            msg = up[v] = pinned[v]
+        else:
+            msg = up[v] = top1[v]
+        p = parent[v]
+        if p < 0:
             continue
-        best = ZERO
-        for w in g.adjacency[v]:
-            if parent[w] != v:
-                continue
-            cand = _sub(kw[(v, w)], up[w])
-            if cand > best:
-                best = cand
-        up[v] = best
+        children[p].append(v)
+        w = pw[v] = weights[(p, v) if p < v else (v, p)]
+        cand = (k - msg[0], w - msg[1])
+        if cand > top1[p]:
+            top2[p] = top1[p]
+            top1[p], arg[p] = cand, v
+        elif cand > top2[p]:
+            top2[p] = cand
 
-    down = [ZERO] * g.n  # down[v] = msg(v, parent(v))
-    for v in order:
-        # candidates entering v: from children (up) and from the parent (down)
-        cands = []
-        for w in g.adjacency[v]:
-            if parent[w] == v:
-                cands.append((w, _sub(kw[(v, w)], up[w])))
-            elif w == parent[v]:
-                cands.append((w, _sub(kw[(v, w)], down[v])))
-        top1, top2 = BOTTOM, BOTTOM
-        arg1 = None
-        for w, cand in cands:
-            if cand > top1:
-                top1, top2, arg1 = cand, top1, w
-            elif cand > top2:
-                top2 = cand
-        for w in g.adjacency[v]:
-            if parent[w] != v:
-                continue
-            best = top2 if arg1 == w else top1
-            down[w] = best if best > ZERO else ZERO
-
+    # downward pass: down[w] = msg(w, parent(w)) is the best candidate at
+    # parent(w) other than w's own, merging in the one from parent(parent(w))
+    down = [ZERO] * n
     messages = {}
     for v in order:
+        kids = children[v]
         p = parent[v]
         if p >= 0:
+            msg = down[v]
             messages[(p, v)] = up[v]
-            messages[(v, p)] = down[v]
-    return MessageField(k=k, messages=messages, boundary_spec=dict(pinned))
+            messages[(v, p)] = msg
+            if not kids:
+                continue
+            from_parent = (k - msg[0], pw[v] - msg[1])
+        else:
+            from_parent = ZERO
+        t1, t2, a = top1[v], top2[v], arg[v]
+        if from_parent > t1:
+            t1, t2, a = from_parent, t1, -1
+        elif from_parent > t2:
+            t2 = from_parent
+        for w in kids:
+            down[w] = t2 if w == a else t1
+    return messages
 
 
 def sweep_tree(g: WeightedGraph, k: int) -> MessageField:
@@ -211,7 +173,7 @@ def sweep_tree(g: WeightedGraph, k: int) -> MessageField:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _sweep(g, k, {})
+    return MessageField(k=k, messages=_sweep(g, k, {}), boundary_spec={})
 
 
 def sweep_bounded(g: WeightedGraph, k: int, boundary_spec) -> MessageField:
@@ -221,7 +183,8 @@ def sweep_bounded(g: WeightedGraph, k: int, boundary_spec) -> MessageField:
     "top" | (level, z)}; sampled conditions come from a pluggable source
     (e.g. rde.ZetaSampler draws).
     """
-    return _sweep(g, k, _resolve_boundary(g, k, boundary_spec))
+    pinned = _resolve_boundary(g, k, boundary_spec)
+    return MessageField(k=k, messages=_sweep(g, k, pinned), boundary_spec=pinned)
 
 
 def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
@@ -299,6 +262,14 @@ class SqueezeResult:
         return sum(bool(self.certified[e]) for e in keys) / len(keys)
 
 
+def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[dict, dict]:
+    """Messages under the all-zero and the all-top boundary, oriented once."""
+    oriented = _orient_forest(g, avoid=g.boundary)
+    lo = _sweep(g, k, dict.fromkeys(g.boundary, ZERO), oriented, weights)
+    hi = _sweep(g, k, dict.fromkeys(g.boundary, top_msg(k)), oriented, weights)
+    return lo, hi
+
+
 def squeeze(g: WeightedGraph, k: int, radius: int | None = None) -> SqueezeResult:
     """Extremal all-zero / all-top sweeps and per-edge certification.
 
@@ -308,75 +279,29 @@ def squeeze(g: WeightedGraph, k: int, radius: int | None = None) -> SqueezeResul
     exterior.  `radius` is documentation only (the ball already carries
     its boundary set).
     """
-    lo_field = sweep_bounded(g, k, "zero")
-    hi_field = sweep_bounded(g, k, "top")
+    lo, hi = _extremal_sweeps(g, k)
     lower, upper, certified = {}, {}, {}
-    for key, a in lo_field.messages.items():
-        b = hi_field.messages[key]
+    for key, a in lo.items():
+        b = hi[key]
         lower[key] = min(a, b)
         upper[key] = max(a, b)
         certified[key] = a == b
     return SqueezeResult(k=k, lower=lower, upper=upper, certified=certified)
 
 
-def macroscopic_sweep(g: WeightedGraph, boundary: int) -> dict:
-    """Weightless level-only recursion with constant boundary level 0 or 1.
-
-    level(u, v) = max(0, max_{u' ~ v, u' != u} (1 - level(v, u'))), the
-    levels-only projection of the message recursion in the single-jump
-    regime.
-    """
-    if boundary not in (0, 1):
-        raise RegimeError("boundary level must be 0 or 1")
-    parent, order = _orient(g, avoid=g.boundary)
-    up = [0] * g.n
-    for v in reversed(order):
-        if v in g.boundary:
-            up[v] = boundary
-            continue
-        best = 0
-        for w in g.adjacency[v]:
-            if parent[w] == v and 1 - up[w] > best:
-                best = 1 - up[w]
-        up[v] = best
-
-    down = [0] * g.n
-    for v in order:
-        cands = []
-        for w in g.adjacency[v]:
-            if parent[w] == v:
-                cands.append((w, 1 - up[w]))
-            elif w == parent[v]:
-                cands.append((w, 1 - down[v]))
-        top1, top2, arg1 = -2, -2, None
-        for w, cand in cands:
-            if cand > top1:
-                top1, top2, arg1 = cand, top1, w
-            elif cand > top2:
-                top2 = cand
-        for w in g.adjacency[v]:
-            if parent[w] != v:
-                continue
-            best = top2 if arg1 == w else top1
-            down[w] = max(0, best)
-
-    levels = {}
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            levels[(p, v)] = up[v]
-            levels[(v, p)] = down[v]
-    return levels
-
-
 def macroscopic_squeeze(g: WeightedGraph) -> tuple[dict, dict]:
-    """(levels, certified) from the two extremal level sweeps."""
-    lo = macroscopic_sweep(g, 0)
-    hi = macroscopic_sweep(g, 1)
+    """(levels, certified) from the two extremal level sweeps.
+
+    The levels are the level parts of the k = 1 extremal sweeps with every
+    weight set to zero, i.e. the weightless recursion
+    level(u, v) = max(0, max_{u' ~ v, u' != u} (1 - level(v, u'))) with
+    constant boundary level 0 or 1.
+    """
+    lo, hi = _extremal_sweeps(g, 1, dict.fromkeys(g.weights, 0.0))
     levels, certified = {}, {}
-    for key, a in lo.items():
-        levels[key] = a
-        certified[key] = a == hi[key]
+    for key, (level, _) in lo.items():
+        levels[key] = level
+        certified[key] = level == hi[key][0]
     return levels, certified
 
 
@@ -402,54 +327,17 @@ def scalar_sweep_eps(g: WeightedGraph, eps: float):
     """One-dimensional sweep for weights 1 + eps*w and its matching.
 
     Z(u, v) = max(0, max_{u' ~ v} (1 + eps*w(v,u') - Z(v, u'))) with the
-    inclusion rule 1 + eps*w(u,v) > Z(u,v) + Z(v,u).
+    inclusion rule 1 + eps*w(u,v) > Z(u,v) + Z(v,u); Z is the z part of
+    the k = 0 message sweep on the weights 1 + eps*w.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    parent, order = _orient(g)
-
-    def weps(u, v):
-        return 1.0 + eps * g.weights[(min(u, v), max(u, v))]
-
-    up = [0.0] * g.n
-    for v in reversed(order):
-        best = 0.0
-        for w in g.adjacency[v]:
-            if parent[w] == v:
-                cand = weps(v, w) - up[w]
-                if cand > best:
-                    best = cand
-        up[v] = best
-    down = [0.0] * g.n
-    for v in order:
-        cands = []
-        for w in g.adjacency[v]:
-            if parent[w] == v:
-                cands.append((w, weps(v, w) - up[w]))
-            elif w == parent[v]:
-                cands.append((w, weps(v, w) - down[v]))
-        top1, top2, arg1 = float("-inf"), float("-inf"), None
-        for w, cand in cands:
-            if cand > top1:
-                top1, top2, arg1 = cand, top1, w
-            elif cand > top2:
-                top2 = cand
-        for w in g.adjacency[v]:
-            if parent[w] != v:
-                continue
-            best = top2 if arg1 == w else top1
-            down[w] = max(0.0, best)
-
-    field = {}
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            field[(p, v)] = up[v]
-            field[(v, p)] = down[v]
+    weps = {e: 1.0 + eps * w for e, w in g.weights.items()}
+    field = {key: z for key, (_, z) in _sweep(g, 0, {}, weights=weps).items()}
     chosen = [
         (u, v)
         for u, v in g.edges()
-        if field[(u, v)] + field[(v, u)] < weps(u, v)
+        if field[(u, v)] + field[(v, u)] < weps[(u, v)]
     ]
     return field, Matching.from_edges(g, chosen)
 

@@ -194,7 +194,8 @@ def cli(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (HarnessError, LawError, GraphError, CycleError, rde.ConvergenceError, OSError) as exc:
+    except (HarnessError, LawError, GraphError, CycleError, bp.FieldInconsistencyError,
+            rde.ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -96,12 +96,45 @@ def _check_cap(g: WeightedGraph, cap: int) -> None:
         raise EnumerationLimitError(f"{g.m} edges exceeds enumeration cap {cap}")
 
 
-def _edge_conflicts(edges):
-    """conflicts[i] = indices j > i of edges sharing a vertex with edge i."""
-    conflicts = []
-    for i, (u, v) in enumerate(edges):
-        conflicts.append([j for j in range(i + 1, len(edges)) if u in edges[j] or v in edges[j]])
-    return conflicts
+def _matchings(g: WeightedGraph):
+    """Yield (sel, weight) for every matching of g, depth first.
+
+    sel lists the chosen indices into g.edges() in increasing order and
+    weight is their total, summed in that order.  Each matching comes
+    before its extensions, and extensions by a smaller edge index come
+    first.  sel is the live search stack: copy it to keep it.
+    """
+    edges = g.edges()
+    weights = [g.weights[e] for e in edges]
+    m = len(edges)
+    # conflicts[i]: the edges after edge i that share a vertex with it;
+    # blocked[i]: the number of selected edges that share a vertex with edge i
+    conflicts = [
+        [j for j in range(i + 1, m) if u in edges[j] or v in edges[j]] for i, (u, v) in enumerate(edges)
+    ]
+    blocked = [0] * m
+    sel: list[int] = []
+    totals = [0.0]
+    yield sel, 0.0
+    i = 0
+    while True:
+        while i < m and blocked[i]:
+            i += 1
+        if i < m:
+            for j in conflicts[i]:
+                blocked[j] += 1
+            sel.append(i)
+            weight = totals[-1] + weights[i]
+            totals.append(weight)
+            yield sel, weight
+        elif sel:
+            i = sel.pop()
+            totals.pop()
+            for j in conflicts[i]:
+                blocked[j] -= 1
+        else:
+            return
+        i += 1
 
 
 def brute_force_opt(g: WeightedGraph) -> Matching:
@@ -114,39 +147,26 @@ def brute_force_opt(g: WeightedGraph) -> Matching:
     improvement is required to replace the incumbent.
     """
     _check_cap(g, _OPT_EDGE_CAP)
+    best_size, best_weight, best_sel = 0, 0.0, ()
+    for sel, weight in _matchings(g):
+        size = len(sel)
+        if size > best_size or (size == best_size and weight > best_weight):
+            best_size, best_weight, best_sel = size, weight, tuple(sel)
     edges = g.edges()
-    weights = [g.weights[e] for e in edges]
-    m = len(edges)
-    blocked = [False] * m
-    conflicts = _edge_conflicts(edges)
-    best = {"size": 0, "weight": 0.0, "sel": ()}
-    sel: list[int] = []
-
-    def recurse(start: int, size: int, weight: float) -> None:
-        if size > best["size"] or (size == best["size"] and weight > best["weight"] + 0.0):
-            best["size"], best["weight"], best["sel"] = size, weight, tuple(sel)
-        for i in range(start, m):
-            if blocked[i]:
-                continue
-            newly = [j for j in conflicts[i] if not blocked[j]]
-            for j in newly:
-                blocked[j] = True
-            sel.append(i)
-            recurse(i + 1, size + 1, weight + weights[i])
-            sel.pop()
-            for j in newly:
-                blocked[j] = False
-
-    recurse(0, 0, 0.0)
-    return Matching.from_edges(g, [edges[i] for i in best["sel"]])
+    return Matching.from_edges(g, [edges[i] for i in best_sel])
 
 
-def _orient_forest(g: WeightedGraph):
-    """Parent pointers and BFS order for each component; error on cycles."""
+def _orient_forest(g: WeightedGraph, avoid=frozenset()):
+    """(parent, bfs_order) with parent -1 at component roots; CycleError on cycles.
+
+    Components are rooted at a vertex outside `avoid` whenever one exists,
+    so that pinned boundary vertices are BFS leaves.
+    """
     parent = [-2] * g.n
     order = []
     root_pref = g.root_vertex() if g.n else 0
-    starts = [root_pref] + [v for v in range(g.n) if v != root_pref]
+    starts = [v for v in [root_pref, *range(g.n)] if v not in avoid]
+    starts += [v for v in range(g.n) if v in avoid]
     seen_edges = 0
     for s in starts:
         if parent[s] != -2:
@@ -335,44 +355,22 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
 
 
 def _enumerate_max_matchings(g: WeightedGraph):
-    """Yield statistics of all maximum-cardinality matchings.
+    """Statistics of all maximum-cardinality matchings.
 
     Returns (max_size, count, intersection, union, samples) where samples
-    is the list of all maximum matchings as frozensets of edges.
+    is the list of all maximum matchings as frozensets of edges, in
+    enumeration order.
     """
     _check_cap(g, _ENUM_EDGE_CAP)
+    best, sels = 0, []
+    for sel, _ in _matchings(g):
+        if len(sel) > best:
+            best, sels = len(sel), [tuple(sel)]
+        elif len(sel) == best:
+            sels.append(tuple(sel))
     edges = g.edges()
-    m = len(edges)
-    conflicts = _edge_conflicts(edges)
-    blocked = [False] * m
-    state = {"max": 0, "all": []}
-    sel: list[int] = []
-
-    def recurse(start: int) -> None:
-        if len(sel) > state["max"]:
-            state["max"] = len(sel)
-            state["all"] = [tuple(sel)]
-        elif len(sel) == state["max"] and state["max"] > 0:
-            state["all"].append(tuple(sel))
-        elif state["max"] == 0 and not state["all"]:
-            state["all"] = [()]
-        for i in range(start, m):
-            if blocked[i]:
-                continue
-            newly = [j for j in conflicts[i] if not blocked[j]]
-            for j in newly:
-                blocked[j] = True
-            sel.append(i)
-            recurse(i + 1)
-            sel.pop()
-            for j in newly:
-                blocked[j] = False
-
-    recurse(0)
-    sets = [frozenset(edges[i] for i in sel_) for sel_ in state["all"]]
-    inter = frozenset.intersection(*sets) if sets else frozenset()
-    union = frozenset.union(*sets) if sets else frozenset()
-    return state["max"], len(sets), inter, union, sets
+    sets = [frozenset(edges[i] for i in sel) for sel in sels]
+    return best, len(sets), frozenset.intersection(*sets), frozenset.union(*sets), sets
 
 
 def mandatory_blocking(g: WeightedGraph) -> dict:

@@ -29,11 +29,8 @@ __all__ = [
     "LawError",
     "DegenerateFamilyError",
     "OffspringLaw",
-    "SizeBiasedLaw",
     "RegimeReport",
     "KarpSipserConstants",
-    "pgf_eval",
-    "size_biased_pgf",
     "size_biased_pgf_inverse",
     "double_map",
     "double_fixed_points",
@@ -93,7 +90,7 @@ class OffspringLaw:
     k -> k pi(k)/m is the degree of a uniform neighbour *including* the
     edge it was reached by; subtracting that edge gives the excess law
     k -> (k+1) pi(k+1)/m, whose pgf is phi'/phi'(1).  All recursions here
-    use the excess law, and ``size_biased_pgf`` returns phi'/phi'(1).
+    use the excess law, and ``excess_pgf`` returns phi'/phi'(1).
     """
 
     family: str
@@ -351,39 +348,9 @@ def parse_law(text: str) -> OffspringLaw:
     raise LawError(f"unknown law spec {text!r}")
 
 
-@dataclass(frozen=True)
-class SizeBiasedLaw:
-    """The excess law attached to an offspring law.
-
-    Its generating function is phi'(x)/phi'(1); it drives every recursion
-    below the root of the branching tree.
-    """
-
-    base: OffspringLaw
-
-    def pgf(self, x, order: int = 0):
-        return self.base.excess_pgf(x, order)
-
-    def pmf(self, tail: float = 1e-12) -> np.ndarray:
-        return self.base.excess_pmf(tail)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.base.sample_excess(rng, size)
-
-
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
-
-
-def pgf_eval(law: OffspringLaw, x, order: int = 0):
-    """Evaluate phi(x) or phi'(x), x in [0, 1]."""
-    return law.pgf(x, order)
-
-
-def size_biased_pgf(law: OffspringLaw, x, order: int = 0):
-    """Evaluate hphi(x) = phi'(x)/phi'(1) or its derivative, x in [0, 1]."""
-    return law.excess_pgf(x, order)
 
 
 def size_biased_pgf_inverse(law: OffspringLaw, y, tol: float = 1e-12):

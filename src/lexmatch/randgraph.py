@@ -532,7 +532,14 @@ def graph_from_text(text: str) -> WeightedGraph:
         parts = ln.split()
         if len(parts) != 3:
             raise GraphError(f"malformed edge line {ln!r}")
-        u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise GraphError(f"malformed edge line {ln!r}") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"vertex id out of range 0..{n - 1} in edge line {ln!r}")
+        if not math.isfinite(w):
+            raise GraphError(f"non-finite weight in edge line {ln!r}")
         edge_weights[_edge_key(u, v)] = w
     if len(edge_weights) != m:
         raise GraphError(f"header claims m={m}, found {len(edge_weights)} edges")

@@ -56,7 +56,8 @@ class ExperimentConfig:
     """Flat experiment configuration.
 
     Unused fields are ignored by individual drivers; `tolerance` is the
-    absolute pass band against the reference value.
+    absolute pass band against the reference value, None for the
+    experiment's default (0.01 for size, 0.02 for mandatory and separation).
     """
 
     experiment: str = "check"
@@ -79,7 +80,7 @@ class ExperimentConfig:
     grid_t: float | None = None
     k: int | None = None
     cross_forests: int = 1000
-    tolerance: float = 0.01
+    tolerance: float | None = None
     seed: int = 7
     stream: int = 0
     out: str | None = None
@@ -247,7 +248,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
         se=se,
         reference=ref,
         provenance="2 - max F_pi (genfn.matching_vertex_density)",
-        tolerance=cfg.tolerance,
+        tolerance=0.01 if cfg.tolerance is None else cfg.tolerance,
         notes=f"certified {certified}/{cfg.replicas}",
     )
     return [rec.judge()]
@@ -343,6 +344,9 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     unique-fixed-point regime the run is refused unless conjecture_probe
     is set, in which case estimates are emitted unjudged.
     """
+    if cfg.depth < 1:
+        # both root endpoints would be pinned boundary vertices
+        raise HarnessError("mandatory experiment needs depth >= 1")
     law = cfg.offspring()
     regime = genfn.macroscopic_law(law)
     probe = not regime.unique_double_fp
@@ -352,6 +356,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
             "in (0,1); rerun with conjecture_probe for unjudged estimates"
         )
     gamma = _single_map_fixed_point(law)
+    tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     base = cfg.base_seed()
     counts = {"mandatory": 0, "blocking": 0, "free": 0, "unknown": 0}
     for i in range(cfg.samples):
@@ -399,7 +404,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
             se=_binom_se(p_hat, total),
             reference=None if probe else ref,
             provenance="square of the fixed point of t -> hphi(1-t) (genfn)",
-            tolerance=cfg.tolerance if cfg.tolerance != 0.01 else 0.02,
+            tolerance=tol,
             notes=("conjecture probe; " if probe else "")
             + f"certified {total}/{cfg.samples}",
         )
@@ -475,7 +480,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     ref_w = 1.0 - (1.0 - 1.0 / (p + 1)) ** (p + 1)
     ref_u = 1.0 / (1.0 + p / (p + 1.0))
-    tol = max(cfg.tolerance, 0.02)
+    tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     records = [
         ResultRecord(
             "separation",
@@ -519,29 +524,12 @@ def _eps_threshold(g: randgraph.WeightedGraph, opt: exact.Matching) -> float:
     eps > (|M*| - |M|) / (w(M) - w(M*)); enumerate all matchings and take
     the minimum such ratio (inf if none competes).
     """
-    edges = g.edges()
-    weights = [g.weights[e] for e in edges]
-    conflicts = exact._edge_conflicts(edges)
-    m = len(edges)
-    blocked = [False] * m
-    best = [math.inf]
     size0, w0 = opt.size, opt.weight
-
-    def recurse(start: int, size: int, weight: float) -> None:
-        if size < size0 and weight > w0:
-            best[0] = min(best[0], (size0 - size) / (weight - w0))
-        for i in range(start, m):
-            if blocked[i]:
-                continue
-            newly = [j for j in conflicts[i] if not blocked[j]]
-            for j in newly:
-                blocked[j] = True
-            recurse(i + 1, size + 1, weight + weights[i])
-            for j in newly:
-                blocked[j] = False
-
-    recurse(0, 0, 0.0)
-    return best[0]
+    best = math.inf
+    for sel, weight in exact._matchings(g):
+        if len(sel) < size0 and weight > w0:
+            best = min(best, (size0 - len(sel)) / (weight - w0))
+    return best
 
 
 def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:

@@ -1,5 +1,7 @@
 """Lexicographic sweeps against the brute-force oracle and hand propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from lexmatch.bp import (
     field_to_text,
     flexibility,
     macroscopic_squeeze,
-    macroscopic_sweep,
     scalar_sweep_eps,
     squeeze,
     sweep_bounded,
@@ -69,6 +70,72 @@ def recursion_residual(g, field):
         if best != val:
             bad += 1
     return bad
+
+
+def one_step_violations(g, msgs, pins, step, zero):
+    """Messages that differ from their pin or from their one-step recursion.
+
+    msgs maps (u, v) to the value summarising v's side; a message into a
+    pinned vertex must equal the pin, any other must equal the maximum of
+    `zero` and step(w(v, x), msgs[(v, x)]) over the other neighbours x of v.
+    """
+    bad = 0
+    for (u, v), val in msgs.items():
+        if v in pins:
+            bad += val != pins[v]
+            continue
+        best = zero
+        for x in g.adjacency[v]:
+            if x != u:
+                cand = step(g.weight(v, x), msgs[(v, x)])
+                if cand > best:
+                    best = cand
+        bad += val != best
+    return bad
+
+
+class TestRecursionConsistency:
+    """Every sweep's output is a fixed point of its own recursion, edge by edge."""
+
+    @staticmethod
+    def instances():
+        for i in range(60):
+            g = random_tree(i, depth=3, law_mean=1.5)
+            yield g  # boundary-pinned ball
+            yield replace(g, boundary=frozenset())  # the same tree, unpinned
+        for i in range(30):
+            g = assign_weights(erdos_renyi(40, 0.8, RngSeed(72, i)), WeightLaw.uniform(0, 1), RngSeed(73, i))
+            try:
+                exact._orient_forest(g)
+            except CycleError:
+                continue
+            yield g  # unpinned forest of several components
+
+    def test_pair_messages(self):
+        rng = np.random.default_rng(9)
+        checked = 0
+        for g in self.instances():
+            for k in (1, 2):
+                sampled = {b: (int(rng.integers(0, k + 1)), float(rng.random())) for b in g.boundary}
+                for spec in ("zero", "top", sampled):
+                    f = sweep_bounded(g, k, spec)
+                    step = lambda w, m: (k - m[0], w - m[1])
+                    assert one_step_violations(g, f.messages, f.boundary_spec, step, ZERO) == 0
+                    checked += len(f.messages)
+        assert checked > 5000
+
+    def test_levels(self):
+        for g in self.instances():
+            levels, _ = macroscopic_squeeze(g)
+            pins = dict.fromkeys(g.boundary, 0)
+            assert one_step_violations(g, levels, pins, lambda w, lvl: 1 - lvl, 0) == 0
+
+    def test_scalar_eps_values(self):
+        for g in self.instances():
+            for eps in (0.5, 2.0**-7):
+                field, _ = scalar_sweep_eps(g, eps)
+                step = lambda w, z: 1.0 + eps * w - z
+                assert one_step_violations(g, field, {}, step, 0.0) == 0
 
 
 class TestSweepTree:
@@ -193,7 +260,7 @@ class TestSweepBounded:
             if b.m >= comp.m:
                 continue  # need a proper exterior
             try:
-                bp._orient(b)
+                exact._orient_forest(b)
             except CycleError:
                 continue
             ambient = brute_force_opt(comp)
@@ -303,7 +370,8 @@ class TestMacroscopic:
         for i in range(100):
             g = random_tree(i)
             f = sweep_tree(g, 1)
-            levels = macroscopic_sweep(g, 0)
+            levels, _ = macroscopic_squeeze(g)  # boundary pinned to level 0
+            assert len(levels) == len(f.messages)
             for key, (lvl, _) in f.messages.items():
                 assert levels[key] == lvl
 

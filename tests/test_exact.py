@@ -199,6 +199,46 @@ class TestLeafRemoval:
         Matching.from_edges(g, m.edges)  # raises if not vertex-disjoint
 
 
+class TestMatchingEnumerator:
+    @staticmethod
+    def enumerated(g):
+        return [tuple(sel) for sel, _ in exact._matchings(g)]
+
+    def test_counts(self):
+        def fib(n):
+            a, b = 0, 1
+            for _ in range(n):
+                a, b = b, a + b
+            return a
+
+        for n_edges in range(12):
+            assert len(self.enumerated(path([1.0] * n_edges))) == fib(n_edges + 2)
+        for d in range(8):
+            star = graph_of(d + 1, {(0, j): 1.0 for j in range(1, d + 1)})
+            assert len(self.enumerated(star)) == d + 1
+        # path on vertices 0..4 (F(6) = 8 matchings) beside a star centred at 5 (4)
+        union = graph_of(9, {**{(i, i + 1): 1.0 for i in range(4)}, (5, 6): 1.0, (5, 7): 1.0, (5, 8): 1.0})
+        assert len(self.enumerated(union)) == 8 * 4
+
+    def test_order_and_weights_against_subsets(self):
+        for i in range(40):
+            g = random_small_tree(i, max_depth=3)
+            if g.m > 14:
+                continue
+            edges = g.edges()
+            subsets = [
+                combo
+                for r in range(len(edges) + 1)
+                for combo in itertools.combinations(range(len(edges)), r)
+                if len({v for j in combo for v in edges[j]}) == 2 * r
+            ]
+            # depth first by increasing edge index: every matching before its
+            # extensions, i.e. lexicographic order of the index tuples
+            assert self.enumerated(g) == sorted(subsets)
+            for sel, weight in exact._matchings(g):
+                assert weight == sum(g.weights[edges[j]] for j in sel)
+
+
 class TestMandatoryBlocking:
     def test_single_edge(self):
         g = graph_of(2, {(0, 1): 1.0})

@@ -13,7 +13,6 @@ from lexmatch.genfn import (
     DomainError,
     LawError,
     OffspringLaw,
-    SizeBiasedLaw,
     parse_law,
 )
 
@@ -38,15 +37,15 @@ GAMMA_1 = bisect_fixed_point(lambda t: math.exp(-t))
 
 class TestPgfEval:
     def test_poisson_normalization(self):
-        assert genfn.pgf_eval(OffspringLaw.poisson(1.0), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert OffspringLaw.poisson(1.0).pgf(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_poisson_closed_form(self):
-        val = genfn.pgf_eval(OffspringLaw.poisson(1.0), 0.5)
+        val = OffspringLaw.poisson(1.0).pgf(0.5)
         assert val == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_deterministic_two_children(self):
         law = OffspringLaw.finite_support([0, 0, 1])
-        assert genfn.pgf_eval(law, 0.3) == pytest.approx(0.09, abs=1e-12)
+        assert law.pgf(0.3) == pytest.approx(0.09, abs=1e-12)
 
     def test_derivative_is_mean_at_one(self):
         for law in [
@@ -55,13 +54,13 @@ class TestPgfEval:
             OffspringLaw.geometric(0.35),
             OffspringLaw.finite_support([0.2, 0.5, 0.3]),
         ]:
-            assert genfn.pgf_eval(law, 1.0, order=1) == pytest.approx(law.mean, rel=1e-12)
+            assert law.pgf(1.0, order=1) == pytest.approx(law.mean, rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            genfn.pgf_eval(OffspringLaw.poisson(1.0), 1.5)
+            OffspringLaw.poisson(1.0).pgf(1.5)
         with pytest.raises(DomainError):
-            genfn.pgf_eval(OffspringLaw.poisson(1.0), -0.2)
+            OffspringLaw.poisson(1.0).pgf(-0.2)
 
     def test_finite_pgf_matches_direct_sum(self):
         pmf = [0.1, 0.2, 0.3, 0.4]
@@ -69,26 +68,24 @@ class TestPgfEval:
         x = 0.37
         direct = sum(p * x**k for k, p in enumerate(pmf))
         ddirect = sum(p * k * x ** (k - 1) for k, p in enumerate(pmf) if k >= 1)
-        assert genfn.pgf_eval(law, x) == pytest.approx(direct, abs=1e-14)
-        assert genfn.pgf_eval(law, x, order=1) == pytest.approx(ddirect, abs=1e-14)
+        assert law.pgf(x) == pytest.approx(direct, abs=1e-14)
+        assert law.pgf(x, order=1) == pytest.approx(ddirect, abs=1e-14)
 
 
 class TestSizeBiasedPgf:
     def test_poisson_equals_plain_pgf(self):
         law = OffspringLaw.poisson(1.7)
         for x in np.linspace(0, 1, 11):
-            assert genfn.size_biased_pgf(law, x) == pytest.approx(
-                genfn.pgf_eval(law, x), abs=1e-12
-            )
+            assert law.excess_pgf(x) == pytest.approx(law.pgf(x), abs=1e-12)
 
     def test_deterministic_binary_is_identity(self):
         law = OffspringLaw.finite_support([0, 0, 1])
-        assert genfn.size_biased_pgf(law, 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert law.excess_pgf(0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_binomial_at_zero(self):
         # phi'(0)/phi'(1) = (3*0.5*0.25)/1.5
         law = OffspringLaw.binomial(3, 0.5)
-        assert genfn.size_biased_pgf(law, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert law.excess_pgf(0.0) == pytest.approx(0.25, abs=1e-12)
 
     def test_normalized_at_one(self):
         for law in [
@@ -97,33 +94,34 @@ class TestSizeBiasedPgf:
             OffspringLaw.geometric(0.6),
             OffspringLaw.finite_support([0.5, 0.25, 0.25]),
         ]:
-            assert genfn.size_biased_pgf(law, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert law.excess_pgf(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_geometric_moebius_form(self):
         p = 0.3
         law = OffspringLaw.geometric(p)
         for x in np.linspace(0, 1, 13):
             expected = p * x / (1 - (1 - p) * x)
-            assert genfn.size_biased_pgf(law, x) == pytest.approx(expected, abs=1e-12)
+            assert law.excess_pgf(x) == pytest.approx(expected, abs=1e-12)
 
     def test_excess_pmf_matches_pgf(self):
         law = OffspringLaw.finite_support([0.2, 0.5, 0.3])
         pmf = law.excess_pmf()
         x = 0.61
-        assert sum(p * x**k for k, p in enumerate(pmf)) == pytest.approx(
-            genfn.size_biased_pgf(law, x), abs=1e-12
-        )
+        assert sum(p * x**k for k, p in enumerate(pmf)) == pytest.approx(law.excess_pgf(x), abs=1e-12)
 
-    def test_wrapper_type(self):
-        law = OffspringLaw.poisson(1.0)
-        sb = SizeBiasedLaw(law)
-        assert sb.pgf(0.5) == pytest.approx(law.excess_pgf(0.5), abs=1e-15)
+    def test_excess_law_methods(self):
+        # the excess law of a binomial(n, q) is binomial(n - 1, q)
+        law = OffspringLaw.binomial(3, 0.5)
+        assert law.excess_pgf(0.5) == pytest.approx(0.75**2, abs=1e-15)
+        assert np.allclose(law.excess_pmf(), [0.25, 0.5, 0.25], atol=1e-12)
+        draws = law.sample_excess(np.random.default_rng(2), 4000)
+        assert set(np.unique(draws)) <= {0, 1, 2}
 
     def test_inverse(self):
         for law in [OffspringLaw.poisson(1.0), OffspringLaw.binomial(4, 0.3)]:
             for y in np.linspace(float(law.excess_pgf(0.0)), 1.0, 7):
                 x = genfn.size_biased_pgf_inverse(law, y)
-                assert genfn.size_biased_pgf(law, x) == pytest.approx(y, abs=1e-10)
+                assert law.excess_pgf(x) == pytest.approx(y, abs=1e-10)
 
 
 class TestDoubleFixedPoints:
@@ -162,7 +160,7 @@ class TestDoubleFixedPoints:
 class TestFPi:
     def test_at_zero(self):
         for law in [OffspringLaw.poisson(2.0), OffspringLaw.binomial(3, 0.3)]:
-            expected = 1.0 + genfn.pgf_eval(law, 0.0)
+            expected = 1.0 + law.pgf(0.0)
             assert genfn.F_pi(law, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_poisson_1_collapse_at_gamma(self):
@@ -321,9 +319,9 @@ class TestLawPlumbing:
     def test_pgf_normalized_for_any_finite_law(self, raw):
         total = sum(raw)
         law = OffspringLaw.finite_support([v / total for v in raw])
-        assert genfn.pgf_eval(law, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert law.pgf(1.0) == pytest.approx(1.0, abs=1e-9)
         if law.mean > 0:
-            assert genfn.size_biased_pgf(law, 1.0) == pytest.approx(1.0, abs=1e-9)
+            assert law.excess_pgf(1.0) == pytest.approx(1.0, abs=1e-9)
 
     @given(st.floats(min_value=0.05, max_value=4.0))
     @settings(max_examples=40, deadline=None)

@@ -3,11 +3,13 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from lexmatch import xharness
 from lexmatch.cli import cli
+from lexmatch.randgraph import GraphError, graph_from_text
 from lexmatch.xharness import (
     CertificationError,
     ExperimentConfig,
@@ -104,6 +106,14 @@ class TestRunMandatory:
         assert cross.estimate == 0.0 and cross.passed
 
 
+    def test_explicit_tolerance_used_as_given(self):
+        cfg = ExperimentConfig(experiment="mandatory", samples=200, depth=6, seed=11, cross_forests=20)
+        default = run_mandatory(cfg)
+        explicit = run_mandatory(replace(cfg, tolerance=0.01))
+        assert [r.tolerance for r in default[:2]] == [0.02, 0.02]
+        assert [r.tolerance for r in explicit[:2]] == [0.01, 0.01]
+
+
 class TestRunSeparation:
     def test_p2_references(self):
         recs = run_separation(ExperimentConfig(experiment="separation", p=2, samples=900, seed=12))
@@ -117,6 +127,12 @@ class TestRunSeparation:
         recs = run_separation(ExperimentConfig(experiment="separation", p=1, samples=900, seed=13))
         gap = next(r for r in recs if "invariance" in r.name)
         assert gap.passed
+
+
+    def test_explicit_tolerance_used_as_given(self):
+        cfg = ExperimentConfig(experiment="separation", p=1, samples=200, seed=13)
+        assert {r.tolerance for r in run_separation(cfg)} == {0.02}
+        assert {r.tolerance for r in run_separation(replace(cfg, tolerance=0.005))} == {0.005}
 
 
 class TestRunEpsSweep:
@@ -195,6 +211,35 @@ class TestCli:
             "lexmatch-graph v1 n=3 m=3 root=vertex:0\n0 1 0.5\n0 2 0.5\n1 2 0.5\n"
         )
         assert cli(["match", "--graph", str(gpath)]) == 1
+
+    @pytest.mark.parametrize(
+        "edge_line",
+        ["1 -1 0.25", "1 3 0.25", "1 2 nan", "1 2 inf", "1 2 x"],
+        ids=["negative-id", "id-not-below-n", "nan-weight", "inf-weight", "malformed-weight"],
+    )
+    def test_match_rejects_invalid_graph_file(self, tmp_path, capsys, edge_line):
+        text = f"lexmatch-graph v1 n=3 m=2 root=vertex:0\n0 1 0.5\n{edge_line}\n"
+        with pytest.raises(GraphError):
+            graph_from_text(text)
+        gpath = tmp_path / "bad.txt"
+        gpath.write_text(text)
+        assert cli(["match", "--graph", str(gpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_match_tied_weights_one_line_error(self, tmp_path, capsys):
+        gpath = tmp_path / "tied.txt"
+        gen = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "4"]
+        assert cli(gen + ["--weights", "const:1.0", "--seed", "1", "--out", str(gpath)]) == 0
+        assert cli(["match", "--graph", str(gpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_mandatory_depth_zero_one_line_error(self, capsys):
+        assert cli(["mandatory", "--depth", "0", "--samples", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: mandatory experiment needs depth >= 1\n"
 
     def test_size_cli_with_outputs(self, tmp_path):
         out = tmp_path / "res"
