@@ -151,8 +151,10 @@ def _cmd_match(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _experiment_config(args)
-    records, csv_text = xharness.run_solve(cfg)
-    xharness.emit(records, cfg, extra_files={"cdfsystem.csv": csv_text})
+    records, system = xharness.run_solve(cfg)
+    xharness.emit(records, cfg, extra_files={"cdfsystem.csv": rde.system_to_csv(system)})
+    for i, attempt in enumerate(system.attempts, 1):
+        print(f"solver attempt {i}: {attempt.describe()}", file=sys.stderr)
     for rec in records:
         _print_record(rec)
     return 0 if all(r.passed is not False for r in records) else 2

@@ -513,20 +513,16 @@ def graph_from_text(text: str) -> WeightedGraph:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("lexmatch-graph v1 "):
         raise GraphError("missing lexmatch-graph v1 header")
-    header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
     try:
+        header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
         n = int(header["n"])
         m = int(header["m"])
-        root_txt = header["root"]
-    except (KeyError, ValueError) as exc:
+        kind, ids = header["root"].split(":", 1)
+        root = {"vertex": VertexRoot, "edge": EdgeRoot}[kind](*map(int, ids.split(",")))
+    except (KeyError, ValueError, TypeError) as exc:
         raise GraphError(f"malformed header: {lines[0]!r}") from exc
-    if root_txt.startswith("vertex:"):
-        root = VertexRoot(int(root_txt.split(":", 1)[1]))
-    elif root_txt.startswith("edge:"):
-        u, v = root_txt.split(":", 1)[1].split(",")
-        root = EdgeRoot(int(u), int(v))
-    else:
-        raise GraphError(f"malformed root {root_txt!r}")
+    if n < 1:
+        raise GraphError(f"header claims n={n}; need at least one vertex")
     edge_weights = {}
     for ln in lines[1:]:
         parts = ln.split()

@@ -36,6 +36,7 @@ __all__ = [
     "GridSpec",
     "GridCdf",
     "CdfSystem",
+    "SolverAttempt",
     "ZetaSampler",
     "solve_h_eps",
     "solve_system",
@@ -97,9 +98,33 @@ class GridCdf:
             raise ValueError("GridCdf values must be non-decreasing")
 
 
+@dataclass(frozen=True)
+class SolverAttempt:
+    """One fixed-point attempt of the grid solver.
+
+    `reason` says why it ended: "converged", "stalled" (the residual of
+    the undamped first attempt stopped shrinking) or "max_iter".
+    """
+
+    damping: float
+    iterations: int
+    residual: float
+    reason: str
+
+    def describe(self) -> str:
+        return (
+            f"damping {self.damping:g}: {self.reason} after {self.iterations} "
+            f"iterations (residual {self.residual:.3e})"
+        )
+
+
 @dataclass
 class CdfSystem:
-    """Solved layer vector with plateau levels and convergence history."""
+    """Solved layer vector with plateau levels and convergence history.
+
+    `residuals` is the residual history of the final (converged) attempt;
+    `attempts` records every attempt, in order.
+    """
 
     k: int
     levels: list
@@ -107,6 +132,7 @@ class CdfSystem:
     wlaw: WeightLaw
     residuals: list = field(default_factory=list)
     leafless: bool = False
+    attempts: list = field(default_factory=list)
 
     @property
     def beta(self) -> float:
@@ -261,11 +287,28 @@ def _recenter(values: np.ndarray, i0: int) -> np.ndarray:
     return _monotone_guard(out)
 
 
-def _iterate(law, quad, layers, k, leafless, tol, max_iter, damping=0.5):
-    """Damped fixed-point iteration of the joint layer operator."""
+# An undamped attempt whose minimum residual over the last _STALL_WINDOW
+# iterations stays above _STALL_RATIO times its minimum before them is
+# taken to be stuck in the period-2 cycle of the order-reversing operator.
+# Slow contractions that still converge within the default 5000 iterations
+# shrink it by more per window: poisson:2.71 with uniform weights, which
+# converges at iteration 4899, peaks at a window ratio of 0.89.
+_STALL_WINDOW = 50
+_STALL_RATIO = 0.9
+
+
+def _iterate(law, quad, layers, k, leafless, tol, max_iter, damping, stall_exit=False):
+    """Damped fixed-point iteration of the joint layer operator.
+
+    Returns the final layers, the residual history and why the attempt
+    ended: "converged", "max_iter", or "stalled" (only with stall_exit).
+    The input list is left untouched.
+    """
     i0 = quad.i0
+    layers = list(layers)
     residuals = []
-    for _ in range(max_iter):
+    floor = math.inf  # minimum residual before the current window
+    for it in range(max_iter):
         expect = [_expect_layer(quad, lv) for lv in layers]
         new_vals = []
         for j in range(k + 1):
@@ -284,24 +327,40 @@ def _iterate(law, quad, layers, k, leafless, tol, max_iter, damping=0.5):
             layers[j] = GridCdf(quad.t, mixed, atom)
         residuals.append(resid)
         if resid < tol:
-            return layers, residuals
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {residuals[-1]:.3e})",
-        residuals[-1],
-    )
+            return layers, residuals, "converged"
+        if stall_exit and it >= _STALL_WINDOW:
+            floor = min(floor, residuals[it - _STALL_WINDOW])
+            if min(residuals[-_STALL_WINDOW:]) > _STALL_RATIO * floor:
+                return layers, residuals, "stalled"
+    return layers, residuals, "max_iter"
 
 
 def _iterate_with_fallback(law, quad, layers, k, leafless, tol, max_iter, damping):
-    """Undamped first (meets the two-step contraction rate when the regime
-    contracts), falling back to half-step damping, which tames the
-    period-2 oscillation of the order-reversing operator outside it."""
-    if damping is not None:
-        return _iterate(law, quad, layers, k, leafless, tol, max_iter, damping)
-    snapshot = [GridCdf(lv.t, lv.values.copy(), lv.atom0) for lv in layers]
-    try:
-        return _iterate(law, quad, layers, k, leafless, tol, max_iter, 1.0)
-    except ConvergenceError:
-        return _iterate(law, quad, snapshot, k, leafless, tol, max_iter, 0.5)
+    """Run the fixed-point attempts from `layers`; return the converged
+    layers, the final attempt's residual history and every attempt.
+
+    With a given damping there is one attempt of up to max_iter
+    iterations.  Without one, an undamped attempt runs first (it meets the
+    two-step contraction rate when the regime contracts); it ends early
+    once its residual stalls, i.e. the minimum over the last _STALL_WINDOW
+    iterations stays above _STALL_RATIO times the minimum before them.
+    Then a half-damped attempt, which tames the period-2 oscillation of
+    the order-reversing operator, restarts from the same initial layers.
+    Raises ConvergenceError naming every attempt when none converges.
+    """
+    plan = [(1.0, True), (0.5, False)] if damping is None else [(damping, False)]
+    attempts = []
+    for step, stall_exit in plan:
+        out, residuals, reason = _iterate(
+            law, quad, layers, k, leafless, tol, max_iter, step, stall_exit
+        )
+        attempts.append(SolverAttempt(step, len(residuals), residuals[-1], reason))
+        if reason == "converged":
+            return out, residuals, attempts
+    raise ConvergenceError(
+        "no convergence: " + "; ".join(a.describe() for a in attempts),
+        attempts[-1].residual,
+    )
 
 
 def solve_h_eps(
@@ -317,7 +376,8 @@ def solve_h_eps(
 
     Solves h(t) = 1_{t>=0} hphi(1 - E[h(1 + eps W - t)]) by fixed-point
     iteration; the value h(0) is the atom at zero and converges to the
-    renormalised atom beta as eps -> 0.
+    renormalised atom beta as eps -> 0.  `damping` selects the attempts as
+    in solve_system.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -325,9 +385,7 @@ def solve_h_eps(
     t = grid.build(default_t=8.0 * (view.mean + 1.0))
     quad = _Quadrature(t, view)
     start = GridCdf(t, np.where(t >= 0, 0.5, 0.0), 0.5)
-    layers, residuals = _iterate_with_fallback(
-        law, quad, [start], 0, False, tol, max_iter, damping
-    )
+    layers, _, _ = _iterate_with_fallback(law, quad, [start], 0, False, tol, max_iter, damping)
     out = layers[0]
     out.atom0 = float(out.values[quad.i0])
     return out
@@ -344,12 +402,15 @@ def solve_system(
 ) -> CdfSystem:
     """Solve the renormalised (k+1)-layer system for the message law.
 
-    k should come from the macroscopic regime classification.  Outside
-    the contracting regime the iteration is still attempted (a warning is
-    recorded on the returned system via its residual history length), and
-    non-convergence raises ConvergenceError.  With a leafless excess law
-    (hphi(0) = 0) the indicator variant is replaced by the pinned-limit
-    variant automatically.
+    k should come from the macroscopic regime classification.  With the
+    default damping=None an undamped attempt runs first and, if its
+    residual stalls (as in the period-2 cycle outside the contracting
+    regime), a half-damped attempt restarts from the initial layers; a
+    given damping makes a single attempt of up to max_iter iterations.
+    The returned system lists every attempt in `attempts`, and
+    ConvergenceError names each one when none converges.  With a leafless
+    excess law (hphi(0) = 0) the indicator variant is replaced by the
+    pinned-limit variant automatically.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -376,11 +437,17 @@ def solve_system(
             ramp = np.clip(ramp + (1.0 - hi), 0.0, 1.0)
         layers.append(GridCdf(t, _monotone_guard(ramp), 0.0))
 
-    layers, residuals = _iterate_with_fallback(
+    layers, residuals, attempts = _iterate_with_fallback(
         law, quad, layers, k, leafless, tol, max_iter, damping
     )
     return CdfSystem(
-        k=k, levels=layers, law=law, wlaw=wlaw, residuals=residuals, leafless=leafless
+        k=k,
+        levels=layers,
+        law=law,
+        wlaw=wlaw,
+        residuals=residuals,
+        leafless=leafless,
+        attempts=attempts,
     )
 
 

@@ -118,21 +118,25 @@ def load_config_file(path: str) -> dict:
 
 
 def config_from(mapping: dict) -> ExperimentConfig:
+    """Typed config from string or native values; a malformed value raises HarnessError."""
     kwargs = {}
     for key, val in mapping.items():
         if val is None:
             continue
         typ = _CONFIG_TYPES[key]
-        if typ in ("int", int):
-            kwargs[key] = int(val)
-        elif typ in ("float", float) or "float" in str(typ):
-            kwargs[key] = float(val)
-        elif typ in ("bool", bool):
-            kwargs[key] = val if isinstance(val, bool) else val.lower() in ("1", "true", "yes")
-        elif "int" in str(typ):
-            kwargs[key] = None if val in ("", "none", None) else int(val)
-        else:
-            kwargs[key] = val
+        try:
+            if typ in ("int", int):
+                kwargs[key] = int(val)
+            elif typ in ("float", float) or "float" in str(typ):
+                kwargs[key] = float(val)
+            elif typ in ("bool", bool):
+                kwargs[key] = val if isinstance(val, bool) else val.lower() in ("1", "true", "yes")
+            elif "int" in str(typ):
+                kwargs[key] = None if val in ("", "none", None) else int(val)
+            else:
+                kwargs[key] = val
+        except ValueError as exc:
+            raise HarnessError(f"invalid value {val!r} for config key {key!r}") from exc
     return ExperimentConfig(**kwargs)
 
 
@@ -191,6 +195,13 @@ def _binom_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / max(n, 1))
 
 
+def _need_positive(experiment: str, **counts) -> None:
+    """Reject a count below 1 before an estimate divides by it."""
+    for name, value in counts.items():
+        if value < 1:
+            raise HarnessError(f"{experiment} experiment needs {name} >= 1, got {value}")
+
+
 def _assert_perf_identity(g, matching) -> None:
     pv, pe = exact.perf_of(g, matching)
     ratio = 2.0 * g.m / max(g.n, 1)
@@ -213,6 +224,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
     estimate; if the law is not subcritical and fewer than 90% of the
     replicas certify, the run is refused.
     """
+    _need_positive("size", replicas=cfg.replicas)
     law = cfg.offspring()
     base = cfg.base_seed()
     fractions = []
@@ -262,6 +274,9 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     doubled recursion advances the radius by two, so the log-fraction is
     fitted against r = H/2 and compared with log(rho).
     """
+    _need_positive("decay", samples=cfg.samples, h_step=cfg.h_step)
+    if cfg.h_min > cfg.h_max:
+        raise HarnessError("decay experiment needs h_min <= h_max")
     law = cfg.offspring()
     wlaw = cfg.weight_law()
     regime = genfn.macroscopic_law(law)
@@ -347,6 +362,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.depth < 1:
         # both root endpoints would be pinned boundary vertices
         raise HarnessError("mandatory experiment needs depth >= 1")
+    _need_positive("mandatory", samples=cfg.samples)
     law = cfg.offspring()
     regime = genfn.macroscopic_law(law)
     probe = not regime.unique_double_fp
@@ -445,9 +461,8 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     uniform-maximum-matching probability differs from it, which separates
     the two matching ensembles.
     """
+    _need_positive("separation", p=cfg.p, samples=cfg.samples)
     p = cfg.p
-    if p < 1:
-        raise HarnessError("separation experiment needs p >= 1")
     law = cfg.offspring()
     excess = law.excess_pmf()
     pa_note = ""
@@ -539,6 +554,9 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
     the instance's enumerated gap threshold and the disagreement fraction
     reaches zero as eps decreases geometrically.
     """
+    _need_positive("eps-sweep", trees=cfg.trees)
+    if cfg.eps_min_exp > cfg.eps_max_exp:
+        raise HarnessError("eps-sweep experiment needs eps_min_exp <= eps_max_exp")
     base = cfg.base_seed()
     instances = []
     i = 0
@@ -680,8 +698,12 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     return records
 
 
-def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], str]:
-    """Solve the message-law system and report its internal identities."""
+def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]:
+    """Solve the message-law system and report its internal identities.
+
+    Returns the records and the solved system (its grid dump is
+    rde.system_to_csv, its solver attempts `system.attempts`).
+    """
     law = cfg.offspring()
     wlaw = cfg.weight_law()
     k = cfg.k if cfg.k is not None else genfn.macroscopic_law(law).k
@@ -712,7 +734,7 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], str]:
             2e-3,
         ).judge(),
     ]
-    return records, rde.system_to_csv(system)
+    return records, system
 
 
 # ----------------------------------------------------------------------

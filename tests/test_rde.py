@@ -11,6 +11,7 @@ from lexmatch.randgraph import RngSeed, WeightLaw
 from lexmatch.rde import (
     ConvergenceError,
     GridSpec,
+    SolverAttempt,
     conservation_check,
     population_dynamics,
     rde_step,
@@ -23,6 +24,7 @@ from lexmatch.rde import (
 )
 
 LAW1 = OffspringLaw.poisson(1.0)
+LAW3 = OffspringLaw.poisson(3.0)
 UNIF = WeightLaw.uniform(0.0, 1.0)
 KS1 = genfn.karp_sipser_poisson(1.0)
 GAMMA = KS1.gamma_low
@@ -31,6 +33,11 @@ GAMMA = KS1.gamma_low
 @pytest.fixture(scope="module")
 def sys1():
     return solve_system(LAW1, UNIF, 1)
+
+
+@pytest.fixture(scope="module")
+def sys2():
+    return solve_system(LAW3, UNIF, 2, damping=0.5)
 
 
 class TestSolveHEps:
@@ -86,9 +93,8 @@ class TestSolveSystem:
         tail = ratios[len(ratios) // 2 :]
         assert np.all(tail <= rho + 0.05)
 
-    def test_k2_poisson3(self):
+    def test_k2_poisson3(self, sys2):
         ks3 = genfn.karp_sipser_poisson(3.0)
-        sys2 = solve_system(OffspringLaw.poisson(3.0), UNIF, 2, damping=0.5)
         assert sys2.plateau[0] == pytest.approx(ks3.gamma_low, abs=1e-4)
         assert sys2.plateau[1] == pytest.approx(ks3.gamma_high, abs=1e-4)
         assert sys2.beta == pytest.approx(ks3.beta, abs=2e-3)
@@ -104,6 +110,56 @@ class TestSolveSystem:
     def test_nonconvergence_reported(self):
         with pytest.raises(ConvergenceError) as exc:
             solve_system(OffspringLaw.poisson(3.0), UNIF, 2, max_iter=5, damping=0.5)
+        assert exc.value.residual > 0
+
+
+class TestSolverAttempts:
+    def test_default_damping_falls_back_after_stall(self, sys2):
+        # k = 2: the undamped iteration locks into a period-2 cycle, so it
+        # must stop early and the half-damped restart must give exactly the
+        # system that damping=0.5 gives
+        default = solve_system(LAW3, UNIF, 2)
+        for a, b in zip(default.levels, sys2.levels):
+            assert np.array_equal(a.values, b.values) and a.atom0 == b.atom0
+        assert default.plateau == sys2.plateau
+        assert default.residuals == sys2.residuals
+        stalled, converged = default.attempts
+        assert stalled.damping == 1.0 and stalled.reason == "stalled"
+        assert stalled.iterations <= 200 and stalled.residual > 0.1
+        assert converged == SolverAttempt(0.5, len(sys2.residuals), sys2.residuals[-1], "converged")
+        assert sys2.attempts == [converged]
+
+    @pytest.mark.parametrize(
+        "law, grid, iterations",
+        [
+            (OffspringLaw.poisson(1.0), GridSpec(), 36),
+            (OffspringLaw.poisson(2.0), GridSpec(), 107),
+            (OffspringLaw.binomial(3, 0.5), GridSpec(), 63),
+            # slow contraction near c = e: its residual shrinks by less than
+            # half over some 50-iteration windows, yet it converges undamped
+            (OffspringLaw.poisson(2.65), GridSpec(1024), 1349),
+        ],
+        ids=["poisson1", "poisson2", "binomial3", "poisson2.65-slow"],
+    )
+    def test_contracting_k1_single_undamped_attempt(self, law, grid, iterations):
+        s = solve_system(law, UNIF, 1, grid)
+        assert len(s.residuals) == iterations
+        assert s.attempts == [SolverAttempt(1.0, iterations, s.residuals[-1], "converged")]
+
+    def test_given_damping_runs_to_max_iter(self):
+        # the undamped k = 2 residual stalls within 52 iterations; a given
+        # damping has no stall exit and fails only at max_iter
+        with pytest.raises(ConvergenceError) as exc:
+            solve_system(LAW3, UNIF, 2, max_iter=80, damping=1.0)
+        assert str(exc.value).startswith("no convergence: damping 1: max_iter after 80 iterations")
+        assert ";" not in str(exc.value)
+
+    def test_failure_names_both_attempts(self):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_system(LAW3, UNIF, 2, max_iter=60)
+        msg = str(exc.value)
+        assert "damping 1: stalled after" in msg
+        assert "; damping 0.5: max_iter after 60 iterations" in msg
         assert exc.value.residual > 0
 
 
@@ -148,10 +204,9 @@ class TestSize:
         direct = rde._inverse_integral(LAW1, 0.0, 1.0)
         assert size_from_system(forced) == pytest.approx(direct, abs=1e-12)
 
-    def test_two_formulas_agree(self, sys1):
+    def test_two_formulas_agree(self, sys1, sys2):
         assert size_from_system(sys1) == pytest.approx(size_from_functional(sys1), abs=2e-3)
         ks3 = genfn.karp_sipser_poisson(3.0)
-        sys2 = solve_system(OffspringLaw.poisson(3.0), UNIF, 2, damping=0.5)
         assert size_from_system(sys2) == pytest.approx(size_from_functional(sys2), abs=2e-3)
         assert size_from_system(sys2) == pytest.approx(ks3.edge_density, abs=2e-3)
 

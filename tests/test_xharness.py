@@ -3,13 +3,16 @@
 import json
 import math
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexmatch import xharness
 from lexmatch.cli import cli
-from lexmatch.randgraph import GraphError, graph_from_text
+from lexmatch.randgraph import GraphError, WeightedGraph, graph_from_text, graph_to_text
 from lexmatch.xharness import (
     CertificationError,
     ExperimentConfig,
@@ -168,6 +171,81 @@ class TestConfigPlumbing:
         with pytest.raises(xharness.HarnessError):
             load_config_file(str(path))
 
+    @pytest.mark.parametrize(
+        "runner, fields",
+        [(run_decay, {"h_step": 0}), (run_eps_sweep, {"eps_min_exp": 5, "eps_max_exp": 3})],
+        ids=["decay-h-step", "eps-sweep-exponents"],
+    )
+    def test_empty_ranges_rejected(self, runner, fields):
+        with pytest.raises(xharness.HarnessError):
+            runner(ExperimentConfig(**fields))
+
+    @pytest.mark.parametrize(
+        "key, value", [("samples", "abc"), ("tolerance", "tight"), ("k", "two")]
+    )
+    def test_malformed_value_names_key_and_value(self, key, value):
+        with pytest.raises(xharness.HarnessError) as exc:
+            config_from({key: value, "experiment": "check"})
+        assert str(exc.value) == f"invalid value {value!r} for config key {key!r}"
+
+
+# Graph files built from header and edge-line pieces that are mostly
+# well formed, so that the fuzzing reaches every check of the parser.
+_TOKENS = st.one_of(
+    st.integers(min_value=-2, max_value=7).map(str),
+    st.sampled_from(["", "x", "1.5", "1e1", "-0", "nan", "inf", "0x1"]),
+)
+_ROOTS = st.one_of(
+    _TOKENS.map("vertex:{}".format),
+    st.builds("edge:{},{}".format, _TOKENS, _TOKENS),
+    st.sampled_from(["edge:1", "edge:1,2,3", "tree:0", "vertex"]),
+)
+_HEADERS = st.one_of(
+    st.builds("lexmatch-graph v1 n={} m={} root={}".format, _TOKENS, _TOKENS, _ROOTS),
+    st.text(max_size=30).map("lexmatch-graph v1 {}".format),
+    st.text(max_size=30),
+)
+_WEIGHTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0.5", "0.25", "1", "x", ""]),
+)
+_EDGE_LINES = st.one_of(
+    st.builds("{} {} {}".format, _TOKENS, _TOKENS, _WEIGHTS),
+    st.text(max_size=12),
+)
+_GRAPH_TEXTS = st.builds(
+    lambda head, lines: "\n".join([head, *lines]) + "\n",
+    _HEADERS,
+    st.lists(_EDGE_LINES, max_size=8),
+)
+
+
+class TestGraphFileFuzz:
+    @given(_GRAPH_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_parser_returns_graph_or_graph_error(self, text):
+        try:
+            g = graph_from_text(text)
+        except GraphError:
+            return
+        assert isinstance(g, WeightedGraph)
+        again = graph_from_text(graph_to_text(g))
+        assert (again.n, again.adjacency, again.weights, again.root) == (
+            g.n,
+            g.adjacency,
+            g.weights,
+            g.root,
+        )
+
+    @given(_GRAPH_TEXTS)
+    @settings(max_examples=60, deadline=None)
+    def test_match_exits_0_or_1(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            gpath = os.path.join(tmp, "g.txt")
+            with open(gpath, "w") as fh:
+                fh.write(text)
+            assert cli(["match", "--graph", gpath]) in (0, 1)
+
 
 class TestCli:
     def test_unknown_flag_exit_1(self, capsys):
@@ -263,7 +341,7 @@ class TestCli:
         assert payload["schema"] == "lexmatch-results-v1"
         assert payload["records"][0]["passed"] is True
 
-    def test_solve_cli(self, tmp_path):
+    def test_solve_cli(self, tmp_path, capsys):
         out = tmp_path / "solved"
         code = cli(
             [
@@ -280,6 +358,17 @@ class TestCli:
         )
         assert code == 0
         assert (out / "cdfsystem.csv").read_text().startswith("# lexmatch-cdfsystem v1")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("solver attempt 1: damping 1: converged after ")
+
+    def test_solve_cli_reports_every_attempt(self, capsys):
+        code = cli(["solve", "--law", "poisson:3.0", "--k", "2", "--grid-points", "1024"])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("solver attempt 1: damping 1: stalled after ")
+        assert err[1].startswith("solver attempt 2: damping 0.5: converged after ")
 
     def test_check_cli_exit_zero(self):
         assert cli(["check", "--seed", "4"]) == 0
@@ -306,6 +395,34 @@ class TestCli:
             )
             outs.append((out / "separation.csv").read_bytes() + (out / "separation.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decay", "--samples", "0"], "decay experiment needs samples >= 1, got 0"),
+            (["decay", "--h-min", "6", "--h-max", "4"], "decay experiment needs h_min <= h_max"),
+            (["separation", "--samples", "0"], "separation experiment needs samples >= 1, got 0"),
+            (["separation", "--samples", "-3"], "separation experiment needs samples >= 1, got -3"),
+            (["eps-sweep", "--trees", "0"], "eps-sweep experiment needs trees >= 1, got 0"),
+            (["mandatory", "--samples", "0"], "mandatory experiment needs samples >= 1, got 0"),
+            (["size", "--replicas", "0"], "size experiment needs replicas >= 1, got 0"),
+        ],
+        ids=["decay", "decay-radii", "separation", "separation-negative", "eps-sweep",
+             "mandatory", "size"],
+    )
+    def test_nonpositive_count_one_line_error(self, capsys, argv, message):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_malformed_config_value_one_line_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("samples = abc\n")
+        assert cli(["separation", "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid value 'abc' for config key 'samples'\n"
 
     def test_config_file_cli(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
