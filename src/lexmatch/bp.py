@@ -198,30 +198,40 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     assumes atomless weights.
     """
     k = field.k
+    messages = field.messages
+    weights = g.weights
     chosen = []
     matched_of = {}
+    # edge rule, by ascending edge: (level, z) of msg(u,v) + msg(v,u) < (k, w)
     for u, v in g.edges():
-        a = field.messages[(u, v)]
-        b = field.messages[(v, u)]
-        if (a[0] + b[0], a[1] + b[1]) < (k, g.weights[(u, v)]):
-            chosen.append((u, v))
+        a = messages[(u, v)]
+        b = messages[(v, u)]
+        level = a[0] + b[0]
+        if level < k or (level == k and a[1] + b[1] < weights[(u, v)]):
             if u in matched_of or v in matched_of:
                 raise FieldInconsistencyError("edge rule selected incident edges")
+            chosen.append((u, v))
             matched_of[u] = v
             matched_of[v] = u
 
-    # vertex rule: u matched to argmax of (k, w(u,v)) - msg(u, v) when > (0,0)
-    for u in range(g.n):
-        if u in field.boundary_spec:
-            # exterior candidates are invisible here; the edge rule already
-            # accounts for them through the pinned message
+    # vertex rule: u matched to argmax of (k, w(u,v)) - msg(u, v) when > (0,0).
+    # Pinned boundary vertices are skipped: their exterior candidates are
+    # invisible here, and the edge rule already accounts for them through
+    # the pinned message.
+    pinned = field.boundary_spec
+    for u, nb in enumerate(g.adjacency):
+        if u in pinned:
             continue
-        best, arg = ZERO, None
-        for v in g.adjacency[u]:
-            cand = _sub((k, g.weights[(min(u, v), max(u, v))]), field.messages[(u, v)])
-            if cand > best:
-                best, arg = cand, v
-        if matched_of.get(u) != arg and not (arg is None and u not in matched_of):
+        best_level, best_z, arg = 0, 0.0, None
+        for v in nb:
+            level, z = messages[(u, v)]
+            level = k - level
+            if level < best_level:
+                continue
+            z = weights[(u, v) if u < v else (v, u)] - z
+            if level > best_level or z > best_z:
+                best_level, best_z, arg = level, z, v
+        if matched_of.get(u) != arg:
             raise FieldInconsistencyError(
                 f"vertex rule ({u} -> {arg}) disagrees with edge rule "
                 f"({u} -> {matched_of.get(u)})"

@@ -13,7 +13,7 @@ from . import bp, exact, randgraph, rde, xharness
 from .exact import CycleError
 from .genfn import LawError, parse_law
 from .randgraph import GraphError, RngSeed, parse_weight_law
-from .xharness import ExperimentConfig, HarnessError, config_from, load_config_file
+from .xharness import ExperimentConfig, HarnessError, check_seed, config_from, load_config_file
 
 
 class UsageError(Exception):
@@ -111,6 +111,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_gen(args) -> int:
+    check_seed(args.seed)
     seed = RngSeed(args.seed)
     if args.model == "er":
         g = randgraph.erdos_renyi(args.n, args.c, seed)

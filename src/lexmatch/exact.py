@@ -4,10 +4,17 @@
 total weight).  Enumeration-based oracles are capped at desk scale
 (26 edges for optima, 22 for maximum-matching structure); the forest
 dynamic program and certified leaf removal scale further.
+
+Leaf removal costs O(n + m) while leaves last and O(sqrt(n) + deg u) per
+random 2-core step after that.  Its random step picks the live edge at
+index rng.integers(0, live edges) of the list ordered by ascending u,
+then by the iteration order of set(adjacency[u]), keeping v > u.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .randgraph import RngSeed, WeightedGraph
@@ -64,13 +71,11 @@ class Matching:
 
     @staticmethod
     def from_edges(g: WeightedGraph, edges) -> "Matching":
-        es = frozenset(tuple(sorted(e)) for e in edges)
-        seen = set()
-        for u, v in es:
-            if u in seen or v in seen:
-                raise NotAMatchingError(f"vertex reused in {sorted(es)}")
-            seen.update((u, v))
-        return Matching(es, sum(g.weights[e] for e in es))
+        es = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
+        ends = [x for e in es for x in e]
+        if len(set(ends)) < len(ends):
+            raise NotAMatchingError(f"vertex reused in {sorted(es)}")
+        return Matching(es, sum(map(g.weights.__getitem__, es)))
 
     def covers(self, v: int) -> bool:
         return any(v in e for e in self.edges)
@@ -307,47 +312,94 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     edge is matched (losing the exactness certificate) and leaf removal
     resumes.  Returns (matching, exact, removed_core_size) where
     removed_core_size counts vertices deleted during random-edge steps.
+
+    Pick order: a random step takes the edge at index
+    rng.integers(0, live edges) of the live edges (u, v), u < v, listed
+    by ascending u, then in the iteration order of set(adjacency[u]).
+    Leaves are matched last-found first, each to its only live neighbour,
+    and the neighbours of a deleted vertex are visited in that same set
+    order.
+
+    Cost: O(n + m) while leaves last.  The first random step builds, in
+    O(n + m), per-vertex counts of live edges (u, v) with v > u and their
+    sums over blocks of about sqrt(n) vertices; each later deletion keeps
+    them current in O(1) and each random step walks them in
+    O(sqrt(n) + deg u).  A run with s random steps thus costs
+    O(n + m + s * sqrt(n)).
     """
     rng = seed.generator()
-    adj = [set(nb) for nb in g.adjacency]
-    alive = [True] * g.n
+    n = g.n
+    adj = g.adjacency
+    deg = list(map(len, adj))
+    alive = [True] * n
     matched = []
-    leaves = [v for v in range(g.n) if len(adj[v]) == 1]
+    leaves = [v for v in range(n) if deg[v] == 1]
     exact = True
     removed_core = 0
     edges_left = g.m
+    # live-edge index of the 2-core phase: up[u] counts the live edges
+    # (u, v) with v > u and block[b] sums up[] over the b-th run of
+    # `size` vertices; both stay empty until the first random step
+    up: list[int] = []
+    block: list[int] = []
+    size = max(1, math.isqrt(n))
 
+    # A set keeps the order of its remaining elements when others are
+    # discarded, so a fresh set(adj[v]) filtered by `alive` visits the live
+    # neighbours in the order a shrinking set(adj[v]) would.
     def remove_vertex(v: int) -> None:
         alive[v] = False
-        for w in list(adj[v]):
-            adj[w].discard(v)
-            adj[v].discard(w)
-            if len(adj[w]) == 1:
-                leaves.append(w)
+        for w in set(adj[v]):
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+                if up:
+                    x = v if v < w else w
+                    up[x] -= 1
+                    block[x // size] -= 1
+        deg[v] = 0
 
     while edges_left > 0:
         while leaves:
             v = leaves.pop()
-            if not alive[v] or len(adj[v]) != 1:
+            if not alive[v] or deg[v] != 1:
                 continue
-            u = next(iter(adj[v]))
+            for u in adj[v]:
+                if alive[u]:
+                    break
             matched.append((v, u))
             # deleting u and v removes deg(u) + deg(v) - 1 edges
-            edges_left -= len(adj[u]) + len(adj[v]) - 1
+            edges_left -= deg[u] + deg[v] - 1
             remove_vertex(v)
             remove_vertex(u)
         if edges_left <= 0:
             break
         # 2-core phase: uniform random remaining edge
         exact = False
-        live_edges = [
-            (u, v) for u in range(g.n) if alive[u] for v in adj[u] if u < v
-        ]
-        if not live_edges:
-            break
-        u, v = live_edges[int(rng.integers(0, len(live_edges)))]
+        if not up:
+            up = [
+                sum(map(alive.__getitem__, nb[bisect_right(nb, u) :])) if alive[u] else 0
+                for u, nb in enumerate(adj)
+            ]
+            block = [sum(up[i : i + size]) for i in range(0, n, size)]
+        # walk to the live edge at index k: its block, its u, then its v
+        k = int(rng.integers(0, edges_left))
+        b = 0
+        while k >= block[b]:
+            k -= block[b]
+            b += 1
+        u = b * size
+        while k >= up[u]:
+            k -= up[u]
+            u += 1
+        for v in set(adj[u]):
+            if v > u and alive[v]:
+                if k == 0:
+                    break
+                k -= 1
         matched.append((u, v))
-        edges_left -= len(adj[u]) + len(adj[v]) - 1
+        edges_left -= deg[u] + deg[v] - 1
         remove_vertex(u)
         remove_vertex(v)
         removed_core += 2

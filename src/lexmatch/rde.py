@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,11 +68,12 @@ class GridSpec:
 
     n_points: int = 4096
     t_max: float | None = None
+    MIN_POINTS: ClassVar[int] = 64
 
     def build(self, default_t: float) -> np.ndarray:
         T = self.t_max if self.t_max is not None else default_t
-        if self.n_points < 64:
-            raise ValueError("grid needs at least 64 points")
+        if self.n_points < self.MIN_POINTS:
+            raise ValueError(f"grid needs at least {self.MIN_POINTS} points")
         step = 2.0 * T / self.n_points
         i0 = self.n_points // 2
         return (np.arange(self.n_points) - i0) * step

@@ -36,6 +36,7 @@ __all__ = [
     "run_solve",
     "emit",
     "load_config_file",
+    "check_seed",
 ]
 
 
@@ -137,7 +138,16 @@ def config_from(mapping: dict) -> ExperimentConfig:
                 kwargs[key] = val
         except ValueError as exc:
             raise HarnessError(f"invalid value {val!r} for config key {key!r}") from exc
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)
+    check_seed(cfg.seed)
+    check_seed(cfg.stream, "stream")
+    return cfg
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a negative seed, which RngSeed cannot turn into a generator."""
+    if seed < 0:
+        raise HarnessError(f"{name} must be >= 0, got {seed}")
 
 
 @dataclass
@@ -195,11 +205,11 @@ def _binom_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / max(n, 1))
 
 
-def _need_positive(experiment: str, **counts) -> None:
-    """Reject a count below 1 before an estimate divides by it."""
-    for name, value in counts.items():
-        if value < 1:
-            raise HarnessError(f"{experiment} experiment needs {name} >= 1, got {value}")
+def _need_at_least(experiment: str, low: int, **values) -> None:
+    """Reject a value below `low`, such as a count an estimate divides by."""
+    for name, value in values.items():
+        if value < low:
+            raise HarnessError(f"{experiment} experiment needs {name} >= {low}, got {value}")
 
 
 def _assert_perf_identity(g, matching) -> None:
@@ -224,7 +234,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
     estimate; if the law is not subcritical and fewer than 90% of the
     replicas certify, the run is refused.
     """
-    _need_positive("size", replicas=cfg.replicas)
+    _need_at_least("size", 1, replicas=cfg.replicas)
     law = cfg.offspring()
     base = cfg.base_seed()
     fractions = []
@@ -274,7 +284,7 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     doubled recursion advances the radius by two, so the log-fraction is
     fitted against r = H/2 and compared with log(rho).
     """
-    _need_positive("decay", samples=cfg.samples, h_step=cfg.h_step)
+    _need_at_least("decay", 1, samples=cfg.samples, h_step=cfg.h_step)
     if cfg.h_min > cfg.h_max:
         raise HarnessError("decay experiment needs h_min <= h_max")
     law = cfg.offspring()
@@ -362,7 +372,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.depth < 1:
         # both root endpoints would be pinned boundary vertices
         raise HarnessError("mandatory experiment needs depth >= 1")
-    _need_positive("mandatory", samples=cfg.samples)
+    _need_at_least("mandatory", 1, samples=cfg.samples)
     law = cfg.offspring()
     regime = genfn.macroscopic_law(law)
     probe = not regime.unique_double_fp
@@ -461,7 +471,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     uniform-maximum-matching probability differs from it, which separates
     the two matching ensembles.
     """
-    _need_positive("separation", p=cfg.p, samples=cfg.samples)
+    _need_at_least("separation", 1, p=cfg.p, samples=cfg.samples)
     p = cfg.p
     law = cfg.offspring()
     excess = law.excess_pmf()
@@ -554,7 +564,7 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
     the instance's enumerated gap threshold and the disagreement fraction
     reaches zero as eps decreases geometrically.
     """
-    _need_positive("eps-sweep", trees=cfg.trees)
+    _need_at_least("eps-sweep", 1, trees=cfg.trees)
     if cfg.eps_min_exp > cfg.eps_max_exp:
         raise HarnessError("eps-sweep experiment needs eps_min_exp <= eps_max_exp")
     base = cfg.base_seed()
@@ -704,6 +714,9 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
     Returns the records and the solved system (its grid dump is
     rde.system_to_csv, its solver attempts `system.attempts`).
     """
+    _need_at_least("solve", rde.GridSpec.MIN_POINTS, grid_points=cfg.grid_points)
+    if cfg.k is not None:
+        _need_at_least("solve", 0, k=cfg.k)
     law = cfg.offspring()
     wlaw = cfg.weight_law()
     k = cfg.k if cfg.k is not None else genfn.macroscopic_law(law).k

@@ -202,6 +202,70 @@ class TestExtractMatching:
         with pytest.raises(FieldInconsistencyError):
             extract_matching(g, f)
 
+    def test_vertex_rule_alone_catches_corruption(self):
+        checked = 0
+        for i in range(40):
+            g = random_tree(i, depth=3)
+            f = sweep_tree(g, 1)
+            optimum = extract_matching(g, f)
+            if not optimum.edges:
+                continue
+            # forbid one optimal edge from one side only: the edge rule then
+            # drops just that edge, which still leaves a matching
+            u, v = min(optimum.edges)
+            f.messages[(u, v)] = top_msg(1)
+            edge_rule = [
+                (a, b)
+                for a, b in g.edges()
+                if (
+                    f.messages[(a, b)][0] + f.messages[(b, a)][0],
+                    f.messages[(a, b)][1] + f.messages[(b, a)][1],
+                )
+                < (1, g.weights[(a, b)])
+            ]
+            assert set(edge_rule) == optimum.edges - {(u, v)}
+            with pytest.raises(FieldInconsistencyError, match="^vertex rule"):
+                extract_matching(g, f)
+            checked += 1
+        assert checked > 20
+
+    @pytest.mark.parametrize("spec", ["zero", "top", "sampled"])
+    def test_pinned_boundary_skipped_by_vertex_rule(self, spec):
+        rng = np.random.default_rng(31)
+        unskipped_failures = 0
+        for i in range(60):
+            g = random_tree(i, depth=3)
+            pins = spec
+            if spec == "sampled":
+                pins = {b: (int(rng.integers(0, 2)), float(rng.random())) for b in g.boundary}
+            f = sweep_bounded(g, 1, pins)
+            extract_matching(g, f)  # must not raise: pinned vertices are skipped
+            try:
+                extract_matching(g, replace(f, boundary_spec={}))
+            except FieldInconsistencyError:
+                unskipped_failures += 1
+        if spec == "zero":
+            # a zero pin offers nothing, so its vertex rule agrees anyway
+            assert unskipped_failures == 0
+        else:
+            assert unskipped_failures > 0  # the skip is what keeps these consistent
+
+    def test_equals_tree_dp_on_large_trees(self):
+        checked = 0
+        for i in range(40):
+            g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 10 + i % 3, RngSeed(81, i))
+            if not 1_000 <= g.n <= 10_000:
+                continue
+            g = assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(82, i))
+            m = extract_matching(g, sweep_tree(g, 1))
+            dp, _ = exact.tree_opt_dp(g)
+            assert m.edges == dp.edges
+            assert m.weight == pytest.approx(dp.weight, rel=1e-12)
+            checked += 1
+            if checked == 4:
+                break
+        assert checked == 4
+
 
 class TestFlexibility:
     def test_isolated_vertex(self):

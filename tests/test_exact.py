@@ -1,6 +1,8 @@
 """Brute-force oracles, forest DP, leaf removal and matching structure."""
 
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +199,119 @@ class TestLeafRemoval:
         g = randgraph.erdos_renyi(500, 2.5, RngSeed(5))
         m, _, _ = leaf_removal(g, RngSeed(6))
         Matching.from_edges(g, m.edges)  # raises if not vertex-disjoint
+
+
+def rebuild_leaf_removal(g, seed):
+    """Reference Karp-Sipser run that lists every live edge before each random step.
+
+    This is the quadratic formulation leaf_removal must reproduce draw for
+    draw: the random edge is live_edges[rng.integers(0, len(live_edges))]
+    with live edges ordered by ascending u, then by the iteration order of
+    u's shrinking set of neighbours, keeping v > u.
+    """
+    rng = seed.generator()
+    adj = [set(nb) for nb in g.adjacency]
+    alive = [True] * g.n
+    matched = []
+    leaves = [v for v in range(g.n) if len(adj[v]) == 1]
+    is_exact = True
+    removed_core = 0
+    edges_left = g.m
+
+    def remove_vertex(v):
+        alive[v] = False
+        for w in list(adj[v]):
+            adj[w].discard(v)
+            adj[v].discard(w)
+            if len(adj[w]) == 1:
+                leaves.append(w)
+
+    while edges_left > 0:
+        while leaves:
+            v = leaves.pop()
+            if not alive[v] or len(adj[v]) != 1:
+                continue
+            u = next(iter(adj[v]))
+            matched.append((v, u))
+            edges_left -= len(adj[u]) + len(adj[v]) - 1
+            remove_vertex(v)
+            remove_vertex(u)
+        if edges_left <= 0:
+            break
+        is_exact = False
+        live_edges = [(u, v) for u in range(g.n) if alive[u] for v in adj[u] if u < v]
+        if not live_edges:
+            break
+        u, v = live_edges[int(rng.integers(0, len(live_edges)))]
+        matched.append((u, v))
+        edges_left -= len(adj[u]) + len(adj[v]) - 1
+        remove_vertex(u)
+        remove_vertex(v)
+        removed_core += 2
+    return Matching.from_edges(g, matched), is_exact, removed_core
+
+
+def assert_same_removal(g, seed):
+    got = leaf_removal(g, seed)
+    want = rebuild_leaf_removal(g, seed)
+    assert (got[0].edges, got[0].weight, got[1], got[2]) == (
+        want[0].edges,
+        want[0].weight,
+        want[1],
+        want[2],
+    )
+    return got
+
+
+class TestLeafRemovalDifferential:
+    @pytest.mark.parametrize(
+        "c", [0.5, 1.0, 2.0, math.e, 3.0, 4.0], ids=["0.5", "1", "2", "e", "3", "4"]
+    )
+    def test_erdos_renyi(self, c):
+        core_steps = 0
+        for n in (20, 300, 2000):
+            for i in range(3):
+                g = randgraph.erdos_renyi(n, c, RngSeed(61, 10 * n + i))
+                g = assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(62, 10 * n + i))
+                core_steps += assert_same_removal(g, RngSeed(63, 10 * n + i))[2]
+        if c > math.e:
+            assert core_steps > 0  # the random phase was exercised
+
+    def test_three_regular(self):
+        for n in (10, 200, 2000):
+            for i in range(3):
+                g = randgraph.configuration_model([3] * n, RngSeed(64, 10 * n + i))
+                g = assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(65, 10 * n + i))
+                _, is_exact, core = assert_same_removal(g, RngSeed(66, 10 * n + i))
+                assert not is_exact and core > 0
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(0, 1), (1, 2), (0, 2)]),
+            (9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8)]),
+            (5, list(itertools.combinations(range(5), 2))),
+            (6, []),
+            (1, []),
+        ],
+        ids=["triangle", "disjoint-cycles", "k5", "isolated", "single-vertex"],
+    )
+    def test_edge_cases(self, n, edges):
+        g = graph_of(n, {e: 0.1 * (j + 1) for j, e in enumerate(edges)})
+        for s in range(5):
+            assert_same_removal(g, RngSeed(67, s))
+
+    def test_scaling_within_budget(self):
+        # the rebuild-per-step reference needs about 11 s here
+        n = 80_000
+        g = randgraph.erdos_renyi(n, 3.0, RngSeed(68))
+        start = time.monotonic()
+        m, is_exact, core = leaf_removal(g, RngSeed(69))
+        elapsed = time.monotonic() - start
+        assert elapsed < 5.0, f"leaf removal took {elapsed:.1f}s (budget 5s)"
+        assert not is_exact and core > 0
+        covered = {v for e in m.edges for v in e}
+        assert all(u in covered or v in covered for u, v in g.edges())  # maximal
 
 
 class TestMatchingEnumerator:

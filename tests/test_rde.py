@@ -70,6 +70,12 @@ class TestSolveHEps:
 
 
 class TestSolveSystem:
+    def test_input_limits_raise_value_error(self):
+        with pytest.raises(ValueError, match="at least 64 points"):
+            GridSpec(10).build(1.0)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            solve_system(LAW1, UNIF, -1, GridSpec(64))
+
     def test_plateau_matches_gamma(self, sys1):
         assert sys1.plateau[0] == pytest.approx(GAMMA, abs=1e-4)
 

@@ -428,3 +428,36 @@ class TestCli:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("samples = 300\nseed = 23\np = 1\n")
         assert cli(["separation", "--config", str(cfgfile)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--grid-points", "10"], "solve experiment needs grid_points >= 64, got 10"),
+            (["solve", "--k", "-1"], "solve experiment needs k >= 0, got -1"),
+            (["gen", "--model", "er", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["separation", "--samples", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=["solve-grid", "solve-k", "gen-seed", "separation-seed"],
+    )
+    def test_out_of_range_one_line_error(self, capsys, argv, message):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["seed", "stream"])
+    def test_negative_config_seed_one_line_error(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"samples = 10\n{key} = -2\n")
+        assert cli(["separation", "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be >= 0, got -2\n"
+
+
+class TestSolveLimits:
+    def test_harness_rejects_before_solving(self):
+        with pytest.raises(xharness.HarnessError):
+            xharness.run_solve(ExperimentConfig(experiment="solve", grid_points=63))
+        with pytest.raises(xharness.HarnessError):
+            xharness.run_solve(ExperimentConfig(experiment="solve", k=-1))
