@@ -108,27 +108,27 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     parent, order = oriented or _orient_forest(g, avoid=frozenset(pinned))
     if weights is None:
         weights = g.weights
+    adjacency = g.adjacency
     n = g.n
-    children = [[] for _ in range(n)]
     pw = [0.0] * n  # weight of the edge (v, parent(v))
-    # upward pass: up[v] = msg(parent(v), v); its candidate
-    # (k, pw[v]) - up[v] is pushed into the parent's two running maxima
-    # top1 >= top2 (arg = the child giving top1), which start at (0, 0)
-    up = [ZERO] * n
+    # upward pass: the running maxima top1 >= top2 of the candidates at
+    # each vertex (arg = the child giving top1) start at (0, 0); once v's
+    # children are in, top1[v] is msg(parent(v), v), or v's pin, and its
+    # candidate (k, pw[v]) - top1[v] is pushed into the parent's maxima
     top1 = [ZERO] * n
     top2 = [ZERO] * n
     arg = [-1] * n
     for v in reversed(order):
-        if v in pinned:
-            if children[v]:
-                raise FieldInconsistencyError(f"pinned boundary vertex {v} has interior children")
-            msg = up[v] = pinned[v]
-        else:
-            msg = up[v] = top1[v]
         p = parent[v]
+        if v in pinned:
+            # in a forest, v has children iff it has a neighbour besides p
+            if len(adjacency[v]) > (p >= 0):
+                raise FieldInconsistencyError(f"pinned boundary vertex {v} has interior children")
+            msg = top1[v] = pinned[v]
+        else:
+            msg = top1[v]
         if p < 0:
             continue
-        children[p].append(v)
         w = pw[v] = weights[(p, v) if p < v else (v, p)]
         cand = (k - msg[0], w - msg[1])
         if cand > top1[p]:
@@ -137,29 +137,28 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
         elif cand > top2[p]:
             top2[p] = cand
 
-    # downward pass: down[w] = msg(w, parent(w)) is the best candidate at
-    # parent(w) other than w's own, merging in the one from parent(parent(w))
-    down = [ZERO] * n
+    # downward pass in BFS order: when v is reached, its parent's maxima
+    # already hold every candidate at the parent, the grandparent's
+    # included, so msg(v, parent(v)) is the parent's top2 if v gives its
+    # top1 and its top1 otherwise; unless v is a leaf, v's candidate from
+    # its parent is then merged into v's maxima (arg -1) for v's children
+    # (a pinned vertex is a leaf, so its top1 keeps the pin)
     messages = {}
     for v in order:
-        kids = children[v]
         p = parent[v]
-        if p >= 0:
-            msg = down[v]
-            messages[(p, v)] = up[v]
-            messages[(v, p)] = msg
-            if not kids:
-                continue
-            from_parent = (k - msg[0], pw[v] - msg[1])
-        else:
-            from_parent = ZERO
-        t1, t2, a = top1[v], top2[v], arg[v]
-        if from_parent > t1:
-            t1, t2, a = from_parent, t1, -1
-        elif from_parent > t2:
-            t2 = from_parent
-        for w in kids:
-            down[w] = t2 if w == a else t1
+        if p < 0:
+            continue
+        msg = top2[p] if arg[p] == v else top1[p]
+        messages[(p, v)] = top1[v]
+        messages[(v, p)] = msg
+        if len(adjacency[v]) == 1:
+            continue
+        cand = (k - msg[0], pw[v] - msg[1])
+        if cand > top1[v]:
+            top2[v] = top1[v]
+            top1[v], arg[v] = cand, -1
+        elif cand > top2[v]:
+            top2[v] = cand
     return messages
 
 
@@ -290,12 +289,19 @@ def squeeze(g: WeightedGraph, k: int, radius: int | None = None) -> SqueezeResul
     its boundary set).
     """
     lo, hi = _extremal_sweeps(g, k)
-    lower, upper, certified = {}, {}, {}
+    # both bounds start as the all-zero messages; an uncertified edge then
+    # takes the all-top message as whichever bound it lies on
+    lower, upper, certified = dict(lo), dict(lo), {}
     for key, a in lo.items():
         b = hi[key]
-        lower[key] = min(a, b)
-        upper[key] = max(a, b)
-        certified[key] = a == b
+        if a == b:
+            certified[key] = True
+        else:
+            certified[key] = False
+            if a < b:
+                upper[key] = b
+            else:
+                lower[key] = b
     return SqueezeResult(k=k, lower=lower, upper=upper, certified=certified)
 
 

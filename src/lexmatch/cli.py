@@ -198,7 +198,7 @@ def cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     except (HarnessError, LawError, GraphError, CycleError, bp.FieldInconsistencyError,
-            rde.ConvergenceError, OSError) as exc:
+            exact.EnumerationLimitError, rde.ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

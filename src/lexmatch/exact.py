@@ -167,30 +167,37 @@ def _orient_forest(g: WeightedGraph, avoid=frozenset()):
     Components are rooted at a vertex outside `avoid` whenever one exists,
     so that pinned boundary vertices are BFS leaves.
     """
-    parent = [-2] * g.n
+    n = g.n
+    adjacency = g.adjacency
+    parent = [-2] * n
     order = []
-    root_pref = g.root_vertex() if g.n else 0
-    starts = [v for v in [root_pref, *range(g.n)] if v not in avoid]
-    starts += [v for v in range(g.n) if v in avoid]
     seen_edges = 0
-    for s in starts:
-        if parent[s] != -2:
-            continue
-        parent[s] = -1
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for w in g.adjacency[v]:
-                if w == parent[v]:
-                    continue
-                if parent[w] != -2:
-                    raise CycleError("graph contains a cycle")
-                parent[w] = v
-                seen_edges += 1
-                queue.append(w)
+    root_pref = g.root_vertex() if n else 0
+    # start at the root; only when its component leaves vertices unseen,
+    # every vertex outside `avoid`, then every vertex in it, in turn
+    starts = [] if root_pref in avoid else [root_pref]
+    for _ in range(2):
+        for s in starts:
+            if parent[s] != -2:
+                continue
+            parent[s] = -1
+            head = len(order)
+            order.append(s)
+            while head < len(order):
+                v = order[head]
+                head += 1
+                p = parent[v]
+                for w in adjacency[v]:
+                    if w == p:
+                        continue
+                    if parent[w] != -2:
+                        raise CycleError("graph contains a cycle")
+                    parent[w] = v
+                    seen_edges += 1
+                    order.append(w)
+        if len(order) == n:
+            break
+        starts = [v for v in range(n) if v not in avoid] + [v for v in range(n) if v in avoid]
     if seen_edges != g.m:
         raise CycleError("graph contains a cycle")
     return parent, order

@@ -14,7 +14,7 @@ reproducible without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -310,65 +310,54 @@ def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> Wei
     excess-law trees joined by the root edge (vertices 0 and 1), each
     truncated at distance `depth` from its endpoint.  The vertices at
     distance exactly `depth` form the recorded boundary.
+
+    Vertices are numbered in BFS order, the children of each vertex
+    consecutively, and every non-boundary vertex draws its child count
+    when it leaves the queue.  Each neighbour list is therefore sorted by
+    construction (the parent first, then the children in ascending
+    order), and the edges (parent, child) enter `weights` in sorted order,
+    all with weight 0.0.
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
     rng = seed.generator()
-    edge_weights = {}
-    boundary = []
-    next_id = 0
-
-    def new_vertex() -> int:
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        return v
-
-    frontier: list[tuple[int, int]] = []
     if rooting == "vertex":
-        root_obj = VertexRoot(new_vertex())
-        if depth == 0:
-            boundary.append(0)
-        else:
-            k0 = int(law.sample(rng))
-            for _ in range(k0):
-                child = new_vertex()
-                edge_weights[(0, child)] = 0.0
-                frontier.append((child, 1))
+        root_obj = VertexRoot(0)
+        nbrs = [[]]
+        weights = {}
+        level = range(1)
     elif rooting == "edge":
-        a, b = new_vertex(), new_vertex()
-        edge_weights[(a, b)] = 0.0
-        root_obj = EdgeRoot(a, b)
-        if depth == 0:
-            boundary.extend([a, b])
-        else:
-            frontier.extend([(a, 0), (b, 0)])
-            # endpoints behave like non-root vertices: excess-law children
-            new_frontier = []
-            for v, _ in frontier:
-                k = int(law.sample_excess(rng))
-                for _ in range(k):
-                    child = new_vertex()
-                    edge_weights[_edge_key(v, child)] = 0.0
-                    new_frontier.append((child, 1))
-            frontier = new_frontier
+        # the endpoints behave like non-root vertices: excess-law children
+        root_obj = EdgeRoot(0, 1)
+        nbrs = [[1], [0]]
+        weights = {(0, 1): 0.0}
+        level = range(2)
     else:
         raise GraphError(f"rooting must be 'vertex' or 'edge', got {rooting!r}")
 
-    head = 0
-    while head < len(frontier):
-        v, d = frontier[head]
-        head += 1
-        if d == depth:
-            boundary.append(v)
-            continue
-        k = int(law.sample_excess(rng))
-        for _ in range(k):
-            child = new_vertex()
-            edge_weights[(v, child)] = 0.0
-            frontier.append((child, d + 1))
+    for d in range(depth):
+        draw = law.sample if d == 0 and rooting == "vertex" else law.sample_excess
+        start = end = len(nbrs)
+        for v in level:
+            k = int(draw(rng))
+            if k:
+                kids = range(end, end + k)
+                end += k
+                nbrs[v].extend(kids)
+                for c in kids:
+                    nbrs.append([v])
+                    weights[(v, c)] = 0.0
+        level = range(start, end)
+        if not level:
+            break
 
-    return _build(max(next_id, 1), edge_weights, root_obj, boundary)
+    return WeightedGraph(
+        n=len(nbrs),
+        adjacency=tuple(map(tuple, nbrs)),
+        weights=weights,
+        root=root_obj,
+        boundary=frozenset(level),
+    )
 
 
 def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedGraph:
@@ -379,10 +368,16 @@ def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedG
     downstream by canonical edge order.
     """
     rng = seed.generator()
-    keys = sorted(g.weights.keys())
-    draws = law.sample(rng, len(keys)) if keys else []
-    new_weights = {k: float(w) for k, w in zip(keys, draws)}
-    return replace(g, weights=new_weights)
+    keys = sorted(g.weights)
+    draws = law.sample(rng, len(keys)).tolist() if keys else []
+    return WeightedGraph(
+        n=g.n,
+        adjacency=g.adjacency,
+        weights=dict(zip(keys, draws)),
+        root=g.root,
+        boundary=g.boundary,
+        labels=g.labels,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,8 @@ class GridSpec:
         T = self.t_max if self.t_max is not None else default_t
         if self.n_points < self.MIN_POINTS:
             raise ValueError(f"grid needs at least {self.MIN_POINTS} points")
+        if not (math.isfinite(T) and T > 0):
+            raise ValueError(f"grid half-width must be positive and finite, got {T}")
         step = 2.0 * T / self.n_points
         i0 = self.n_points // 2
         return (np.arange(self.n_points) - i0) * step

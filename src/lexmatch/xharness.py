@@ -473,6 +473,13 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     """
     _need_at_least("separation", 1, p=cfg.p, samples=cfg.samples)
     p = cfg.p
+    # the uniform ensemble enumerates the (p + 1)^2 edges of the star of stars
+    p_max = math.isqrt(exact._ENUM_EDGE_CAP) - 1
+    if p > p_max:
+        raise HarnessError(
+            f"separation experiment needs p <= {p_max}: the star of stars has "
+            f"(p + 1)^2 = {(p + 1) ** 2} edges, over the enumeration cap {exact._ENUM_EDGE_CAP}"
+        )
     law = cfg.offspring()
     excess = law.excess_pmf()
     pa_note = ""
@@ -717,6 +724,8 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
     _need_at_least("solve", rde.GridSpec.MIN_POINTS, grid_points=cfg.grid_points)
     if cfg.k is not None:
         _need_at_least("solve", 0, k=cfg.k)
+    if cfg.grid_t is not None and not (math.isfinite(cfg.grid_t) and cfg.grid_t > 0):
+        raise HarnessError(f"solve experiment needs a positive finite grid_t, got {cfg.grid_t}")
     law = cfg.offspring()
     wlaw = cfg.weight_law()
     k = cfg.k if cfg.k is not None else genfn.macroscopic_law(law).k

@@ -138,6 +138,131 @@ class TestRecursionConsistency:
                 assert one_step_violations(g, field, {}, step, 0.0) == 0
 
 
+def reference_sweep(g, k, pinned, weights=None):
+    """The child-list two-pass sweep that bp._sweep replaced, kept as its oracle."""
+    parent, order = exact._orient_forest(g, avoid=frozenset(pinned))
+    if weights is None:
+        weights = g.weights
+    n = g.n
+    children = [[] for _ in range(n)]
+    pw = [0.0] * n
+    up = [ZERO] * n
+    top1 = [ZERO] * n
+    top2 = [ZERO] * n
+    arg = [-1] * n
+    for v in reversed(order):
+        if v in pinned:
+            if children[v]:
+                raise FieldInconsistencyError(f"pinned boundary vertex {v} has interior children")
+            msg = up[v] = pinned[v]
+        else:
+            msg = up[v] = top1[v]
+        p = parent[v]
+        if p < 0:
+            continue
+        children[p].append(v)
+        w = pw[v] = weights[(p, v) if p < v else (v, p)]
+        cand = (k - msg[0], w - msg[1])
+        if cand > top1[p]:
+            top2[p] = top1[p]
+            top1[p], arg[p] = cand, v
+        elif cand > top2[p]:
+            top2[p] = cand
+    down = [ZERO] * n
+    messages = {}
+    for v in order:
+        kids = children[v]
+        p = parent[v]
+        if p >= 0:
+            msg = down[v]
+            messages[(p, v)] = up[v]
+            messages[(v, p)] = msg
+            if not kids:
+                continue
+            from_parent = (k - msg[0], pw[v] - msg[1])
+        else:
+            from_parent = ZERO
+        t1, t2, a = top1[v], top2[v], arg[v]
+        if from_parent > t1:
+            t1, t2, a = from_parent, t1, -1
+        elif from_parent > t2:
+            t2 = from_parent
+        for w in kids:
+            down[w] = t2 if w == a else t1
+    return messages
+
+
+class TestKernelDifferential:
+    """bp._sweep and bp.squeeze against their previous child-list construction."""
+
+    @staticmethod
+    def instances():
+        yield from TestRecursionConsistency.instances()
+        for i in range(40):
+            # edge-rooted balls: two pinned frontiers joined by the root edge
+            g = ubgw_tree(OffspringLaw.poisson(1.2), "edge", 1 + i % 5, RngSeed(81, i))
+            yield assign_weights(g, WeightLaw.exponential(1.0), RngSeed(82, i))
+        for i in range(40):
+            # deep critical vertex-rooted balls, as in the decay experiment
+            g = ubgw_tree(OffspringLaw.poisson(1.0), "vertex", 2 + i % 11, RngSeed(83, i))
+            yield assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(84, i))
+
+    @staticmethod
+    def same(new, ref):
+        assert list(new.items()) == list(ref.items())
+
+    def test_messages_identical(self):
+        rng = np.random.default_rng(17)
+        pinned_balls = forests = 0
+        for g in self.instances():
+            pinned_balls += bool(g.boundary) and g.m > 0
+            forests += exact._orient_forest(g)[0].count(-1) > 1  # unpinned, several components
+            for k in (0, 1, 2):
+                sampled = {b: (int(rng.integers(0, k + 1)), float(rng.random())) for b in g.boundary}
+                for spec in ("zero", "top", sampled):
+                    pinned = bp._resolve_boundary(g, k, spec)
+                    self.same(bp._sweep(g, k, pinned), reference_sweep(g, k, pinned))
+                    oriented = exact._orient_forest(g, avoid=frozenset(pinned))
+                    self.same(bp._sweep(g, k, pinned, oriented), reference_sweep(g, k, pinned))
+        assert pinned_balls > 60 and forests > 10
+
+    def test_weight_override_identical(self):
+        for g in self.instances():
+            zero = dict.fromkeys(g.weights, 0.0)
+            for pins in (dict.fromkeys(g.boundary, ZERO), dict.fromkeys(g.boundary, top_msg(1))):
+                self.same(bp._sweep(g, 1, pins, weights=zero), reference_sweep(g, 1, pins, zero))
+            weps = {e: 1.0 + 0.25 * w for e, w in g.weights.items()}
+            self.same(bp._sweep(g, 0, {}, weights=weps), reference_sweep(g, 0, {}, weps))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            path([0.5, 0.7], boundary=(1,)),  # pinned vertex between two others
+            graph_of(2, {(0, 1): 0.5}, boundary=(0, 1)),  # pinned component root
+            graph_of(4, {(0, 1): 0.5, (1, 2): 0.3, (1, 3): 0.2}, boundary=(1, 2)),
+        ],
+        ids=["path-middle", "pinned-pair", "pinned-hub"],
+    )
+    def test_pinned_vertex_with_children_raises(self, g):
+        for val in (ZERO, top_msg(1)):
+            pins = dict.fromkeys(g.boundary, val)
+            with pytest.raises(FieldInconsistencyError, match="interior children"):
+                reference_sweep(g, 1, pins)
+            with pytest.raises(FieldInconsistencyError, match="interior children"):
+                bp._sweep(g, 1, pins)
+
+    def test_squeeze_bounds_identical(self):
+        for g in self.instances():
+            for k in (1, 2):
+                lo = reference_sweep(g, k, dict.fromkeys(g.boundary, ZERO))
+                hi = reference_sweep(g, k, dict.fromkeys(g.boundary, top_msg(k)))
+                sq = squeeze(g, k)
+                assert sq.lower == {key: min(a, hi[key]) for key, a in lo.items()}
+                assert sq.upper == {key: max(a, hi[key]) for key, a in lo.items()}
+                assert sq.certified == {key: a == hi[key] for key, a in lo.items()}
+                assert list(sq.certified) == list(lo)
+
+
 class TestSweepTree:
     def test_single_edge_messages(self):
         g = path([0.7])

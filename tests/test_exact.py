@@ -314,6 +314,67 @@ class TestLeafRemovalDifferential:
         assert all(u in covered or v in covered for u, v in g.edges())  # maximal
 
 
+def reference_orient_forest(g, avoid=frozenset()):
+    """The all-starts, separate-queue BFS that _orient_forest replaced, kept as its oracle."""
+    parent = [-2] * g.n
+    order = []
+    root_pref = g.root_vertex() if g.n else 0
+    starts = [v for v in [root_pref, *range(g.n)] if v not in avoid]
+    starts += [v for v in range(g.n) if v in avoid]
+    seen_edges = 0
+    for s in starts:
+        if parent[s] != -2:
+            continue
+        parent[s] = -1
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            order.append(v)
+            for w in g.adjacency[v]:
+                if w == parent[v]:
+                    continue
+                if parent[w] != -2:
+                    raise CycleError("graph contains a cycle")
+                parent[w] = v
+                seen_edges += 1
+                queue.append(w)
+    if seen_edges != g.m:
+        raise CycleError("graph contains a cycle")
+    return parent, order
+
+
+class TestOrientForestDifferential:
+    @staticmethod
+    def oriented(g, avoid):
+        try:
+            return exact._orient_forest(g, avoid=avoid), reference_orient_forest(g, avoid)
+        except CycleError:
+            with pytest.raises(CycleError):
+                reference_orient_forest(g, avoid)
+            return None
+
+    def test_same_parents_and_order(self):
+        graphs = [random_small_tree(i) for i in range(40)]
+        graphs += [ubgw_tree(OffspringLaw.poisson(1.0), "edge", 3, RngSeed(71, i)) for i in range(20)]
+        graphs += [randgraph.erdos_renyi(30, c, RngSeed(72, i)) for c in (0.5, 0.9, 2.0) for i in range(20)]
+        # roots inside `avoid`, isolated vertices and a lone vertex
+        graphs += [graph_of(4, {(1, 2): 0.5, (2, 3): 0.5}, root=2), graph_of(1, {})]
+        forests = cycles = 0
+        for g in graphs:
+            avoids = (frozenset(), g.boundary, frozenset({g.root_vertex()}), frozenset(range(0, g.n, 2)))
+            for avoid in avoids:
+                pair = self.oriented(g, avoid)
+                if pair is None:
+                    cycles += 1
+                    continue
+                new, ref = pair
+                assert new == ref
+                forests += new[0].count(-1) > 1
+        assert forests > 20 and cycles > 20
+
+
 class TestMatchingEnumerator:
     @staticmethod
     def enumerated(g):

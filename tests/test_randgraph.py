@@ -1,6 +1,7 @@
 """Generators, balls and serialization: determinism and distributional checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,122 @@ class TestUbgwTree:
         sizes = [ubgw_tree(law, "vertex", depth, RngSeed(300, i)).n for i in range(10_000)]
         expected = 1.0 + sum(1.0 * 1.0 ** (h - 1) for h in range(1, depth + 1))
         assert np.mean(sizes) == pytest.approx(expected, rel=0.1)
+
+
+def reference_ubgw_tree(law, rooting, depth, seed):
+    """The queue-and-_build construction that ubgw_tree replaced, kept as its oracle."""
+    if depth < 0:
+        raise GraphError("depth must be >= 0")
+    rng = seed.generator()
+    edge_weights = {}
+    boundary = []
+    next_id = 0
+
+    def new_vertex():
+        nonlocal next_id
+        v = next_id
+        next_id += 1
+        return v
+
+    frontier = []
+    if rooting == "vertex":
+        root_obj = VertexRoot(new_vertex())
+        if depth == 0:
+            boundary.append(0)
+        else:
+            k0 = int(law.sample(rng))
+            for _ in range(k0):
+                child = new_vertex()
+                edge_weights[(0, child)] = 0.0
+                frontier.append((child, 1))
+    elif rooting == "edge":
+        a, b = new_vertex(), new_vertex()
+        edge_weights[(a, b)] = 0.0
+        root_obj = EdgeRoot(a, b)
+        if depth == 0:
+            boundary.extend([a, b])
+        else:
+            frontier.extend([(a, 0), (b, 0)])
+            new_frontier = []
+            for v, _ in frontier:
+                k = int(law.sample_excess(rng))
+                for _ in range(k):
+                    child = new_vertex()
+                    edge_weights[randgraph._edge_key(v, child)] = 0.0
+                    new_frontier.append((child, 1))
+            frontier = new_frontier
+    else:
+        raise GraphError(f"rooting must be 'vertex' or 'edge', got {rooting!r}")
+
+    head = 0
+    while head < len(frontier):
+        v, d = frontier[head]
+        head += 1
+        if d == depth:
+            boundary.append(v)
+            continue
+        k = int(law.sample_excess(rng))
+        for _ in range(k):
+            child = new_vertex()
+            edge_weights[(v, child)] = 0.0
+            frontier.append((child, d + 1))
+
+    return randgraph._build(max(next_id, 1), edge_weights, root_obj, boundary)
+
+
+def reference_assign_weights(g, law, seed):
+    """The per-draw float() and dataclasses.replace version of assign_weights."""
+    rng = seed.generator()
+    keys = sorted(g.weights.keys())
+    draws = law.sample(rng, len(keys)) if keys else []
+    return replace(g, weights={k: float(w) for k, w in zip(keys, draws)})
+
+
+def assert_same_graph(a, b):
+    assert a.n == b.n
+    assert a.adjacency == b.adjacency
+    assert a.root == b.root
+    assert a.boundary == b.boundary
+    # insertion order too: consumers iterate weights directly
+    assert list(a.weights.items()) == list(b.weights.items())
+    assert a.labels == b.labels
+
+
+class TestUbgwTreeDifferential:
+    """ubgw_tree and assign_weights against their previous construction, draw for draw."""
+
+    LAWS = [
+        OffspringLaw.poisson(1.0),
+        OffspringLaw.poisson(2.0),
+        OffspringLaw.binomial(3, 0.5),
+        OffspringLaw.binomial(1, 0.5),
+        OffspringLaw.geometric(0.6),
+        OffspringLaw.finite_support([0.2, 0.3, 0.5]),
+    ]
+    WEIGHT_LAWS = [WeightLaw.uniform(0, 1), WeightLaw.exponential(2.0), WeightLaw.constant(1.0)]
+
+    @pytest.mark.parametrize("rooting", ["vertex", "edge"])
+    def test_trees_and_weights_identical(self, rooting):
+        trees = 0
+        for law in self.LAWS:
+            for depth in range(7):
+                for i in range(4):
+                    seed = RngSeed(41, 7 * depth + i)
+                    g = ubgw_tree(law, rooting, depth, seed)
+                    assert_same_graph(g, reference_ubgw_tree(law, rooting, depth, seed))
+                    for j, wlaw in enumerate(self.WEIGHT_LAWS):
+                        wseed = seed.child(j)
+                        assert_same_graph(
+                            assign_weights(g, wlaw, wseed), reference_assign_weights(g, wlaw, wseed)
+                        )
+                    trees += g.n > 2
+        assert trees > 60  # most cases are non-trivial trees
+
+    def test_bad_arguments_still_raise(self):
+        with pytest.raises(GraphError, match="depth"):
+            ubgw_tree(OffspringLaw.poisson(1.0), "vertex", -1, RngSeed(1))
+        with pytest.raises(GraphError, match="rooting"):
+            ubgw_tree(OffspringLaw.poisson(1.0), "half-edge", 2, RngSeed(1))
 
 
 class TestAssignWeights:

@@ -75,6 +75,11 @@ class TestSolveSystem:
             GridSpec(10).build(1.0)
         with pytest.raises(ValueError, match="k must be >= 0"):
             solve_system(LAW1, UNIF, -1, GridSpec(64))
+        for t_max in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GridSpec(128, t_max=t_max).build(1.0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                GridSpec(128).build(t_max)
 
     def test_plateau_matches_gamma(self, sys1):
         assert sys1.plateau[0] == pytest.approx(GAMMA, abs=1e-4)

@@ -131,6 +131,14 @@ class TestRunSeparation:
         gap = next(r for r in recs if "invariance" in r.name)
         assert gap.passed
 
+    def test_p_over_enumeration_cap_rejected_before_sampling(self, monkeypatch):
+        # the largest p whose (p + 1)^2 star-of-stars edges fit the cap runs
+        assert (3 + 1) ** 2 <= xharness.exact._ENUM_EDGE_CAP < (4 + 1) ** 2
+        run_separation(ExperimentConfig(experiment="separation", p=3, samples=2, seed=13))
+        monkeypatch.setattr(xharness, "assign_weights", None)  # no sampling may start
+        for p in (4, 5, 9):
+            with pytest.raises(xharness.HarnessError, match="needs p <= 3"):
+                run_separation(ExperimentConfig(experiment="separation", p=p, samples=5, seed=13))
 
     def test_explicit_tolerance_used_as_given(self):
         cfg = ExperimentConfig(experiment="separation", p=1, samples=200, seed=13)
@@ -436,14 +444,43 @@ class TestCli:
             (["solve", "--k", "-1"], "solve experiment needs k >= 0, got -1"),
             (["gen", "--model", "er", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
             (["separation", "--samples", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (
+                ["separation", "--p", "4", "--samples", "5"],
+                "separation experiment needs p <= 3: the star of stars has "
+                "(p + 1)^2 = 25 edges, over the enumeration cap 22",
+            ),
+            (
+                ["solve", "--grid-t", "0", "--grid-points", "128"],
+                "solve experiment needs a positive finite grid_t, got 0.0",
+            ),
+            (["solve", "--grid-t", "-1"], "solve experiment needs a positive finite grid_t, got -1.0"),
+            (["solve", "--grid-t", "nan"], "solve experiment needs a positive finite grid_t, got nan"),
         ],
-        ids=["solve-grid", "solve-k", "gen-seed", "separation-seed"],
+        ids=[
+            "solve-grid",
+            "solve-k",
+            "gen-seed",
+            "separation-seed",
+            "separation-p",
+            "solve-grid-t-zero",
+            "solve-grid-t-negative",
+            "solve-grid-t-nan",
+        ],
     )
     def test_out_of_range_one_line_error(self, capsys, argv, message):
         assert cli(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_enumeration_cap_one_line_error(self, capsys, monkeypatch):
+        # any enumerator cap reached under the CLI ends in one error line
+        monkeypatch.setattr(xharness.exact, "_ENUM_EDGE_CAP", 2)
+        assert cli(["mandatory", "--samples", "30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "exceeds enumeration cap 2" in captured.err
 
     @pytest.mark.parametrize("key", ["seed", "stream"])
     def test_negative_config_seed_one_line_error(self, tmp_path, capsys, key):
@@ -461,3 +498,6 @@ class TestSolveLimits:
             xharness.run_solve(ExperimentConfig(experiment="solve", grid_points=63))
         with pytest.raises(xharness.HarnessError):
             xharness.run_solve(ExperimentConfig(experiment="solve", k=-1))
+        for grid_t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(xharness.HarnessError, match="positive finite grid_t"):
+                xharness.run_solve(ExperimentConfig(experiment="solve", grid_points=128, grid_t=grid_t))
