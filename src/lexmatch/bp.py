@@ -31,7 +31,6 @@ from .exact import BLOCKING, FREE, MANDATORY, Matching, _orient_forest
 from .randgraph import WeightedGraph
 
 __all__ = [
-    "BOTTOM",
     "ZERO",
     "top_msg",
     "FieldInconsistencyError",
@@ -39,17 +38,14 @@ __all__ = [
     "SqueezeResult",
     "sweep_tree",
     "extract_matching",
-    "flexibility",
     "sweep_bounded",
     "squeeze",
     "macroscopic_squeeze",
     "classify_edges_from_levels",
     "scalar_sweep_eps",
-    "field_to_text",
     "UNKNOWN",
 ]
 
-BOTTOM = (-1, float("-inf"))
 ZERO = (0, 0.0)
 UNKNOWN = "unknown"
 
@@ -71,18 +67,9 @@ class MessageField:
     messages: dict
     boundary_spec: dict
 
-    def msg(self, u: int, v: int):
-        return self.messages[(u, v)]
-
-
-def _sub(kw, msg):
-    return (kw[0] - msg[0], kw[1] - msg[1])
-
 
 def _resolve_boundary(g: WeightedGraph, k: int, spec):
     """Normalise a boundary spec to {vertex: message}."""
-    if spec is None:
-        return {}
     if isinstance(spec, str):
         spec = {b: spec for b in g.boundary}
     out = {}
@@ -238,23 +225,6 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     return Matching.from_edges(g, chosen)
 
 
-def flexibility(g: WeightedGraph, field: MessageField) -> dict:
-    """Per-vertex self-loop value maxlex over v ~ u of (k, w) - msg(u, v).
-
-    A vertex is unmatched exactly when its flexibility is below (0, 0);
-    isolated vertices get the bottom element.
-    """
-    out = {}
-    for u in range(g.n):
-        best = BOTTOM
-        for v in g.adjacency[u]:
-            cand = _sub((field.k, g.weights[(min(u, v), max(u, v))]), field.messages[(u, v)])
-            if cand > best:
-                best = cand
-        out[u] = best
-    return out
-
-
 @dataclass
 class SqueezeResult:
     """Per-directed-edge interval bounds valid for every boundary condition."""
@@ -263,12 +233,6 @@ class SqueezeResult:
     lower: dict
     upper: dict
     certified: dict
-
-    def certified_fraction(self, keys=None) -> float:
-        keys = list(self.certified.keys()) if keys is None else list(keys)
-        if not keys:
-            return 1.0
-        return sum(bool(self.certified[e]) for e in keys) / len(keys)
 
 
 def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[dict, dict]:
@@ -279,14 +243,13 @@ def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[dict, dict
     return lo, hi
 
 
-def squeeze(g: WeightedGraph, k: int, radius: int | None = None) -> SqueezeResult:
+def squeeze(g: WeightedGraph, k: int) -> SqueezeResult:
     """Extremal all-zero / all-top sweeps and per-edge certification.
 
     One application of the recursion reverses the boundary order, so for
     each directed edge the two extremal sweeps bracket the message under
     *every* boundary condition; equality certifies independence from the
-    exterior.  `radius` is documentation only (the ball already carries
-    its boundary set).
+    exterior.
     """
     lo, hi = _extremal_sweeps(g, k)
     # both bounds start as the all-zero messages; an uncertified edge then
@@ -321,7 +284,7 @@ def macroscopic_squeeze(g: WeightedGraph) -> tuple[dict, dict]:
     return levels, certified
 
 
-def classify_edges_from_levels(g: WeightedGraph, levels: dict, certified: dict | None = None) -> dict:
+def classify_edges_from_levels(g: WeightedGraph, levels: dict, certified: dict) -> dict:
     """Classify edges from certified directed levels (single-jump regime).
 
     An edge is mandatory iff the two directed levels sum below 1, blocking
@@ -330,7 +293,7 @@ def classify_edges_from_levels(g: WeightedGraph, levels: dict, certified: dict |
     """
     out = {}
     for u, v in g.edges():
-        ok = certified is None or (certified.get((u, v)) and certified.get((v, u)))
+        ok = certified.get((u, v)) and certified.get((v, u))
         if not ok or (u, v) not in levels or (v, u) not in levels:
             out[(u, v)] = UNKNOWN
             continue
@@ -356,11 +319,3 @@ def scalar_sweep_eps(g: WeightedGraph, eps: float):
         if field[(u, v)] + field[(v, u)] < weps[(u, v)]
     ]
     return field, Matching.from_edges(g, chosen)
-
-
-def field_to_text(field: MessageField) -> str:
-    """One line per directed edge: `u v level z`; bottom encoded as level=-1."""
-    lines = []
-    for (u, v), (level, z) in sorted(field.messages.items()):
-        lines.append(f"{u} {v} {level} {z:.17g}")
-    return "\n".join(lines) + "\n"

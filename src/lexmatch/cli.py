@@ -82,27 +82,7 @@ def _experiment_config(args) -> ExperimentConfig:
     mapping = {}
     if getattr(args, "config", None):
         mapping.update(load_config_file(args.config))
-    for key in (
-        "law",
-        "weights",
-        "weights_b",
-        "n",
-        "depth",
-        "replicas",
-        "samples",
-        "trees",
-        "p",
-        "h_min",
-        "h_max",
-        "tolerance",
-        "seed",
-        "out",
-        "fmt",
-        "k",
-        "grid_points",
-        "grid_t",
-        "conjecture_probe",
-    ):
+    for key in ExperimentConfig.__dataclass_fields__:
         val = getattr(args, key, None)
         if val is not None:
             mapping[key] = val

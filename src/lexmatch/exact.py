@@ -25,7 +25,6 @@ __all__ = [
     "CycleError",
     "Matching",
     "Perf",
-    "EdgeClass",
     "MANDATORY",
     "BLOCKING",
     "FREE",
@@ -203,27 +202,18 @@ def _orient_forest(g: WeightedGraph, avoid=frozenset()):
     return parent, order
 
 
-def tree_opt_dp(g: WeightedGraph, objective: str = "lex"):
+def tree_opt_dp(g: WeightedGraph):
     """Exact optimum on forests via the with/without-root dynamic program.
 
-    objective="lex" optimises (size, weight) pairs added componentwise and
-    compared lexicographically; objective="weight" optimises total weight
-    alone (matchings may then leave vertices exposed whenever every
-    incident marginal gain is negative).
+    Values are (size, weight) pairs, added componentwise and compared
+    lexicographically.
 
     Returns (matching, gains) where gains[(u, v)] is the marginal value of
     allowing v to be matched inside the component of v seen from u, i.e.
     OPT(subtree at v away from u) - OPT(same subtree with v deleted).
     """
-    if objective not in ("lex", "weight"):
-        raise ValueError(f"objective must be 'lex' or 'weight', got {objective!r}")
-    lex = objective == "lex"
     parent, order = _orient_forest(g)
-
-    def value(size: int, weight: float):
-        return (size, weight) if lex else weight
-
-    zero = value(0, 0.0)
+    zero = (0, 0.0)
 
     # upward pass: for v with parent p, opt_in[v] = OPT of subtree(v),
     # opt_out[v] = OPT of subtree(v) with v unmatchable
@@ -234,15 +224,14 @@ def tree_opt_dp(g: WeightedGraph, objective: str = "lex"):
         kids = [w for w in g.adjacency[v] if parent[w] == v]
         base = zero
         for w in kids:
-            base = _vadd(base, opt_in[w], lex)
+            base = _vadd(base, opt_in[w])
         opt_out[v] = base
         best = base
         best_child = None
         for w in kids:
             cand = _vadd(
-                _vadd(base, _vneg(opt_in[w], lex), lex),
-                _vadd(opt_out[w], value(1, g.weight(v, w)), lex),
-                lex,
+                _vadd(base, _vneg(opt_in[w])),
+                _vadd(opt_out[w], (1, g.weight(v, w))),
             )
             if cand > best:
                 best, best_child = cand, w
@@ -268,15 +257,15 @@ def tree_opt_dp(g: WeightedGraph, objective: str = "lex"):
     for v in order:
         kids = [w for w in g.adjacency[v] if parent[w] == v]
         for w in kids:
-            gains[(v, w)] = _vsub(opt_in[w], opt_out[w], lex)
+            gains[(v, w)] = _vsub(opt_in[w], opt_out[w])
     for v in order:
         p = parent[v]
         candidates = []
         for w in g.adjacency[v]:
             if parent[w] == v:
-                candidates.append((w, _vsub(value(1, g.weight(v, w)), gains[(v, w)], lex)))
+                candidates.append((w, _vsub((1, g.weight(v, w)), gains[(v, w)])))
             elif w == p:
-                candidates.append((w, _vsub(value(1, g.weight(v, w)), down[v], lex)))
+                candidates.append((w, _vsub((1, g.weight(v, w)), down[v])))
         # down[w] for children w: gain of matching w upward into v's side
         for w in g.adjacency[v]:
             if parent[w] != v:
@@ -288,21 +277,20 @@ def tree_opt_dp(g: WeightedGraph, objective: str = "lex"):
             down[w] = best
             gains[(w, v)] = best
     matching = Matching.from_edges(g, matched_edges)
-    if lex:
-        _assert_no_easy_improvement(g, matching)
+    _assert_no_easy_improvement(g, matching)
     return matching, gains
 
 
-def _vadd(a, b, lex: bool):
-    return (a[0] + b[0], a[1] + b[1]) if lex else a + b
+def _vadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
 
 
-def _vneg(a, lex: bool):
-    return (-a[0], -a[1]) if lex else -a
+def _vneg(a):
+    return (-a[0], -a[1])
 
 
-def _vsub(a, b, lex: bool):
-    return (a[0] - b[0], a[1] - b[1]) if lex else a - b
+def _vsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
 
 
 def _assert_no_easy_improvement(g: WeightedGraph, matching: Matching) -> None:

@@ -14,7 +14,7 @@ reproducible without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "ubgw_tree",
     "assign_weights",
     "ball",
-    "ball_isomorphic",
     "graph_to_text",
     "graph_from_text",
 ]
@@ -89,7 +88,6 @@ class WeightedGraph:
     weights: dict
     root: object
     boundary: frozenset = frozenset()
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.root, VertexRoot):
@@ -376,12 +374,11 @@ def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedG
         weights=dict(zip(keys, draws)),
         root=g.root,
         boundary=g.boundary,
-        labels=g.labels,
     )
 
 
 # ----------------------------------------------------------------------
-# balls and isomorphism
+# balls
 # ----------------------------------------------------------------------
 
 
@@ -420,71 +417,6 @@ def ball(g: WeightedGraph, center: int, H: int) -> WeightedGraph:
             edge_weights[_edge_key(relabel[u], relabel[v])] = w
     boundary = [relabel[v] for v in order if depth[v] == H]
     return _build(len(order), edge_weights, VertexRoot(0), boundary)
-
-
-def ball_isomorphic(
-    g1: WeightedGraph,
-    c1: int,
-    g2: WeightedGraph,
-    c2: int,
-    H: int,
-    compare_weights: bool = False,
-    weight_tol: float = 1e-9,
-) -> bool:
-    """Whether the rooted H-balls around c1 and c2 are isomorphic.
-
-    Weights are compared within weight_tol when requested.  Backtracking
-    search with degree pruning; balls are expected to be small.
-    """
-    b1 = ball(g1, c1, H)
-    b2 = ball(g2, c2, H)
-    if b1.n != b2.n or b1.m != b2.m:
-        return False
-    deg1 = sorted(len(a) for a in b1.adjacency)
-    deg2 = sorted(len(a) for a in b2.adjacency)
-    if deg1 != deg2:
-        return False
-
-    mapping = {0: 0}
-    used = {0}
-
-    def weights_ok(u1, v1, u2, v2) -> bool:
-        if not compare_weights:
-            return True
-        return abs(b1.weight(u1, v1) - b2.weight(u2, v2)) <= weight_tol
-
-    def extend(frontier1):
-        if not frontier1:
-            return True
-        v1 = frontier1[0]
-        # v1's already-mapped neighbours constrain the image
-        anchored = [u for u in b1.adjacency[v1] if u in mapping]
-        cand = set(range(b2.n)) - used
-        for u in anchored:
-            cand &= set(b2.adjacency[mapping[u]])
-        for v2 in sorted(cand):
-            if len(b2.adjacency[v2]) != len(b1.adjacency[v1]):
-                continue
-            if any(not weights_ok(u, v1, mapping[u], v2) for u in anchored):
-                continue
-            # reject images adjacent to mapped vertices v1 is not adjacent to
-            if any(
-                v2 in b2.adjacency[mapping[u]]
-                for u in mapping
-                if u not in b1.adjacency[v1] and u != v1
-            ):
-                continue
-            mapping[v1] = v2
-            used.add(v2)
-            if extend(frontier1[1:]):
-                return True
-            del mapping[v1]
-            used.discard(v2)
-        return False
-
-    rest = [v for v in range(1, b1.n)]
-    # BFS order keeps anchors non-empty on connected balls
-    return extend(rest)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "CdfSystem",
     "SolverAttempt",
     "ZetaSampler",
-    "solve_h_eps",
     "solve_system",
     "conservation_check",
     "size_from_system",
@@ -158,39 +157,6 @@ class CdfSystem:
         return max(gaps) if gaps else 0.0
 
 
-class _WeightView:
-    """CDF/support view of a weight law under w -> offset + scale * w."""
-
-    def __init__(self, wlaw: WeightLaw, offset: float = 0.0, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.wlaw = wlaw
-        self.offset = offset
-        self.scale = scale
-
-    @property
-    def mean(self) -> float:
-        return self.offset + self.scale * self.wlaw.mean
-
-    @property
-    def atomless(self) -> bool:
-        return self.wlaw.atomless
-
-    def support(self) -> tuple[float, float]:
-        a, b = self.wlaw.support()
-        if math.isinf(b):
-            # truncate at negligible tail mass for quadrature purposes
-            rate = self.wlaw.params[0]
-            b = -math.log(1e-14) / rate
-        return (self.offset + self.scale * a, self.offset + self.scale * b)
-
-    def cdf(self, t):
-        return self.wlaw.cdf((np.asarray(t, dtype=float) - self.offset) / self.scale)
-
-    def constant_value(self):
-        return self.offset + self.scale * self.wlaw.params[0] if self.wlaw.family == "constant" else None
-
-
 class _Quadrature:
     """E[h(W - t)] on an aligned lattice, exact for piecewise-linear h.
 
@@ -200,21 +166,21 @@ class _Quadrature:
     sum over cells is a correlation, evaluated with numpy.
     """
 
-    def __init__(self, t: np.ndarray, view: _WeightView):
+    def __init__(self, t: np.ndarray, wlaw: WeightLaw):
         self.t = t
-        self.view = view
+        self.wlaw = wlaw
         self.n = len(t)
         self.i0 = int(np.searchsorted(t, 0.0))
         assert t[self.i0] == 0.0
         self.step = float(t[1] - t[0])
-        self.const = view.constant_value()
-        if self.const is not None:
-            return
-        a, b = view.support()
+        a, b = wlaw.support()
+        if math.isinf(b):
+            # truncate the exponential tail at negligible mass
+            b = -math.log(1e-14) / wlaw.params[0]
         j_lo = int(math.floor(a / self.step)) - 1
         j_hi = int(math.ceil(b / self.step)) + 1
         nodes = np.arange(j_lo, j_hi + 1)
-        cdf_at = view.cdf(nodes * self.step)
+        cdf_at = wlaw.cdf(nodes * self.step)
         masses = np.diff(cdf_at)
         total = masses.sum()
         if total <= 0:
@@ -229,8 +195,6 @@ class _Quadrature:
 
     def expect(self, values: np.ndarray) -> np.ndarray:
         """E[h(W - t_i)] for h piecewise linear with flat extensions."""
-        if self.const is not None:
-            return np.interp(self.const - self.t, self.t, values)
         K = len(self.q)
         # index of h-node for cell node s at output i: base + s - i
         base = 2 * self.i0 + self.j_lo
@@ -251,7 +215,7 @@ class _Quadrature:
 
     def survival(self) -> np.ndarray:
         """P(W >= t_i), used for the closed-form atom contribution."""
-        return 1.0 - np.asarray(self.view.cdf(self.t))
+        return 1.0 - np.asarray(self.wlaw.cdf(self.t))
 
 
 def _expect_layer(quad: _Quadrature, cdf: GridCdf) -> np.ndarray:
@@ -367,34 +331,6 @@ def _iterate_with_fallback(law, quad, layers, k, leafless, tol, max_iter, dampin
     )
 
 
-def solve_h_eps(
-    law: OffspringLaw,
-    wlaw: WeightLaw,
-    eps: float,
-    grid: GridSpec = GridSpec(),
-    tol: float = 1e-9,
-    max_iter: int = 5000,
-    damping: float | None = None,
-) -> GridCdf:
-    """CDF of the scalar message under weights 1 + eps*w.
-
-    Solves h(t) = 1_{t>=0} hphi(1 - E[h(1 + eps W - t)]) by fixed-point
-    iteration; the value h(0) is the atom at zero and converges to the
-    renormalised atom beta as eps -> 0.  `damping` selects the attempts as
-    in solve_system.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    view = _WeightView(wlaw, offset=1.0, scale=eps)
-    t = grid.build(default_t=8.0 * (view.mean + 1.0))
-    quad = _Quadrature(t, view)
-    start = GridCdf(t, np.where(t >= 0, 0.5, 0.0), 0.5)
-    layers, _, _ = _iterate_with_fallback(law, quad, [start], 0, False, tol, max_iter, damping)
-    out = layers[0]
-    out.atom0 = float(out.values[quad.i0])
-    return out
-
-
 def solve_system(
     law: OffspringLaw,
     wlaw: WeightLaw,
@@ -414,14 +350,16 @@ def solve_system(
     The returned system lists every attempt in `attempts`, and
     ConvergenceError names each one when none converges.  With a leafless
     excess law (hphi(0) = 0) the indicator variant is replaced by the
-    pinned-limit variant automatically.
+    pinned-limit variant automatically.  The weight law must be atomless:
+    the grid tracks no atom but the one of h_0 at zero.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if not wlaw.atomless:
+        raise ValueError(f"solve_system needs an atomless weight law, got {wlaw.spec_string()}")
     leafless = float(law.excess_pgf(0.0)) == 0.0
-    view = _WeightView(wlaw)
-    t = grid.build(default_t=8.0 * (view.mean + 1.0))
-    quad = _Quadrature(t, view)
+    t = grid.build(default_t=8.0 * (wlaw.mean + 1.0))
+    quad = _Quadrature(t, wlaw)
     n = len(t)
     i0 = quad.i0
 
@@ -469,7 +407,7 @@ def _inverse_integral(law: OffspringLaw, a: float, b: float, points: int = 4097)
     return sign * float(np.trapezoid(vals, u))
 
 
-def conservation_check(sys: CdfSystem, law: OffspringLaw | None = None) -> dict:
+def conservation_check(sys: CdfSystem) -> dict:
     """Numerical residuals of the boundary-value conservation identities.
 
     "bords": beta (1 - hphi^{-1}(beta)) + int_beta^{l_1} (1 - hphi^{-1})
@@ -477,7 +415,7 @@ def conservation_check(sys: CdfSystem, law: OffspringLaw | None = None) -> dict:
     "energy": the j <-> k-j balance for interior layers (vacuous when
     k <= 2 since the two sides coincide symbolically).
     """
-    law = law or sys.law
+    law = sys.law
     if sys.k == 0:
         return {"bords": 0.0, "energy": []}
     ls = {j + 1: sys.levels[j].right_limit for j in range(sys.k)}
@@ -498,13 +436,13 @@ def conservation_check(sys: CdfSystem, law: OffspringLaw | None = None) -> dict:
     return {"bords": abs(lhs - rhs), "energy": energy}
 
 
-def size_from_system(sys: CdfSystem, law: OffspringLaw | None = None) -> float:
+def size_from_system(sys: CdfSystem) -> float:
     """Matched-edge density beta (1 - hphi^{-1}(beta)) + int_beta^1 (1 - hphi^{-1}).
 
     Multiplying by the offspring mean gives the matched-vertex density,
     which cross-checks against (2 - F_pi(l_1)) / phi'(1).
     """
-    law = law or sys.law
+    law = sys.law
     beta = sys.beta
     out = _inverse_integral(law, beta, 1.0)
     if beta > 0:
@@ -512,9 +450,9 @@ def size_from_system(sys: CdfSystem, law: OffspringLaw | None = None) -> float:
     return out
 
 
-def size_from_functional(sys: CdfSystem, law: OffspringLaw | None = None) -> float:
+def size_from_functional(sys: CdfSystem) -> float:
     """The same edge density through the matching functional at l_1."""
-    law = law or sys.law
+    law = sys.law
     l1 = sys.levels[0].right_limit if sys.k >= 1 else 1.0
     return (2.0 - float(F_pi(law, l1))) / law.mean
 
@@ -580,7 +518,6 @@ def rde_step(
     wlaw: WeightLaw,
     rng: np.random.Generator,
     n: int,
-    k: int | None = None,
 ):
     """Push n samples through one step of the lexicographic recursion.
 
@@ -588,14 +525,13 @@ def rde_step(
     sampler, and returns the resulting (levels, z) arrays.  Stationarity
     of the sampler's law means the output law matches the input law.
     """
-    k = sampler.k if k is None else k
     N = np.asarray(law.sample_excess(rng, n))
     M = max(int(N.max()), 1)
     in_lvl, in_z = sampler.sample(rng, n * M)
     in_lvl = in_lvl.reshape(n, M)
     in_z = in_z.reshape(n, M)
     w = np.asarray(wlaw.sample(rng, (n, M)), dtype=float)
-    return _lex_reduce(k, N, in_lvl, in_z, w)
+    return _lex_reduce(sampler.k, N, in_lvl, in_z, w)
 
 
 def _lex_reduce(k, N, in_lvl, in_z, w):

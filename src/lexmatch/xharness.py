@@ -76,7 +76,6 @@ class ExperimentConfig:
     eps_min_exp: int = 1
     eps_max_exp: int = 12
     trees: int = 500
-    pool_size: int = 20_000
     grid_points: int = 4096
     grid_t: float | None = None
     k: int | None = None
@@ -406,7 +405,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     while forests < cfg.cross_forests and i < 10 * cfg.cross_forests:
         g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 1 + i % 4, base.child(10**7 + i))
         i += 1
-        if g.m == 0 or g.m > 22:
+        if g.m == 0 or g.m > exact._ENUM_EDGE_CAP:
             continue
         whole = replace(g, boundary=frozenset())
         lv, cert = bp.macroscopic_squeeze(whole)
@@ -728,6 +727,8 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
         raise HarnessError(f"solve experiment needs a positive finite grid_t, got {cfg.grid_t}")
     law = cfg.offspring()
     wlaw = cfg.weight_law()
+    if not wlaw.atomless:
+        raise HarnessError(f"solve experiment needs an atomless weight law, got {cfg.weights}")
     k = cfg.k if cfg.k is not None else genfn.macroscopic_law(law).k
     grid = rde.GridSpec(cfg.grid_points, cfg.grid_t)
     system = rde.solve_system(law, wlaw, k, grid)

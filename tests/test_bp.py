@@ -7,13 +7,10 @@ import pytest
 
 from lexmatch import bp, exact, randgraph
 from lexmatch.bp import (
-    BOTTOM,
     ZERO,
     FieldInconsistencyError,
     classify_edges_from_levels,
     extract_matching,
-    field_to_text,
-    flexibility,
     macroscopic_squeeze,
     scalar_sweep_eps,
     squeeze,
@@ -289,11 +286,6 @@ class TestSweepTree:
         with pytest.raises(CycleError):
             sweep_tree(g, 1)
 
-    def test_dump_format(self):
-        g = path([0.5])
-        txt = field_to_text(sweep_tree(g, 1))
-        assert txt.splitlines()[0] == "0 1 0 0"
-
 
 class TestExtractMatching:
     def test_single_edge_matched(self):
@@ -390,29 +382,6 @@ class TestExtractMatching:
             if checked == 4:
                 break
         assert checked == 4
-
-
-class TestFlexibility:
-    def test_isolated_vertex(self):
-        g = graph_of(2, {}, root=0)
-        f = sweep_tree(g, 1)
-        flex = flexibility(g, f)
-        assert flex[0] == BOTTOM and flex[1] == BOTTOM
-
-    def test_single_edge_endpoints(self):
-        g = path([0.6])
-        flex = flexibility(g, sweep_tree(g, 1))
-        assert flex[0] == (1, 0.6) and flex[1] == (1, 0.6)
-
-    def test_unmatched_sets_agree(self):
-        for i in range(200):
-            g = random_tree(i)
-            f = sweep_tree(g, 1)
-            m = extract_matching(g, f)
-            flex = flexibility(g, f)
-            unmatched_rule = {v for v in range(g.n) if flex[v] < ZERO}
-            unmatched_match = {v for v in range(g.n) if not m.covers(v)}
-            assert unmatched_rule == unmatched_match
 
 
 class TestSweepBounded:

@@ -35,7 +35,7 @@ def path(weights):
     return graph_of(len(weights) + 1, {(i, i + 1): w for i, w in enumerate(weights)})
 
 
-def exhaustive_best(g, lex=True):
+def exhaustive_best(g):
     """Independent oracle: scan all 2^m edge subsets for the best matching."""
     edges = g.edges()
     best = None
@@ -51,7 +51,7 @@ def exhaustive_best(g, lex=True):
             if not ok:
                 continue
             w = sum(g.weights[e] for e in combo)
-            key = (len(combo), w) if lex else w
+            key = (len(combo), w)
             if best is None or key > best[0]:
                 best = (key, frozenset(combo))
     return best
@@ -131,20 +131,6 @@ class TestTreeDp:
             bf = brute_force_opt(g)
             assert dp.size == bf.size
             assert dp.weight == pytest.approx(bf.weight, abs=1e-9)
-
-    def test_scalar_gain_criterion(self):
-        # weight-only mode: edge is matched iff w(u,v) > gain(u,v) + gain(v,u)
-        for i in range(60):
-            g = random_small_tree(i, max_depth=3)
-            if g.m > 12 or g.m == 0:
-                continue
-            m, gains = tree_opt_dp(g, objective="weight")
-            best = exhaustive_best(g, lex=False)
-            assert m.weight == pytest.approx(best[0], abs=1e-9)
-            for u, v in g.edges():
-                in_m = (u, v) in m.edges
-                criterion = g.weights[(u, v)] > gains[(u, v)] + gains[(v, u)]
-                assert in_m == criterion
 
     def test_lex_gain_criterion(self):
         # lex mode: gains are (size, weight) pairs and the decision rule is

@@ -17,7 +17,6 @@ from lexmatch.rde import (
     rde_step,
     size_from_functional,
     size_from_system,
-    solve_h_eps,
     solve_system,
     system_to_csv,
     zeta_prime,
@@ -40,41 +39,14 @@ def sys2():
     return solve_system(LAW3, UNIF, 2, damping=0.5)
 
 
-class TestSolveHEps:
-    def test_constant_weight_plateaus_solve_doubled_map(self):
-        h = solve_h_eps(LAW1, WeightLaw.constant(0.0), 1.0, GridSpec(2048, t_max=3.0))
-        interior = h.values[(h.t > 0.05) & (h.t < 0.95)]
-        fps = genfn.double_fixed_points(LAW1)
-        for v in np.unique(np.round(interior, 6)):
-            assert min(abs(v - f) for f in list(fps) + [0.0, 1.0]) < 1e-4
-
-    def test_structural_postconditions(self):
-        h = solve_h_eps(LAW1, UNIF, 0.05, GridSpec(4096, t_max=2.0))
-        assert np.all(np.diff(h.values) >= -1e-12)
-        assert h.values[h.t < 0].max() == 0.0
-        assert h.atom0 == pytest.approx(float(h.values[np.searchsorted(h.t, 0.0)]))
-
-    def test_atom_approaches_beta(self):
-        errs = []
-        for eps in (0.2, 0.1, 0.05, 0.025):
-            h = solve_h_eps(LAW1, UNIF, eps, GridSpec(8192, t_max=2.0))
-            errs.append(abs(h.atom0 - KS1.beta))
-        quad_slack = 1e-4
-        assert all(e < quad_slack for e in errs)
-        for a, b in zip(errs, errs[1:]):
-            assert b <= a + quad_slack
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            solve_h_eps(LAW1, UNIF, 0.0)
-
-
 class TestSolveSystem:
     def test_input_limits_raise_value_error(self):
         with pytest.raises(ValueError, match="at least 64 points"):
             GridSpec(10).build(1.0)
         with pytest.raises(ValueError, match="k must be >= 0"):
             solve_system(LAW1, UNIF, -1, GridSpec(64))
+        with pytest.raises(ValueError, match="atomless weight law, got const:0"):
+            solve_system(LAW1, WeightLaw.constant(0.0), 1, GridSpec(64))
         for t_max in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 GridSpec(128, t_max=t_max).build(1.0)
@@ -179,6 +151,12 @@ class TestConservation:
         cons = conservation_check(sys1)
         assert cons["bords"] < 2e-3
         assert cons["energy"] == []
+
+    def test_exponential_weights(self):
+        # the quadrature truncates the unbounded exponential tail at 1e-14 mass
+        s = solve_system(OffspringLaw.poisson(2.0), WeightLaw.exponential(1.0), 1)
+        assert conservation_check(s)["bords"] < 2e-3
+        assert abs(size_from_system(s) - size_from_functional(s)) < 2e-3
 
     def test_k0_vacuous(self):
         sys0 = solve_system(OffspringLaw.delta(3), UNIF, 0)

@@ -455,6 +455,7 @@ class TestCli:
             ),
             (["solve", "--grid-t", "-1"], "solve experiment needs a positive finite grid_t, got -1.0"),
             (["solve", "--grid-t", "nan"], "solve experiment needs a positive finite grid_t, got nan"),
+            (["solve", "--weights", "const:1.0"], "solve experiment needs an atomless weight law, got const:1.0"),
         ],
         ids=[
             "solve-grid",
@@ -465,6 +466,7 @@ class TestCli:
             "solve-grid-t-zero",
             "solve-grid-t-negative",
             "solve-grid-t-nan",
+            "solve-weights-const",
         ],
     )
     def test_out_of_range_one_line_error(self, capsys, argv, message):
@@ -475,7 +477,10 @@ class TestCli:
 
     def test_enumeration_cap_one_line_error(self, capsys, monkeypatch):
         # any enumerator cap reached under the CLI ends in one error line
-        monkeypatch.setattr(xharness.exact, "_ENUM_EDGE_CAP", 2)
+        def over_cap(g):
+            raise xharness.exact.EnumerationLimitError(f"{g.m} edges exceeds enumeration cap 2")
+
+        monkeypatch.setattr(xharness.exact, "mandatory_blocking", over_cap)
         assert cli(["mandatory", "--samples", "30"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
