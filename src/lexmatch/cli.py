@@ -13,7 +13,7 @@ from . import bp, exact, randgraph, rde, xharness
 from .exact import CycleError
 from .genfn import LawError, parse_law
 from .randgraph import GraphError, RngSeed, parse_weight_law
-from .xharness import ExperimentConfig, HarnessError, check_seed, config_from, load_config_file
+from .xharness import HarnessError, check_seed, config_from, load_config_file
 
 
 class UsageError(Exception):
@@ -28,12 +28,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="lexmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json", "both"], default=None)
 
     p_gen = sub.add_parser("gen", help="generate a graph file")
     p_gen.add_argument("--model", choices=["er", "config", "ubgw"], required=True)
@@ -51,43 +45,18 @@ def build_parser() -> _Parser:
     p_match.add_argument("--k", type=int, default=1)
     p_match.add_argument("--out", default=None, help="matching file (default stdout)")
 
-    p_solve = sub.add_parser("solve", help="solve the message-law system")
-    common(p_solve)
-    p_solve.add_argument("--law", default=None)
-    p_solve.add_argument("--weights", default=None)
-    p_solve.add_argument("--k", type=int, default=None)
-    p_solve.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p_solve.add_argument("--grid-t", dest="grid_t", type=float, default=None)
-
-    for name in ("size", "decay", "mandatory", "separation", "eps-sweep", "check"):
-        p_exp = sub.add_parser(name, help=f"run the {name} experiment")
-        common(p_exp)
-        p_exp.add_argument("--law", default=None)
-        p_exp.add_argument("--weights", default=None)
-        p_exp.add_argument("--weights-b", dest="weights_b", default=None)
-        p_exp.add_argument("--n", type=int, default=None)
-        p_exp.add_argument("--depth", type=int, default=None)
-        p_exp.add_argument("--replicas", type=int, default=None)
-        p_exp.add_argument("--samples", type=int, default=None)
-        p_exp.add_argument("--trees", type=int, default=None)
-        p_exp.add_argument("--p", type=int, default=None)
-        p_exp.add_argument("--h-min", dest="h_min", type=int, default=None)
-        p_exp.add_argument("--h-max", dest="h_max", type=int, default=None)
-        p_exp.add_argument("--tolerance", type=float, default=None)
-        p_exp.add_argument("--probe", dest="conjecture_probe", action="store_true", default=None)
+    for name, reads in xharness.READS.items():
+        # exact flags only: a prefix such as mandatory's --p would resolve to --probe
+        p_exp = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
+        p_exp.add_argument("--config", help="flat key=value config file")
+        p_exp.add_argument("--out", default=None, help="output directory")
+        p_exp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
+        for key in reads:
+            if key == "conjecture_probe":
+                p_exp.add_argument("--probe", dest=key, action="store_true", default=None)
+            else:
+                p_exp.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    mapping = {}
-    if getattr(args, "config", None):
-        mapping.update(load_config_file(args.config))
-    for key in ExperimentConfig.__dataclass_fields__:
-        val = getattr(args, key, None)
-        if val is not None:
-            mapping[key] = val
-    mapping["experiment"] = args.command
-    return config_from(mapping)
 
 
 def _cmd_gen(args) -> int:
@@ -130,17 +99,6 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    cfg = _experiment_config(args)
-    records, system = xharness.run_solve(cfg)
-    xharness.emit(records, cfg, extra_files={"cdfsystem.csv": rde.system_to_csv(system)})
-    for i, attempt in enumerate(system.attempts, 1):
-        print(f"solver attempt {i}: {attempt.describe()}", file=sys.stderr)
-    for rec in records:
-        _print_record(rec)
-    return 0 if all(r.passed is not False for r in records) else 2
-
-
 def _print_record(rec) -> None:
     status = "PASS" if rec.passed else ("FAIL" if rec.passed is False else "info")
     est = "n/a" if rec.estimate is None else f"{rec.estimate:.6g}"
@@ -150,10 +108,19 @@ def _print_record(rec) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
-    runner = xharness.RUNNERS[cfg.experiment]
-    records = runner(cfg)
-    xharness.emit(records, cfg)
+    mapping = load_config_file(args.config) if args.config else {}
+    for key, val in vars(args).items():
+        if val is not None and key not in ("command", "config"):
+            mapping[key] = val
+    cfg = config_from(args.command, mapping)
+    if cfg.experiment == "solve":
+        records, system = xharness.run_solve(cfg)
+        xharness.emit(records, cfg, extra_files={"cdfsystem.csv": rde.system_to_csv(system)})
+        for i, attempt in enumerate(system.attempts, 1):
+            print(f"solver attempt {i}: {attempt.describe()}", file=sys.stderr)
+    else:
+        records = xharness.RUNNERS[cfg.experiment](cfg)
+        xharness.emit(records, cfg)
     for rec in records:
         _print_record(rec)
     return 0 if all(r.passed is not False for r in records) else 2
@@ -170,8 +137,6 @@ def cli(argv=None) -> int:
             return _cmd_gen(args)
         if args.command == "match":
             return _cmd_match(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
         return _cmd_experiment(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

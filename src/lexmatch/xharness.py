@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "CertificationError",
     "RegimeMismatchError",
     "ExperimentConfig",
+    "READS",
     "ResultRecord",
     "run_size",
     "run_decay",
@@ -56,9 +58,10 @@ class RegimeMismatchError(HarnessError):
 class ExperimentConfig:
     """Flat experiment configuration.
 
-    Unused fields are ignored by individual drivers; `tolerance` is the
-    absolute pass band against the reference value, None for the
-    experiment's default (0.01 for size, 0.02 for mandatory and separation).
+    Each experiment reads only the fields that READS lists for it;
+    `config_from` rejects any other key.  `tolerance` is the absolute pass
+    band against the reference value, None for the experiment's default
+    (0.01 for size, 0.02 for mandatory and separation).
     """
 
     experiment: str = "check"
@@ -97,7 +100,22 @@ class ExperimentConfig:
         return parse_weight_law(self.weights)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
+# boolean spellings, in any case; any other value is malformed
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _converter(f):
+    """Value converter from the field's default, or from its type when the default is None."""
+    if isinstance(f.default, bool):
+        return lambda val: _BOOLS[str(val).lower()]
+    if f.default is not None:
+        return type(f.default)
+    (typ,) = set(typing.get_args(_HINTS[f.name])) - {type(None)}
+    return lambda val: None if val in ("", "none") else typ(val)
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_CONVERT = {f.name: _converter(f) for f in fields(ExperimentConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -111,33 +129,31 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise HarnessError(f"malformed config line {raw!r}")
             key, val = (tok.strip() for tok in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
+            if key not in _CONVERT:
                 raise HarnessError(f"unknown config key {key!r}")
             out[key] = val
     return out
 
 
-def config_from(mapping: dict) -> ExperimentConfig:
-    """Typed config from string or native values; a malformed value raises HarnessError."""
-    kwargs = {}
+def config_from(experiment: str, mapping: dict) -> ExperimentConfig:
+    """Typed config for `experiment` from string or native values.
+
+    A key the experiment does not read (see READS; `out` and `fmt` are read
+    by `emit`) or a malformed value raises HarnessError.
+    """
+    kwargs = {"experiment": experiment}
     for key, val in mapping.items():
+        if key not in READS[experiment] + ("out", "fmt"):
+            raise HarnessError(f"{experiment} experiment does not read config key {key!r}")
         if val is None:
             continue
-        typ = _CONFIG_TYPES[key]
         try:
-            if typ in ("int", int):
-                kwargs[key] = int(val)
-            elif typ in ("float", float) or "float" in str(typ):
-                kwargs[key] = float(val)
-            elif typ in ("bool", bool):
-                kwargs[key] = val if isinstance(val, bool) else val.lower() in ("1", "true", "yes")
-            elif "int" in str(typ):
-                kwargs[key] = None if val in ("", "none", None) else int(val)
-            else:
-                kwargs[key] = val
-        except ValueError as exc:
+            kwargs[key] = _CONVERT[key](val)
+        except (ValueError, KeyError) as exc:
             raise HarnessError(f"invalid value {val!r} for config key {key!r}") from exc
     cfg = ExperimentConfig(**kwargs)
+    if cfg.fmt not in ("csv", "json"):
+        raise HarnessError(f"invalid value {cfg.fmt!r} for config key 'fmt'")
     check_seed(cfg.seed)
     check_seed(cfg.stream, "stream")
     return cfg
@@ -172,20 +188,6 @@ class ResultRecord:
         band = max(self.tolerance or 0.0, 3.0 * (self.se or 0.0))
         self.passed = abs(self.estimate - self.reference) < band
         return self
-
-    def row(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "name": self.name,
-            "estimate": _fmt(self.estimate),
-            "se": _fmt(self.se),
-            "reference": _fmt(self.reference),
-            "tolerance": _fmt(self.tolerance),
-            "passed": "" if self.passed is None else str(self.passed),
-            "provenance": self.provenance,
-            "params": json.dumps(self.params, sort_keys=True),
-            "notes": self.notes,
-        }
 
 
 def _fmt(x) -> str:
@@ -764,26 +766,26 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
 # emission
 # ----------------------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "experiment",
-    "name",
-    "estimate",
-    "se",
-    "reference",
-    "tolerance",
-    "passed",
-    "provenance",
-    "params",
-    "notes",
-]
+_CSV_COLUMNS = {
+    "experiment": str,
+    "name": str,
+    "estimate": _fmt,
+    "se": _fmt,
+    "reference": _fmt,
+    "tolerance": _fmt,
+    "passed": lambda passed: "" if passed is None else str(passed),
+    "provenance": str,
+    "params": lambda params: json.dumps(params, sort_keys=True),
+    "notes": str,
+}
 
 
 def records_to_csv(records: list[ResultRecord]) -> str:
     lines = ["# lexmatch-results v1"]
     lines.append(",".join(_CSV_COLUMNS))
     for rec in records:
-        row = rec.row()
-        lines.append(",".join('"%s"' % str(row[c]).replace('"', '""') for c in _CSV_COLUMNS))
+        cells = (cell(getattr(rec, col)) for col, cell in _CSV_COLUMNS.items())
+        lines.append(",".join('"%s"' % c.replace('"', '""') for c in cells))
         for pt in rec.curve:
             lines.append(
                 '"%s-curve","%s",%s'
@@ -797,25 +799,7 @@ def _fmt_curve(v) -> str:
 
 
 def records_to_json(records: list[ResultRecord]) -> str:
-    payload = {
-        "schema": "lexmatch-results-v1",
-        "records": [
-            {
-                "experiment": r.experiment,
-                "name": r.name,
-                "params": r.params,
-                "estimate": r.estimate,
-                "se": r.se,
-                "reference": r.reference,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "provenance": r.provenance,
-                "curve": r.curve,
-                "notes": r.notes,
-            }
-            for r in records
-        ],
-    }
+    payload = {"schema": "lexmatch-results-v1", "records": [asdict(r) for r in records]}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -824,7 +808,7 @@ def emit(records: list[ResultRecord], cfg: ExperimentConfig, extra_files: dict |
         return
     os.makedirs(cfg.out, exist_ok=True)
     stem = os.path.join(cfg.out, cfg.experiment)
-    if cfg.fmt in ("csv", "both"):
+    if cfg.fmt == "csv":
         with open(stem + ".csv", "w") as fh:
             fh.write(records_to_csv(records))
     with open(stem + ".json", "w") as fh:
@@ -841,4 +825,19 @@ RUNNERS = {
     "separation": run_separation,
     "eps-sweep": run_eps_sweep,
     "check": run_check,
+}
+
+
+# The ExperimentConfig fields each experiment reads.  The CLI registers one
+# flag per field and config_from rejects every other key.
+READS = {
+    "size": ("law", "n", "replicas", "tolerance", "seed", "stream"),
+    "decay": ("law", "weights", "samples", "h_min", "h_max", "h_step", "seed", "stream"),
+    "mandatory": (
+        "law", "depth", "samples", "tolerance", "conjecture_probe", "cross_forests", "seed", "stream"
+    ),
+    "separation": ("law", "weights", "weights_b", "p", "samples", "tolerance", "seed", "stream"),
+    "eps-sweep": ("weights", "trees", "eps_min_exp", "eps_max_exp", "seed", "stream"),
+    "check": ("weights", "seed", "stream"),
+    "solve": ("law", "weights", "k", "grid_points", "grid_t"),
 }

@@ -1,0 +1,89 @@
+"""Byte identity of command outputs against the files in tests/golden/.
+
+Each case runs one or more `lexmatch` commands in process, with fixed
+seeds, and compares every file they write, their stdout and stderr and
+their exit codes with the committed copy, byte for byte.  A refactor must
+leave all of it unchanged.
+
+A change that alters the realized random draws on purpose (a new seed
+derivation or a new tree sampler, say) regenerates these files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import io
+import pathlib
+import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from lexmatch.cli import cli
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+# case name -> commands; "{out}" stands for the case's output directory
+_GEN = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "6", "--seed", "3"]
+CASES = {
+    "check": [["check", "--out", "{out}"]],
+    "decay": [["decay", "--samples", "300", "--h-max", "6", "--out", "{out}"]],
+    "mandatory": [["mandatory", "--samples", "400", "--depth", "6", "--out", "{out}"]],
+    "separation": [["separation", "--samples", "300", "--format", "json", "--out", "{out}"]],
+    "eps-sweep": [["eps-sweep", "--trees", "40", "--out", "{out}"]],
+    "size": [["size", "--n", "2000", "--replicas", "4", "--out", "{out}"]],
+    "solve": [["solve", "--grid-points", "512", "--out", "{out}"]],
+    "gen-match-vertex": [
+        _GEN + ["--out", "{out}/tree.txt"],
+        ["match", "--graph", "{out}/tree.txt"],
+    ],
+    "gen-match-edge": [
+        _GEN + ["--rooting", "edge", "--out", "{out}/tree.txt"],
+        ["match", "--graph", "{out}/tree.txt"],
+    ],
+}
+
+
+def run_case(commands, out: pathlib.Path) -> dict[str, bytes]:
+    """Files written under `out`, plus a transcript of each command's exit code and output."""
+    transcript = []
+    for argv in commands:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli([arg.replace("{out}", str(out)) for arg in argv])
+        transcript += [
+            f"$ lexmatch {shlex.join(argv)}",
+            f"exit {code}",
+            "--- stdout",
+            stdout.getvalue(),
+            "--- stderr",
+            stderr.getvalue(),
+        ]
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    files["transcript.txt"] = "\n".join(transcript).encode()
+    return files
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_outputs_match_golden(name, tmp_path):
+    got = run_case(CASES[name], tmp_path)
+    case_dir = GOLDEN / name
+    want = {p.relative_to(case_dir).as_posix(): p.read_bytes() for p in case_dir.rglob("*") if p.is_file()}
+    assert sorted(got) == sorted(want)
+    for fname in want:
+        assert got[fname] == want[fname], f"{name}/{fname} differs from the golden copy"
+
+
+if __name__ == "__main__":
+    for name, commands in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            files = run_case(commands, pathlib.Path(tmp))
+        case_dir = GOLDEN / name
+        case_dir.mkdir(parents=True, exist_ok=True)
+        for stale in case_dir.iterdir():
+            stale.unlink()
+        for fname, data in files.items():
+            (case_dir / fname).write_bytes(data)
+        print(f"wrote {case_dir} ({len(files)} files)")

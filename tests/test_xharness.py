@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -170,7 +171,7 @@ class TestConfigPlumbing:
         path = tmp_path / "exp.cfg"
         path.write_text("law = poisson:2.0\nsamples = 77  # comment\n\n# full comment\n")
         mapping = load_config_file(str(path))
-        cfg = config_from({**mapping, "experiment": "check"})
+        cfg = config_from("decay", mapping)
         assert cfg.law == "poisson:2.0" and cfg.samples == 77
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -189,12 +190,149 @@ class TestConfigPlumbing:
             runner(ExperimentConfig(**fields))
 
     @pytest.mark.parametrize(
-        "key, value", [("samples", "abc"), ("tolerance", "tight"), ("k", "two")]
+        "experiment, key, value",
+        [("decay", "samples", "abc"), ("size", "tolerance", "tight"), ("solve", "k", "two")],
+        ids=["samples-abc", "tolerance-tight", "k-two"],
     )
-    def test_malformed_value_names_key_and_value(self, key, value):
+    def test_malformed_value_names_key_and_value(self, experiment, key, value):
         with pytest.raises(xharness.HarnessError) as exc:
-            config_from({key: value, "experiment": "check"})
+            config_from(experiment, {key: value})
         assert str(exc.value) == f"invalid value {value!r} for config key {key!r}"
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_boolean_spellings(self, value, expected):
+        assert config_from("mandatory", {"conjecture_probe": value}).conjecture_probe is expected
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "on"])
+    def test_malformed_boolean_rejected(self, value):
+        with pytest.raises(xharness.HarnessError) as exc:
+            config_from("mandatory", {"conjecture_probe": value})
+        assert str(exc.value) == f"invalid value {value!r} for config key 'conjecture_probe'"
+
+
+class _RecordingConfig(ExperimentConfig):
+    """ExperimentConfig that records the names of the fields read from it."""
+
+    def __getattribute__(self, name):
+        if name in ExperimentConfig.__dataclass_fields__:
+            object.__getattribute__(self, "fields_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestParameterTable:
+    """READS names exactly the fields each runner reads; the CLI follows it."""
+
+    @pytest.mark.parametrize(
+        "experiment, fields",
+        [
+            ("size", dict(n=300, replicas=2)),
+            ("decay", dict(samples=5, h_min=2, h_max=4)),
+            # outside the unique-fixed-point regime, so that conjecture_probe is read
+            ("mandatory", dict(law="poisson:3.0", conjecture_probe=True, depth=4, samples=20,
+                               cross_forests=3)),
+            ("separation", dict(samples=5)),
+            ("eps-sweep", dict(trees=3, eps_min_exp=1, eps_max_exp=3)),
+            ("check", dict()),
+            ("solve", dict(grid_points=128)),
+        ],
+        ids=["size", "decay", "mandatory", "separation", "eps-sweep", "check", "solve"],
+    )
+    def test_table_matches_fields_runner_reads(self, experiment, fields):
+        runner = xharness.run_solve if experiment == "solve" else xharness.RUNNERS[experiment]
+        cfg = _RecordingConfig(experiment=experiment, **fields)
+        object.__setattr__(cfg, "fields_read", set())
+        runner(cfg)
+        assert cfg.fields_read == set(xharness.READS[experiment])
+
+    @staticmethod
+    def listed_flags(experiment, capsys) -> set:
+        with pytest.raises(SystemExit):
+            cli([experiment, "--help"])
+        return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+    @pytest.mark.parametrize("experiment", list(xharness.READS))
+    def test_help_lists_exactly_the_table(self, experiment, capsys):
+        listed = self.listed_flags(experiment, capsys)
+        spelled = {
+            "--probe" if key == "conjecture_probe" else "--" + key.replace("_", "-")
+            for key in xharness.READS[experiment]
+        }
+        assert listed == spelled | {"--help", "--config", "--out", "--format"}
+
+    # the parameter flags every experiment command took before the table
+    _FORMER_FLAGS = {
+        "--law": "poisson:1.0", "--weights": "uniform:0:1", "--weights-b": "exp:1.0",
+        "--n": "50", "--depth": "3", "--replicas": "2", "--samples": "5", "--trees": "3",
+        "--p": "1", "--h-min": "2", "--h-max": "4", "--tolerance": "0.5", "--probe": None,
+        "--seed": "3",
+    }
+
+    @pytest.mark.parametrize("experiment", list(xharness.READS))
+    def test_flags_the_experiment_does_not_read_exit_1(self, experiment, capsys):
+        # e.g. eps-sweep --law, check --samples, decay --tolerance, solve --seed
+        listed = self.listed_flags(experiment, capsys)
+        unread = [flag for flag in self._FORMER_FLAGS if flag not in listed]
+        for flag in unread:
+            value = self._FORMER_FLAGS[flag]
+            for argv in ([flag], [flag, value] if value else [flag]):
+                assert cli([experiment] + argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("usage error: "), argv
+
+    def test_format_both_usage_error(self, capsys):
+        assert cli(["check", "--format", "both"]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "experiment, text, message",
+        [
+            ("check", "samples = 50\n", "check experiment does not read config key 'samples'"),
+            ("check", "experiment = decay\n", "check experiment does not read config key 'experiment'"),
+            ("solve", "seed = 3\n", "solve experiment does not read config key 'seed'"),
+            ("check", "fmt = both\n", "invalid value 'both' for config key 'fmt'"),
+            (
+                "mandatory",
+                "conjecture_probe = ture\n",
+                "invalid value 'ture' for config key 'conjecture_probe'",
+            ),
+        ],
+        ids=["check-samples", "check-experiment", "solve-seed", "fmt-both", "probe-ture"],
+    )
+    def test_rejected_config_value_one_line_error(self, tmp_path, capsys, experiment, text, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert cli([experiment, "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decay", "--h-step", "0"], "decay experiment needs h_step >= 1, got 0"),
+            (
+                ["eps-sweep", "--eps-min-exp", "5", "--eps-max-exp", "3"],
+                "eps-sweep experiment needs eps_min_exp <= eps_max_exp",
+            ),
+            (["check", "--stream", "-1"], "stream must be >= 0, got -1"),
+        ],
+        ids=["h-step", "eps-exponents", "stream"],
+    )
+    def test_formerly_config_only_fields_reach_the_runner(self, capsys, argv, message):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_cross_forests_flag_sets_the_cross_check(self, tmp_path):
+        out = tmp_path / "res"
+        argv = ["mandatory", "--samples", "20", "--depth", "4", "--cross-forests", "2"]
+        assert cli(argv + ["--format", "json", "--out", str(out)]) == 0
+        records = json.loads((out / "mandatory.json").read_text())["records"]
+        assert records[-1]["params"]["forests"] == 2
 
 
 # Graph files built from header and edge-line pieces that are mostly
