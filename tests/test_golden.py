@@ -43,6 +43,28 @@ CASES = {
         _GEN + ["--rooting", "edge", "--out", "{out}/tree.txt"],
         ["match", "--graph", "{out}/tree.txt"],
     ],
+    # the binomial and geometric families (pmf: laws are left out: their
+    # excess pgf is a polynomial whose last bits depend on how it is evaluated)
+    "solve-binom": [["solve", "--law", "binom:3:0.5", "--grid-points", "512", "--out", "{out}"]],
+    "size-binom": [["size", "--law", "binom:3:0.5", "--n", "2000", "--replicas", "4", "--out", "{out}"]],
+    "decay-binom": [
+        ["decay", "--law", "binom:2:0.5", "--samples", "300", "--h-max", "6", "--out", "{out}"]
+    ],
+    "mandatory-binom": [
+        ["mandatory", "--law", "binom:3:0.5", "--samples", "300", "--depth", "6",
+         "--cross-forests", "50", "--out", "{out}"]
+    ],
+    "separation-geom": [["separation", "--law", "geom:0.5", "--samples", "300", "--out", "{out}"]],
+    "gen-match-geom": [
+        ["gen", "--model", "ubgw", "--law", "geom:0.5", "--depth", "5", "--seed", "3",
+         "--out", "{out}/tree.txt"],
+        ["match", "--graph", "{out}/tree.txt"],
+    ],
+    "gen-match-binom1-edge": [
+        ["gen", "--model", "ubgw", "--law", "binom:1:0.7", "--rooting", "edge", "--seed", "3",
+         "--out", "{out}/tree.txt"],
+        ["match", "--graph", "{out}/tree.txt"],
+    ],
 }
 
 
