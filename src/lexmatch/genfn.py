@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,11 +87,14 @@ class OffspringLaw:
                     maximal matchings are asymptotically perfect.
     finite(pmf)     Arbitrary pmf on {0, ..., len-1}, support <= 64.
 
-    The two spellings of "size biased" are deliberately distinct: the law
-    k -> k pi(k)/m is the degree of a uniform neighbour *including* the
-    edge it was reached by; subtracting that edge gives the excess law
-    k -> (k+1) pi(k+1)/m, whose pgf is phi'/phi'(1).  All recursions here
-    use the excess law, and ``excess_pgf`` returns phi'/phi'(1).
+    The excess law k -> (k+1) pi(k+1)/m, whose pgf is hphi = phi'/phi'(1),
+    draws the children of a non-root vertex; all recursions here use it.
+    ``excess`` returns it as a law of its own: Poisson(c) and the point mass
+    at 0 are their own excess laws, Binomial(n, q) gives Binomial(n-1, q)
+    (n = 0 is the point mass at 0), a finite pmf gives a finite pmf, and
+    geometric(p) gives the internal family geometric1(p), the geometric law
+    p (1-p)^(k-1) on {1, 2, ...}, which no spec string names.
+    ``excess_pgf``, ``excess_pmf`` and ``sample_excess`` read the excess law.
     """
 
     family: str
@@ -136,6 +140,19 @@ class OffspringLaw:
 
     # -- basic quantities ---------------------------------------------
 
+    @cached_property
+    def excess(self) -> "OffspringLaw":
+        """The excess law k -> (k+1) pi(k+1)/m as an OffspringLaw (pgf hphi)."""
+        if self.family == "binomial":
+            n, q = self.params
+            return OffspringLaw("binomial", (n - 1, q))
+        if self.family == "geometric":
+            return OffspringLaw("geometric1", self.params)
+        if self.family == "finite" and self.mean > 0.0:
+            probs = np.arange(1, len(self.pmf)) * np.asarray(self.pmf)[1:] / self.mean
+            return OffspringLaw("finite", (), tuple(probs.tolist()))
+        return self  # Poisson(c) and the point mass at 0
+
     @property
     def mean(self) -> float:
         """phi'(1); zero only for the point mass at 0."""
@@ -163,7 +180,7 @@ class OffspringLaw:
         elif self.family == "binomial":
             n, q = self.params
             base = 1.0 - q + q * np.asarray(x)
-            val = n * q * base ** (n - 1) if order == 1 else base ** n
+            val = n * q * base ** max(n - 1, 0) if order == 1 else base ** n
         elif self.family == "geometric":
             p = self.params[0]
             q = 1.0 - p
@@ -173,6 +190,11 @@ class OffspringLaw:
                 val = (q * q * xa) / ((1.0 - q * xa) * norm)
             else:
                 val = (-np.log(1.0 - q * xa) - q * xa) / norm
+        elif self.family == "geometric1":
+            p = self.params[0]
+            xa = np.asarray(x)
+            denom = 1.0 - (1.0 - p) * xa
+            val = p / denom**2 if order == 1 else p * xa / denom
         else:
             coeffs = np.asarray(self.pmf)
             ks = np.arange(len(coeffs))
@@ -184,78 +206,28 @@ class OffspringLaw:
         return val if np.ndim(x) else float(val)
 
     def excess_pgf(self, x, order: int = 0):
-        """hphi(x) = phi'(x)/phi'(1) (order 0) or hphi'(x) (order 1).
-
-        For the point mass at 0 (mean zero) the excess law is taken to be
-        the point mass at 0 as well, so hphi is constant 1.
-        """
-        x = _as_unit_interval(x)
-        if order not in (0, 1):
-            raise LawError(f"order must be 0 or 1, got {order}")
-        if self.family == "poisson":
-            c = self.params[0]
-            val = np.exp(c * (np.asarray(x) - 1.0))
-            val = c * val if order == 1 else val
-        elif self.family == "binomial":
-            n, q = self.params
-            base = 1.0 - q + q * np.asarray(x)
-            if n == 1:
-                val = np.zeros_like(np.asarray(base)) if order == 1 else np.ones_like(np.asarray(base))
-            elif order == 1:
-                val = (n - 1) * q * base ** (n - 2)
-            else:
-                val = base ** (n - 1)
-        elif self.family == "geometric":
-            p = self.params[0]
-            q = 1.0 - p
-            xa = np.asarray(x)
-            denom = 1.0 - q * xa
-            val = p / denom**2 if order == 1 else p * xa / denom
-        else:
-            m = self.mean
-            xa = np.asarray(x, dtype=float)
-            if m == 0.0:
-                val = np.zeros_like(xa) if order == 1 else np.ones_like(xa)
-            else:
-                coeffs = np.asarray(self.pmf)
-                ks = np.arange(len(coeffs))
-                d1 = (coeffs * ks)[1:] if len(coeffs) > 1 else np.array([0.0])
-                if order == 1:
-                    d2 = (d1 * np.arange(len(d1)))[1:] if len(d1) > 1 else np.array([0.0])
-                    val = np.polyval(d2[::-1], xa) / m
-                else:
-                    val = np.polyval(d1[::-1], xa) / m
-        return val if np.ndim(x) else float(val)
+        """hphi(x) = phi'(x)/phi'(1) (order 0) or hphi'(x) (order 1)."""
+        return self.excess.pgf(x, order)
 
     def excess_pmf(self, tail: float = 1e-12) -> np.ndarray:
         """Excess-law pmf (k+1) pi(k+1) / m, truncated to mass >= 1-tail."""
-        m = self.mean
-        if m == 0.0:
-            return np.array([1.0])
-        if self.family == "finite":
-            ks = np.arange(1, len(self.pmf))
-            out = ks * np.asarray(self.pmf)[1:] / m
-            return out if len(out) else np.array([1.0])
-        if self.family == "binomial":
-            n, q = self.params
-            ks = np.arange(0, n)
-            out = np.array([math.comb(n - 1, k) * q**k * (1 - q) ** (n - 1 - k) for k in ks])
-            return out
-        # poisson / geometric: truncate at the requested tail mass
+        return self.excess._pmf_table(tail)
+
+    def _pmf_table(self, tail: float) -> np.ndarray:
+        """pi(0), pi(1), ... up to mass >= 1-tail, for the families of excess laws."""
+        if self.family in ("binomial", "finite"):
+            return self.pmf_values(self._table_kmax())
+        c = p = self.params[0]
         probs = []
-        k = 0
         total = 0.0
-        while total < 1.0 - tail and k < 4000:
+        while total < 1.0 - tail and len(probs) < 4000:
+            k = len(probs)
             if self.family == "poisson":
-                c = self.params[0]
                 pk = math.exp(-c + k * math.log(c) - math.lgamma(k + 1))
-            else:
-                p = self.params[0]
-                # excess law is geometric on {1,2,...}: P(k) = p (1-p)^(k-1)
+            else:  # geometric1
                 pk = 0.0 if k == 0 else p * (1.0 - p) ** (k - 1)
             probs.append(pk)
             total += pk
-            k += 1
         return np.asarray(probs)
 
     def pmf_values(self, kmax: int) -> np.ndarray:
@@ -288,21 +260,14 @@ class OffspringLaw:
         if self.family == "binomial":
             n, q = self.params
             return rng.binomial(n, q, size)
+        if self.family == "geometric1":
+            return rng.geometric(self.params[0], size)
         table = self.pmf_values(self._table_kmax())
         return _sample_table(table, rng, size)
 
     def sample_excess(self, rng: np.random.Generator, size=None):
         """Draw from the excess law (children of a non-root tree vertex)."""
-        if self.family == "poisson":
-            return rng.poisson(self.params[0], size)
-        if self.family == "binomial":
-            n, q = self.params
-            if n == 1:
-                return np.zeros(size, dtype=np.int64) if size is not None else 0
-            return rng.binomial(n - 1, q, size)
-        if self.family == "geometric":
-            return rng.geometric(self.params[0], size)
-        return _sample_table(self.excess_pmf(), rng, size)
+        return self.excess.sample(rng, size)
 
     def _table_kmax(self) -> int:
         if self.family == "finite":
@@ -376,9 +341,7 @@ def size_biased_pgf_inverse(law: OffspringLaw, y, tol: float = 1e-12):
 def double_map(law: OffspringLaw, t):
     """The doubled excess map t -> hphi(1 - hphi(1 - t))."""
     t = _as_unit_interval(t)
-    return law.excess_pgf(1.0 - np.asarray(law.excess_pgf(1.0 - np.asarray(t)))) if np.ndim(t) else float(
-        law.excess_pgf(1.0 - law.excess_pgf(1.0 - t))
-    )
+    return law.excess_pgf(1.0 - np.asarray(law.excess_pgf(1.0 - np.asarray(t))))
 
 
 _SCAN_POINTS = 10_000
@@ -412,45 +375,43 @@ def double_fixed_points(law: OffspringLaw, tol: float = 1e-12) -> list[float]:
                 return
         roots.append(r)
 
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = resid[i], resid[i + 1]
-        if fa == 0.0:
-            _add(a)
+    # grid zeros and sign changes, in grid order
+    for i in np.flatnonzero((resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0)):
+        if resid[i] == 0.0:
+            _add(grid[i])
             continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = double_map(law, mid) - mid
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            _add(0.5 * (lo + hi))
+        lo, hi, flo = grid[i], grid[i + 1], resid[i]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fm = double_map(law, mid) - mid
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        _add(0.5 * (lo + hi))
     if resid[-1] == 0.0:
         _add(1.0)
 
     # tangential roots: local minima of |resid| that touch zero
     absr = np.abs(resid)
-    for i in range(1, len(grid) - 1):
-        if absr[i] < 1e-7 and absr[i] <= absr[i - 1] and absr[i] <= absr[i + 1]:
-            lo, hi = grid[i - 1], grid[i + 1]
-            for _ in range(200):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if abs(double_map(law, m1) - m1) < abs(double_map(law, m2) - m2):
-                    hi = m2
-                else:
-                    lo = m1
-                if hi - lo < tol:
-                    break
-            cand = 0.5 * (lo + hi)
-            if abs(double_map(law, cand) - cand) < 1e-9:
-                _add(cand)
+    inner = absr[1:-1]
+    for i in 1 + np.flatnonzero((inner < 1e-7) & (inner <= absr[:-2]) & (inner <= absr[2:])):
+        lo, hi = grid[i - 1], grid[i + 1]
+        for _ in range(200):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if abs(double_map(law, m1) - m1) < abs(double_map(law, m2) - m2):
+                hi = m2
+            else:
+                lo = m1
+            if hi - lo < tol:
+                break
+        cand = 0.5 * (lo + hi)
+        if abs(double_map(law, cand) - cand) < 1e-9:
+            _add(cand)
 
     roots.sort()
     return roots
@@ -484,9 +445,8 @@ def matching_vertex_density(law: OffspringLaw) -> float:
         fps = double_fixed_points(law, tol=1e-12)
     except DegenerateFamilyError:
         return 1.0
-    candidates = list(fps) + list(np.linspace(0.0, 1.0, 2001))
-    best = max(float(F_pi(law, x)) for x in candidates)
-    return 2.0 - best
+    candidates = np.concatenate([fps, np.linspace(0.0, 1.0, 2001)])
+    return 2.0 - float(np.max(F_pi(law, candidates)))
 
 
 @dataclass(frozen=True)
@@ -581,15 +541,10 @@ def rho_subcritical(law: OffspringLaw, grid: int = 200) -> float:
         return mean_d * np.asarray(law.excess_pgf(1.0 - mean_h, 1))
 
     xs = np.linspace(0.0, 1.0, grid)
-    lams = np.linspace(0.0, 1.0, 50)
     best_val = -np.inf
     best_arg = (0.0, 0.0, 1.0)
-    d = np.asarray(law.excess_pgf(1.0 - xs, 1))
-    h = np.asarray(law.excess_pgf(1.0 - xs))
-    for lam in lams:
-        mean_d = lam * d[:, None] + (1.0 - lam) * d[None, :]
-        mean_h = lam * h[:, None] + (1.0 - lam) * h[None, :]
-        vals = mean_d * np.asarray(law.excess_pgf(1.0 - mean_h, 1))
+    for lam in np.linspace(0.0, 1.0, 50):
+        vals = objective(xs[:, None], xs[None, :], lam)
         idx = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[idx] > best_val:
             best_val = float(vals[idx])

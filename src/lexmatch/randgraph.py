@@ -252,9 +252,9 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     if not (0 < c < n) and n > 1:
         raise GraphError(f"need 0 < c < n, got c={c}, n={n}")
     rng = seed.generator()
-    p = min(c / n, 1.0) if n > 1 else 0.0
+    p = c / n if n > 1 else 0.0
     edge_weights = {}
-    if 0.0 < p < 1.0:
+    if p > 0.0:
         # geometric skipping over the lower triangle: O(n + m)
         lq = math.log1p(-p)
         v, w = 1, -1
@@ -266,10 +266,6 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
                 v += 1
             if v < n:
                 edge_weights[(w, v)] = 0.0
-    elif p >= 1.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                edge_weights[(u, v)] = 0.0
     root = VertexRoot(int(rng.integers(0, n)))
     return _build(n, edge_weights, root)
 

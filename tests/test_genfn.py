@@ -124,6 +124,138 @@ class TestSizeBiasedPgf:
                 assert law.excess_pgf(x) == pytest.approx(y, abs=1e-10)
 
 
+# Reference excess-law code, independent of OffspringLaw.excess: each
+# family's excess pgf, pmf and sampler written out by hand.
+def _ref_excess_pgf(law, x, order=0):
+    xa = np.asarray(x, dtype=float)
+    if law.family == "poisson":
+        c = law.params[0]
+        val = np.exp(c * (xa - 1.0))
+        val = c * val if order == 1 else val
+    elif law.family == "binomial":
+        n, q = law.params
+        base = 1.0 - q + q * xa
+        if n == 1:
+            val = np.zeros_like(base) if order == 1 else np.ones_like(base)
+        elif order == 1:
+            val = (n - 1) * q * base ** (n - 2)
+        else:
+            val = base ** (n - 1)
+    elif law.family == "geometric":
+        p = law.params[0]
+        denom = 1.0 - (1.0 - p) * xa
+        val = p / denom**2 if order == 1 else p * xa / denom
+    elif law.mean == 0.0:
+        val = np.zeros_like(xa) if order == 1 else np.ones_like(xa)
+    else:
+        coeffs = np.asarray(law.pmf)
+        d1 = (coeffs * np.arange(len(coeffs)))[1:]
+        if order == 1:
+            d2 = (d1 * np.arange(len(d1)))[1:] if len(d1) > 1 else np.array([0.0])
+            val = np.polyval(d2[::-1], xa) / law.mean
+        else:
+            val = np.polyval(d1[::-1], xa) / law.mean
+    return val if np.ndim(x) else float(val)
+
+
+def _ref_excess_pmf(law, tail=1e-12):
+    m = law.mean
+    if m == 0.0:
+        return np.array([1.0])
+    if law.family == "finite":
+        return np.arange(1, len(law.pmf)) * np.asarray(law.pmf)[1:] / m
+    if law.family == "binomial":
+        n, q = law.params
+        return np.array([math.comb(n - 1, k) * q**k * (1 - q) ** (n - 1 - k) for k in np.arange(n)])
+    probs, total, k = [], 0.0, 0
+    while total < 1.0 - tail and k < 4000:
+        if law.family == "poisson":
+            c = law.params[0]
+            pk = math.exp(-c + k * math.log(c) - math.lgamma(k + 1))
+        else:
+            p = law.params[0]
+            pk = 0.0 if k == 0 else p * (1.0 - p) ** (k - 1)
+        probs.append(pk)
+        total += pk
+        k += 1
+    return np.asarray(probs)
+
+
+def _ref_sample_excess(law, rng, size=None):
+    if law.family == "poisson":
+        return rng.poisson(law.params[0], size)
+    if law.family == "binomial":
+        n, q = law.params
+        if n == 1:
+            return np.zeros(size, dtype=np.int64) if size is not None else 0
+        return rng.binomial(n - 1, q, size)
+    if law.family == "geometric":
+        return rng.geometric(law.params[0], size)
+    return genfn._sample_table(_ref_excess_pmf(law), rng, size)
+
+
+_CLOSED_FORM_LAWS = [
+    OffspringLaw.poisson(0.5),
+    OffspringLaw.poisson(1.0),
+    OffspringLaw.poisson(3.0),
+    OffspringLaw.binomial(1, 0.7),
+    OffspringLaw.binomial(1, 1.0),
+    OffspringLaw.binomial(3, 1.0),
+    OffspringLaw.binomial(3, 0.5),
+    OffspringLaw.binomial(8, 0.3),
+    OffspringLaw.geometric(0.3),
+    OffspringLaw.geometric(0.9),
+]
+_FINITE_LAWS = [
+    OffspringLaw.finite_support([0.2, 0.5, 0.3]),
+    OffspringLaw.finite_support([0.1, 0.0, 0.6, 0.3]),
+    OffspringLaw.delta(0),
+    OffspringLaw.delta(3),
+]
+_LAW_IDS = [law.spec_string() for law in _CLOSED_FORM_LAWS + _FINITE_LAWS]
+
+
+class TestExcessLawDifferential:
+    """excess_pgf, excess_pmf and sample_excess against the reference copies.
+
+    Closed-form families must agree bit for bit, with the same draws and the
+    same generator state after them.  Finite laws agree within 4 ulp: the
+    reference evaluates phi'(x) / m, the library a polynomial whose
+    coefficients are already divided by m.
+    """
+
+    XS = np.linspace(0.0, 1.0, 41)
+
+    @staticmethod
+    def assert_agree(law, got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        if law.family == "finite":
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("law", _CLOSED_FORM_LAWS + _FINITE_LAWS, ids=_LAW_IDS)
+    def test_excess_pgf(self, law, order):
+        self.assert_agree(law, law.excess_pgf(self.XS, order), _ref_excess_pgf(law, self.XS, order))
+        scalars = [law.excess_pgf(float(x), order) for x in self.XS]
+        assert all(type(v) is float for v in scalars)
+        self.assert_agree(law, scalars, [_ref_excess_pgf(law, float(x), order) for x in self.XS])
+
+    @pytest.mark.parametrize("law", _CLOSED_FORM_LAWS + _FINITE_LAWS, ids=_LAW_IDS)
+    def test_excess_pmf(self, law):
+        self.assert_agree(law, law.excess_pmf(), _ref_excess_pmf(law))
+
+    @pytest.mark.parametrize("law", _CLOSED_FORM_LAWS + _FINITE_LAWS, ids=_LAW_IDS)
+    def test_sample_excess_same_draws_and_rng_state(self, law):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for size in (None, None, 17, (2, 3)):
+            got, want = law.sample_excess(rng, size), _ref_sample_excess(law, ref_rng, size)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestDoubleFixedPoints:
     def test_poisson_1_single_point(self):
         pts = genfn.double_fixed_points(OffspringLaw.poisson(1.0), tol=1e-12)

@@ -165,6 +165,19 @@ class TestRunCheck:
         assert "anti_monotone_squeeze_bounds" in names
         assert "perf_vertex_edge_proportionality" in names
 
+    @pytest.mark.parametrize(
+        "error", [xharness.bp.FieldInconsistencyError, xharness.exact.NotAMatchingError]
+    )
+    def test_extraction_failure_is_a_failed_record(self, monkeypatch, capsys, error):
+        def broken(g, field):
+            raise error("injected")
+
+        monkeypatch.setattr(xharness.bp, "extract_matching", broken)
+        assert cli(["check"]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] check/matching_disjointness_and_rule_equivalence" in captured.out
+        assert captured.out.count("[PASS]") == 3 and captured.err == ""
+
 
 class TestConfigPlumbing:
     def test_load_config_file(self, tmp_path):
@@ -298,8 +311,9 @@ class TestParameterTable:
                 "conjecture_probe = ture\n",
                 "invalid value 'ture' for config key 'conjecture_probe'",
             ),
+            ("separation", "samples = 0\nsamples = 30\n", "config key 'samples' given twice"),
         ],
-        ids=["check-samples", "check-experiment", "solve-seed", "fmt-both", "probe-ture"],
+        ids=["check-samples", "check-experiment", "solve-seed", "fmt-both", "probe-ture", "repeated-key"],
     )
     def test_rejected_config_value_one_line_error(self, tmp_path, capsys, experiment, text, message):
         cfgfile = tmp_path / "run.cfg"
