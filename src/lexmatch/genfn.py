@@ -92,9 +92,9 @@ class OffspringLaw:
     ``excess`` returns it as a law of its own: Poisson(c) and the point mass
     at 0 are their own excess laws, Binomial(n, q) gives Binomial(n-1, q)
     (n = 0 is the point mass at 0), a finite pmf gives a finite pmf, and
-    geometric(p) gives the internal family geometric1(p), the geometric law
-    p (1-p)^(k-1) on {1, 2, ...}, which no spec string names.
-    ``excess_pgf``, ``excess_pmf`` and ``sample_excess`` read the excess law.
+    geometric(p) gives geometric1(p), the geometric law p (1-p)^(k-1) on
+    {1, 2, ...}: an internal family that no spec string names and that only
+    ``excess_pgf``, ``excess_pmf`` and ``sample_excess`` read.
     """
 
     family: str
