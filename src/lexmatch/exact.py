@@ -304,9 +304,12 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     """Karp-Sipser leaf removal: match a leaf to its neighbour and delete both.
 
     When no leaves remain and edges are left, a uniformly random remaining
-    edge is matched (losing the exactness certificate) and leaf removal
-    resumes.  Returns (matching, exact, removed_core_size) where
-    removed_core_size counts vertices deleted during random-edge steps.
+    edge is matched and leaf removal resumes.  The run stays certified
+    exact only if the core left at the first random step has no vertex of
+    degree above 2: it is then disjoint cycles, and on a cycle of length L
+    a random edge plus leaf removal matches the optimal floor(L/2) edges.
+    Returns (matching, exact, removed_core_size) where removed_core_size
+    counts vertices deleted during random-edge steps.
 
     Pick order: a random step takes the edge at index
     rng.integers(0, live edges) of the live edges (u, v), u < v, listed
@@ -371,8 +374,8 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
         if edges_left <= 0:
             break
         # 2-core phase: uniform random remaining edge
-        exact = False
         if not up:
+            exact = max(deg) <= 2  # a core of disjoint cycles
             up = [
                 sum(map(alive.__getitem__, nb[bisect_right(nb, u) :])) if alive[u] else 0
                 for u, nb in enumerate(adj)

@@ -6,9 +6,9 @@ directed-edge root.  Truncated objects (depth-limited branching trees,
 radius-H balls) carry their boundary vertex set so that downstream
 message passing can apply boundary conditions there.
 
-All generators are pure functions of (parameters, seed): the counter
-based Philox generator keyed by (seed, stream) makes parallel replicas
-reproducible without shared state.
+All generators are pure functions of (parameters, seed).  A seed is
+(seed, stream, path): Philox keyed by SeedSequence(seed, spawn key
+(stream, *path)), so distinct paths give distinct streams without shared state.
 """
 
 from __future__ import annotations
@@ -44,18 +44,27 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Reproducible generator key: identical (seed, stream) gives identical draws."""
+    """Reproducible generator key (seed, stream, path); identical keys draw identically.
+
+    `child(i)` appends i to the path.  Distinct keys give distinct streams:
+    the spawn key is (stream, *path), one 32-bit word per path entry.
+    """
 
     seed: int
     stream: int = 0
+    path: tuple = ()
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        # one uint32 array holds the words of (stream, *path); numpy converts it at once
+        key = np.array((self.stream, *self.path), dtype=np.uint32)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, index: int) -> "RngSeed":
-        """Derived stream for replica `index`; never collides with self."""
-        return RngSeed(self.seed, self.stream * 1_000_003 + index + 1)
+        """The stream at path + (index,); distinct from self and from every other child."""
+        if not 0 <= index < 2**32:
+            raise GraphError(f"child index must be in [0, 2**32), got {index}")
+        return RngSeed(self.seed, self.stream, self.path + (index,))
 
 
 @dataclass(frozen=True)
@@ -255,17 +264,18 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     p = c / n if n > 1 else 0.0
     edge_weights = {}
     if p > 0.0:
-        # geometric skipping over the lower triangle: O(n + m)
+        # geometric skipping over the cells (w, v), w < v, row by row: O(n + m);
+        # a skip past the `left` cells after (v, w) ends the scan (inf for subnormal p)
         lq = math.log1p(-p)
-        v, w = 1, -1
-        while v < n:
-            r = rng.random()
-            w = w + 1 + int(math.log1p(-r) / lq)
-            while w >= v and v < n:
+        v, w, left = 1, -1, n * (n - 1) // 2
+        while (skip := math.log1p(-rng.random()) / lq) < left:
+            step = 1 + int(skip)
+            left -= step
+            w += step
+            while w >= v:
                 w -= v
                 v += 1
-            if v < n:
-                edge_weights[(w, v)] = 0.0
+            edge_weights[(w, v)] = 0.0
     root = VertexRoot(int(rng.integers(0, n)))
     return _build(n, edge_weights, root)
 

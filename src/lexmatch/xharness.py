@@ -1,8 +1,11 @@
 """Monte Carlo experiment drivers, statistics and result emission.
 
-Every experiment is a pure function of its configuration: replica seeds
-are derived by index from the base (seed, stream) pair and results are
-reduced in replica order, so reruns are byte-identical.  Each reported
+Every experiment is a pure function of its configuration, and results are
+reduced in replica order, so reruns are byte-identical.  Seeds follow one
+rule: an experiment's base seed is (seed, stream) with an empty path, each
+independent sample takes its own child path (randgraph.RngSeed), and
+random trees come from one source, `_trees`, where tree i is drawn from
+seed.child(i) and its weights from seed.child(i).child(0).  Each reported
 estimate carries its standard error, a reference value with a provenance
 note naming the formula and module it came from, and a pass flag using
 the criterion |estimate - reference| < max(tolerance, 3 * SE).
@@ -10,6 +13,7 @@ the criterion |estimate - reference| < max(tolerance, 3 * SE).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -157,14 +161,16 @@ def config_from(experiment: str, mapping: dict) -> ExperimentConfig:
     if cfg.fmt not in ("csv", "json"):
         raise HarnessError(f"invalid value {cfg.fmt!r} for config key 'fmt'")
     check_seed(cfg.seed)
-    check_seed(cfg.stream, "stream")
+    check_seed(cfg.stream, "stream", 2**32)
     return cfg
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a negative seed, which RngSeed cannot turn into a generator."""
+def check_seed(seed: int, name: str = "seed", high: int | None = None) -> None:
+    """Reject a seed < 0, which RngSeed cannot use, or >= high (a stream is one 32-bit word)."""
     if seed < 0:
         raise HarnessError(f"{name} must be >= 0, got {seed}")
+    if high is not None and seed >= high:
+        raise HarnessError(f"{name} must be < {high}, got {seed}")
 
 
 @dataclass
@@ -224,6 +230,23 @@ def _assert_perf_identity(g, matching) -> None:
         raise HarnessError("vertex/edge performance proportionality violated")
 
 
+def _trees(seed: RngSeed, law: OffspringLaw, rooting: str, depth, wlaw: WeightLaw | None = None):
+    """The i.i.d. tree sequence on `seed`: tree i from seed.child(i), weights from .child(0).
+
+    `depth` is an int or a function of i; without `wlaw` the weights stay
+    zero.  The sequence is endless: take a slice of it.
+    """
+    for i in itertools.count():
+        s = seed.child(i)
+        g = ubgw_tree(law, rooting, depth(i) if callable(depth) else depth, s)
+        yield g if wlaw is None else assign_weights(g, wlaw, s.child(0))
+
+
+def _small_trees(seed: RngSeed, wlaw: WeightLaw | None = None):
+    """Poisson(2) trees of depth 1, 2, 3, 4, 1, ...: the small forests the oracles enumerate."""
+    return _trees(seed, OffspringLaw.poisson(2.0), "vertex", lambda i: 1 + i % 4, wlaw)
+
+
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
@@ -234,8 +257,9 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     Poisson laws map to G(n, c/n); other laws to the configuration model
     with i.i.d. degrees.  Only leaf-removal-certified replicas enter the
-    estimate; if the law is not subcritical and fewer than 90% of the
-    replicas certify, the run is refused.
+    estimate (their Karp-Sipser core was empty or disjoint cycles); if
+    the law is not subcritical and fewer than 90% certify, the run is
+    refused.
     """
     _need_at_least("size", 1, replicas=cfg.replicas)
     law = cfg.offspring()
@@ -243,8 +267,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
     fractions = []
     certified = 0
     for i in range(cfg.replicas):
-        gseed = base.child(2 * i)
-        rseed = base.child(2 * i + 1)
+        gseed, rseed = base.child(0).child(i), base.child(1).child(i)
         if law.family == "poisson":
             g = randgraph.erdos_renyi(cfg.n, law.params[0], gseed)
         else:
@@ -301,10 +324,7 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     curve = []
     for hi, H in enumerate(radii):
         uncert = 0
-        for i in range(cfg.samples):
-            tseed = base.child(1_000_000 * (hi + 1) + 2 * i)
-            g = ubgw_tree(law, "vertex", H, tseed)
-            g = assign_weights(g, wlaw, tseed.child(0))
+        for g in itertools.islice(_trees(base.child(hi), law, "vertex", H, wlaw), cfg.samples):
             sq = bp.squeeze(g, 1)
             root = g.root_vertex()
             if any(not sq.certified[(root, v)] for v in g.adjacency[root]):
@@ -388,8 +408,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     base = cfg.base_seed()
     counts = {"mandatory": 0, "blocking": 0, "free": 0, "unknown": 0}
-    for i in range(cfg.samples):
-        g = ubgw_tree(law, "edge", cfg.depth, base.child(i))
+    for g in itertools.islice(_trees(base.child(0), law, "edge", cfg.depth), cfg.samples):
         levels, certified = bp.macroscopic_squeeze(g)
         a, b = g.root.u, g.root.v
         if not (certified.get((a, b)) and certified.get((b, a))):
@@ -401,16 +420,11 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     if total == 0:
         raise HarnessError("no certified root edges at this depth")
 
-    # classifier cross-check on small whole forests
-    mismatches = 0
-    checked_edges = 0
-    forests = 0
-    i = 0
-    while forests < cfg.cross_forests and i < 10 * cfg.cross_forests:
-        g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 1 + i % 4, base.child(10**7 + i))
-        i += 1
-        if g.m == 0 or g.m > exact._ENUM_EDGE_CAP:
-            continue
+    # classifier cross-check on small whole forests, among 10 * cross_forests trees
+    candidates = itertools.islice(_small_trees(base.child(1)), 10 * cfg.cross_forests)
+    enumerable = (g for g in candidates if 0 < g.m <= exact._ENUM_EDGE_CAP)
+    mismatches = checked_edges = forests = 0
+    for g in itertools.islice(enumerable, cfg.cross_forests):
         whole = replace(g, boundary=frozenset())
         lv, cert = bp.macroscopic_squeeze(whole)
         cls = bp.classify_edges_from_levels(whole, lv, cert)
@@ -492,26 +506,22 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
         pa_note = f"P(conditioning event)={pa:.3e}"
     g0 = _star_of_stars(p)
     base = cfg.base_seed()
-    wlaw_a = cfg.weight_law()
-    wlaw_b = parse_weight_law(cfg.weights_b)
+    wlaw_a, wlaw_b = cfg.weight_law(), parse_weight_law(cfg.weights_b)
 
-    def weighted_estimate(wlaw: WeightLaw, offset: int) -> tuple[float, float]:
+    def weighted_estimate(wlaw: WeightLaw, seeds: RngSeed) -> tuple[float, float]:
         hits = 0
         for i in range(cfg.samples):
-            g = assign_weights(g0, wlaw, base.child(offset + i))
+            g = assign_weights(g0, wlaw, seeds.child(i))
             m = bp.extract_matching(g, bp.sweep_tree(g, 1))
             _assert_perf_identity(g, m)
             hits += m.covers(0)
         p_hat = hits / cfg.samples
         return p_hat, _binom_se(p_hat, cfg.samples)
 
-    est_a, se_a = weighted_estimate(wlaw_a, 0)
-    est_b, se_b = weighted_estimate(wlaw_b, 10**6)
-    hits = 0
-    for i in range(cfg.samples):
-        m = exact.uniform_max_matching(g0, base.child(2 * 10**6 + i))
-        hits += m.covers(0)
-    est_u = hits / cfg.samples
+    est_a, se_a = weighted_estimate(wlaw_a, base.child(0))
+    est_b, se_b = weighted_estimate(wlaw_b, base.child(1))
+    uniform = (exact.uniform_max_matching(g0, base.child(2).child(i)) for i in range(cfg.samples))
+    est_u = sum(m.covers(0) for m in uniform) / cfg.samples
 
     ref_w = 1.0 - (1.0 - 1.0 / (p + 1)) ** (p + 1)
     ref_u = 1.0 / (1.0 + p / (p + 1.0))
@@ -577,15 +587,8 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
     _need_at_least("eps-sweep", 1, trees=cfg.trees)
     if cfg.eps_min_exp > cfg.eps_max_exp:
         raise HarnessError("eps-sweep experiment needs eps_min_exp <= eps_max_exp")
-    base = cfg.base_seed()
-    instances = []
-    i = 0
-    while len(instances) < cfg.trees and i < 20 * cfg.trees:
-        g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 1 + i % 4, base.child(2 * i))
-        g = assign_weights(g, cfg.weight_law(), base.child(2 * i + 1))
-        i += 1
-        if 1 <= g.m <= 18:
-            instances.append(g)
+    candidates = itertools.islice(_small_trees(cfg.base_seed(), cfg.weight_law()), 20 * cfg.trees)
+    instances = list(itertools.islice((g for g in candidates if 1 <= g.m <= 18), cfg.trees))
     if len(instances) < cfg.trees:
         raise HarnessError("could not build the requested tree corpus")
 
@@ -627,30 +630,18 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
 def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Structural property suite on randomized instances with fixed seeds."""
     base = cfg.base_seed()
-    law = OffspringLaw.poisson(2.0)
     wlaw = cfg.weight_law()
     results = {}
 
     # recursion self-consistency + disjointness + rule equivalence
     residuals = 0
     violations = 0
-    for i in range(100):
-        g = ubgw_tree(law, "vertex", 1 + i % 4, base.child(i))
-        g = assign_weights(g, wlaw, base.child(10**5 + i))
+    for g in itertools.islice(_small_trees(base.child(0), wlaw), 100):
         f = bp.sweep_tree(g, 1)
-        k = f.k
         for (u, v), val in f.messages.items():
-            best = bp.ZERO
-            for w in g.adjacency[v]:
-                if w == u:
-                    continue
-                cand = (
-                    k - f.messages[(v, w)][0],
-                    g.weights[(min(v, w), max(v, w))] - f.messages[(v, w)][1],
-                )
-                if cand > best:
-                    best = cand
-            residuals += best != val
+            cands = [(f.k - f.messages[(v, w)][0], g.weight(v, w) - f.messages[(v, w)][1])
+                     for w in g.adjacency[v] if w != u]
+            residuals += max([bp.ZERO, *cands]) != val
         try:
             bp.extract_matching(g, f)
         except (bp.FieldInconsistencyError, exact.NotAMatchingError):
@@ -661,11 +652,9 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     # anti-monotone squeeze ordering: one application of the recursion
     # reverses ordered boundary specs, and the extremal sweeps bracket
     # every sampled boundary field
-    rng = np.random.default_rng(cfg.seed)
+    rng = base.child(2).generator()
     squeeze_ok = True
-    for i in range(40):
-        g = ubgw_tree(OffspringLaw.poisson(1.5), "vertex", 3, base.child(10**6 + i))
-        g = assign_weights(g, wlaw, base.child(2 * 10**6 + i))
+    for g in itertools.islice(_trees(base.child(1), OffspringLaw.poisson(1.5), "vertex", 3, wlaw), 40):
         if not g.boundary:
             continue
         sq = bp.squeeze(g, 1)
@@ -694,30 +683,28 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     # perf proportionality on harness-touched matchings
     perf_ok = True
     for i in range(20):
-        g = randgraph.erdos_renyi(500, 1.0, base.child(3 * 10**6 + i))
-        g = assign_weights(g, wlaw, base.child(4 * 10**6 + i))
-        m, _, _ = exact.leaf_removal(g, base.child(5 * 10**6 + i))
+        er = base.child(3).child(i)
+        g = assign_weights(randgraph.erdos_renyi(500, 1.0, er), wlaw, er.child(0))
+        m, _, _ = exact.leaf_removal(g, er.child(1))
         try:
             _assert_perf_identity(g, m)
         except HarnessError:
             perf_ok = False
     results["perf_vertex_edge_proportionality"] = perf_ok
 
-    records = []
-    for name, ok in results.items():
-        records.append(
-            ResultRecord(
-                experiment="check",
-                name=name,
-                params={"seed": cfg.seed},
-                estimate=1.0 if ok else 0.0,
-                reference=1.0,
-                provenance="structural invariant",
-                tolerance=0.5,
-                passed=bool(ok),
-            )
+    return [
+        ResultRecord(
+            experiment="check",
+            name=name,
+            params={"seed": cfg.seed},
+            estimate=1.0 if ok else 0.0,
+            reference=1.0,
+            provenance="structural invariant",
+            tolerance=0.5,
+            passed=bool(ok),
         )
-    return records
+        for name, ok in results.items()
+    ]
 
 
 def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]:

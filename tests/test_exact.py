@@ -165,7 +165,43 @@ class TestLeafRemoval:
     def test_triangle(self):
         g = graph_of(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
         m, is_exact, core = leaf_removal(g, RngSeed(1))
-        assert not is_exact and m.size == 1 and core == 2
+        assert is_exact and m.size == 1 and core == 2
+
+    def test_disjoint_cycles_certified(self):
+        # cycles of lengths 3, 4, 5 and 6, plus a pendant path into the 6-cycle
+        edges = {}
+        start = 0
+        for length in (3, 4, 5, 6):
+            for j in range(length):
+                a, b = start + j, start + (j + 1) % length
+                edges[(min(a, b), max(a, b))] = 0.1
+            start += length
+        edges[(start - 1, start)] = 0.1
+        edges[(start, start + 1)] = 0.1
+        g = graph_of(start + 2, edges)
+        for s in range(10):
+            m, is_exact, core = leaf_removal(g, RngSeed(31, s))
+            assert is_exact and core > 0
+            assert m.size == 1 + 2 + 2 + 3 + 1
+
+    def test_degree_three_core_not_certified(self):
+        # K4 is its own 2-core and every vertex has degree 3
+        g = graph_of(4, {e: 0.1 for e in itertools.combinations(range(4), 2)})
+        for s in range(5):
+            m, is_exact, core = leaf_removal(g, RngSeed(32, s))
+            assert not is_exact and core > 0 and m.size == 2
+
+    def test_certified_size_is_optimal(self):
+        certified_with_core = 0
+        for i in range(300):
+            g = randgraph.erdos_renyi(24, 2.0, RngSeed(33, i))
+            if g.m > 22:
+                continue
+            m, is_exact, core = leaf_removal(g, RngSeed(34, i))
+            if is_exact:
+                assert m.size == brute_force_opt(g).size
+                certified_with_core += core > 0
+        assert certified_with_core > 0  # some certified runs had a cycle core
 
     def test_er_critical_mostly_certified(self):
         law_density = 0.544062
@@ -224,7 +260,9 @@ def rebuild_leaf_removal(g, seed):
             remove_vertex(u)
         if edges_left <= 0:
             break
-        is_exact = False
+        if removed_core == 0:
+            # the first random step: a core of disjoint cycles keeps the certificate
+            is_exact = max(map(len, adj)) <= 2
         live_edges = [(u, v) for u in range(g.n) if alive[u] for v in adj[u] if u < v]
         if not live_edges:
             break
@@ -269,7 +307,8 @@ class TestLeafRemovalDifferential:
                 g = randgraph.configuration_model([3] * n, RngSeed(64, 10 * n + i))
                 g = assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(65, 10 * n + i))
                 _, is_exact, core = assert_same_removal(g, RngSeed(66, 10 * n + i))
-                assert not is_exact and core > 0
+                # small instances can reduce to disjoint cycles, which stay certified
+                assert core > 0
 
     @pytest.mark.parametrize(
         "n, edges",

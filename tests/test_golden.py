@@ -30,6 +30,8 @@ _GEN = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "6", "--see
 CASES = {
     "check": [["check", "--out", "{out}"]],
     "decay": [["decay", "--samples", "300", "--h-max", "6", "--out", "{out}"]],
+    # --stream selects its own sub-tree of seed paths
+    "decay-stream": [["decay", "--samples", "300", "--h-max", "6", "--stream", "3", "--out", "{out}"]],
     "mandatory": [["mandatory", "--samples", "400", "--depth", "6", "--out", "{out}"]],
     "separation": [["separation", "--samples", "300", "--format", "json", "--out", "{out}"]],
     "eps-sweep": [["eps-sweep", "--trees", "40", "--out", "{out}"]],

@@ -54,6 +54,52 @@ class TestRngSeed:
         kids = {RngSeed(7, 2).child(i) for i in range(50)}
         assert len(kids) == 50
 
+    def test_direct_seeds_keep_their_draws(self):
+        # first draws of seeds with an empty path, as derived before paths existed
+        assert RngSeed(42, 3).generator().random(4).tolist() == [
+            0.6724719521589736, 0.37504987912462506, 0.4880688888778242, 0.5649928562071913
+        ]
+        assert RngSeed(7).generator().random(4).tolist() == [
+            0.048373749046626946, 0.8224166666374553, 0.09368511632803123, 0.10349355193634491
+        ]
+
+    def test_child_path_does_not_collide_with_grandchild(self):
+        # under arithmetic stream derivation both were stream 1000004
+        a = RngSeed(7).child(1_000_003)
+        b = RngSeed(7).child(0).child(0)
+        assert a != b
+        key_a, key_b = (s.generator().bit_generator.state["state"]["key"] for s in (a, b))
+        assert not np.array_equal(key_a, key_b)
+
+    def test_generator_is_keyed_by_seed_stream_and_path(self):
+        for seed in (RngSeed(7), RngSeed(42, 3).child(5), RngSeed(2**70, 9).child(2**32 - 1).child(0)):
+            ss = np.random.SeedSequence(entropy=seed.seed, spawn_key=(seed.stream, *seed.path))
+            want = np.random.Generator(np.random.Philox(ss)).random(5)
+            assert np.array_equal(seed.generator().random(5), want)
+
+    def test_child_index_is_one_word(self):
+        for bad in (-1, 2**32):
+            with pytest.raises(GraphError):
+                RngSeed(7).child(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), max_size=3),
+        st.lists(st.integers(0, 2**32 - 1), max_size=3),
+        st.integers(0, 3),
+    )
+    def test_distinct_paths_draw_differently(self, path_a, path_b, stream):
+        if path_a == path_b:
+            return
+        seeds = []
+        for path in (path_a, path_b):
+            seed = RngSeed(11, stream)
+            for index in path:
+                seed = seed.child(index)
+            seeds.append(seed)
+        a, b = (s.generator().bit_generator.random_raw() for s in seeds)
+        assert a != b
+
 
 class TestErdosRenyi:
     def test_single_vertex(self):

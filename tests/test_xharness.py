@@ -479,6 +479,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: mandatory experiment needs depth >= 1\n"
 
+    def test_gen_er_subnormal_c_has_no_edges(self, capsys):
+        assert cli(["gen", "--model", "er", "--n", "2", "--c", "1e-310"]) == 0
+        header, *edges = capsys.readouterr().out.splitlines()
+        assert " m=0 " in header and edges == []
+
+    def test_stream_over_one_word_one_line_error(self, capsys):
+        # a larger stream would take two words of the spawn key and alias a child path
+        assert cli(["check", "--stream", str(2**32)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: stream must be < {2**32}, got {2**32}\n"
+
+    def test_size_subnormal_c_answer_or_one_line_error(self, capsys):
+        code = cli(["size", "--law", "poisson:1e-310", "--n", "50", "--replicas", "1"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code in (0, 2) or (code == 1 and captured.err.count("\n") == 1)
+
     def test_size_cli_with_outputs(self, tmp_path):
         out = tmp_path / "res"
         code = cli(
