@@ -41,6 +41,7 @@ __all__ = [
     "sweep_bounded",
     "squeeze",
     "macroscopic_squeeze",
+    "classify_edge",
     "classify_edges_from_levels",
     "scalar_sweep_eps",
     "UNKNOWN",
@@ -284,22 +285,23 @@ def macroscopic_squeeze(g: WeightedGraph) -> tuple[dict, dict]:
     return levels, certified
 
 
-def classify_edges_from_levels(g: WeightedGraph, levels: dict, certified: dict) -> dict:
-    """Classify edges from certified directed levels (single-jump regime).
+def classify_edge(levels: dict, certified: dict, u: int, v: int) -> str:
+    """Class of edge uv from its certified directed levels (single-jump regime).
 
-    An edge is mandatory iff the two directed levels sum below 1, blocking
-    iff above 1, free iff exactly 1; edges with an uncertified direction
-    are reported as "unknown", never guessed.
+    The edge is mandatory iff the two directed levels sum below 1, blocking
+    iff above 1, free iff exactly 1; an edge with an uncertified direction
+    is "unknown", never guessed.
     """
-    out = {}
-    for u, v in g.edges():
-        ok = certified.get((u, v)) and certified.get((v, u))
-        if not ok or (u, v) not in levels or (v, u) not in levels:
-            out[(u, v)] = UNKNOWN
-            continue
-        s = levels[(u, v)] + levels[(v, u)]
-        out[(u, v)] = MANDATORY if s < 1 else BLOCKING if s > 1 else FREE
-    return out
+    ok = certified.get((u, v)) and certified.get((v, u))
+    if not ok or (u, v) not in levels or (v, u) not in levels:
+        return UNKNOWN
+    s = levels[(u, v)] + levels[(v, u)]
+    return MANDATORY if s < 1 else BLOCKING if s > 1 else FREE
+
+
+def classify_edges_from_levels(g: WeightedGraph, levels: dict, certified: dict) -> dict:
+    """classify_edge for every edge of g."""
+    return {(u, v): classify_edge(levels, certified, u, v) for u, v in g.edges()}
 
 
 def scalar_sweep_eps(g: WeightedGraph, eps: float):

@@ -59,39 +59,42 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen(args) -> int:
     check_seed(args.seed)
     seed = RngSeed(args.seed)
     if args.model == "er":
         g = randgraph.erdos_renyi(args.n, args.c, seed)
     elif args.model == "config":
+        if args.n < 1:
+            raise GraphError("n must be >= 1")
         law = parse_law(args.law)
         degrees = law.sample(seed.generator(), args.n)
         g = randgraph.configuration_model(degrees, seed.child(0))
     else:
         g = randgraph.ubgw_tree(parse_law(args.law), args.rooting, args.depth, seed)
     g = randgraph.assign_weights(g, parse_weight_law(args.weights), seed.child(1))
-    text = randgraph.graph_to_text(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(randgraph.graph_to_text(g), args.out)
     return 0
 
 
 def _cmd_match(args) -> int:
+    if args.k < 0:
+        raise HarnessError(f"match needs k >= 0, got {args.k}")
     with open(args.graph) as fh:
         g = randgraph.graph_from_text(fh.read())
     field = bp.sweep_tree(g, args.k)
     matching = bp.extract_matching(g, field)
     pv, pe = exact.perf_of(g, matching)
-    text = exact.matching_to_text(matching)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(exact.matching_to_text(matching), args.out)
     sys.stdout.write(
         f"perf_vertex=({pv.match_prob:.12g},{pv.expected_weight:.12g}) "
         f"perf_edge=({pe.match_prob:.12g},{pe.expected_weight:.12g})\n"

@@ -13,8 +13,10 @@ k -> (k+1) pi(k+1) / m).  This module computes phi and hphi in closed form
 per family, locates the fixed points of the doubled map
 t -> hphi(1 - hphi(1 - t)), evaluates the matching functional F_pi whose
 maximum gives the asymptotic matched-vertex density, recovers the
-Karp-Sipser constants for Poisson laws, and computes the subcriticality
-coefficient rho (the contraction rate of the two-step message operator).
+Karp-Sipser constants for Poisson laws, and encloses the subcriticality
+coefficient rho (the contraction rate of the two-step message operator) in
+an interval [lo, hi].  A two-point law attains lo, so lo is a lower bound;
+hi is an upper bound, and only hi < 1 certifies the contracting regime.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class OffspringLaw:
         probs = tuple(float(v) for v in pmf)
         if len(probs) == 0 or len(probs) > _FINITE_SUPPORT_CAP:
             raise LawError(f"finite support size must be in 1..{_FINITE_SUPPORT_CAP}")
-        if any(v < 0 for v in probs):
-            raise LawError("pmf entries must be non-negative")
+        if not all(0.0 <= v < math.inf for v in probs):
+            raise LawError("pmf entries must be finite and non-negative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise LawError(f"pmf sums to {sum(probs)!r}, expected 1 within 1e-12")
         return OffspringLaw("finite", (), probs)
@@ -143,6 +145,8 @@ class OffspringLaw:
     @cached_property
     def excess(self) -> "OffspringLaw":
         """The excess law k -> (k+1) pi(k+1)/m as an OffspringLaw (pgf hphi)."""
+        if self.family == "geometric1":
+            raise LawError("the excess law of geometric1 is in no family")
         if self.family == "binomial":
             n, q = self.params
             return OffspringLaw("binomial", (n - 1, q))
@@ -165,44 +169,42 @@ class OffspringLaw:
             p = self.params[0]
             q = 1.0 - p
             return q * q / (p * (-math.log(p) - q))
+        if self.family == "geometric1":
+            return 1.0 / self.params[0]
         ks = np.arange(len(self.pmf))
         return float(np.dot(ks, self.pmf))
 
     def pgf(self, x, order: int = 0):
-        """phi(x) (order 0) or phi'(x) (order 1) on [0, 1]."""
+        """phi(x) (order 0), phi'(x) (order 1) or phi''(x) (order 2) on [0, 1]."""
         x = _as_unit_interval(x)
-        if order not in (0, 1):
-            raise LawError(f"order must be 0 or 1, got {order}")
+        if order not in (0, 1, 2):
+            raise LawError(f"order must be 0, 1 or 2, got {order}")
+        xa = np.asarray(x, dtype=float)
         if self.family == "poisson":
             c = self.params[0]
-            val = np.exp(c * (np.asarray(x) - 1.0))
-            val = c * val if order == 1 else val
+            val = c**order * np.exp(c * (xa - 1.0))
         elif self.family == "binomial":
             n, q = self.params
-            base = 1.0 - q + q * np.asarray(x)
-            val = n * q * base ** max(n - 1, 0) if order == 1 else base ** n
+            val = math.perm(n, order) * q**order * (1.0 - q + q * xa) ** max(n - order, 0)
         elif self.family == "geometric":
-            p = self.params[0]
-            q = 1.0 - p
-            norm = -math.log(p) - q
-            xa = np.asarray(x)
-            if order == 1:
-                val = (q * q * xa) / ((1.0 - q * xa) * norm)
-            else:
+            q = 1.0 - self.params[0]
+            norm = -math.log(self.params[0]) - q
+            if order == 0:
                 val = (-np.log(1.0 - q * xa) - q * xa) / norm
+            else:  # q^2 x / ((1 - qx) norm), then q^2 / ((1 - qx)^2 norm)
+                val = q * q * xa ** (2 - order) / ((1.0 - q * xa) ** order * norm)
         elif self.family == "geometric1":
             p = self.params[0]
-            xa = np.asarray(x)
             denom = 1.0 - (1.0 - p) * xa
-            val = p / denom**2 if order == 1 else p * xa / denom
+            if order == 0:
+                val = p * xa / denom
+            else:
+                val = p * order * (1.0 - p) ** (order - 1) / denom ** (order + 1)
         else:
             coeffs = np.asarray(self.pmf)
-            ks = np.arange(len(coeffs))
-            if order == 1:
-                dcoeffs = (coeffs * ks)[1:] if len(coeffs) > 1 else np.array([0.0])
-                val = np.polyval(dcoeffs[::-1], np.asarray(x, dtype=float))
-            else:
-                val = np.polyval(coeffs[::-1], np.asarray(x, dtype=float))
+            for _ in range(order):
+                coeffs = (coeffs * np.arange(len(coeffs)))[1:] if len(coeffs) > 1 else np.array([0.0])
+            val = np.polyval(coeffs[::-1], xa)
         return val if np.ndim(x) else float(val)
 
     def excess_pgf(self, x, order: int = 0):
@@ -290,6 +292,8 @@ class OffspringLaw:
             return f"geom:{self.params[0]:g}"
         if self.family == "binomial":
             return f"binom:{self.params[0]}:{self.params[1]:g}"
+        if self.family == "geometric1":
+            raise LawError("no spec string names geometric1")
         return "pmf:" + ",".join(f"{v:g}" for v in self.pmf)
 
 
@@ -478,84 +482,78 @@ def karp_sipser_poisson(c: float) -> KarpSipserConstants:
     return KarpSipserConstants(gl, gh, beta, edge, c * edge)
 
 
-def _nelder_mead(fun, x0: np.ndarray, scale: float = 0.02, iters: int = 400):
-    """Minimal Nelder-Mead for smooth low-dimensional refinement."""
-    n = len(x0)
-    simplex = [np.asarray(x0, dtype=float)]
-    for i in range(n):
-        pt = simplex[0].copy()
-        pt[i] += scale
-        simplex.append(pt)
-    vals = [fun(p) for p in simplex]
-    for _ in range(iters):
-        order = np.argsort(vals)
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        if abs(vals[-1] - vals[0]) < 1e-14:
+# rho enclosure: curve samples, first s-grid points, sub-pieces per kept s-piece,
+# rounds of splitting, and the most s-points one round may evaluate
+_RHO_CURVE_POINTS = 20_001
+_RHO_S_POINTS = 2_001
+_RHO_SPLIT = 8
+_RHO_ROUNDS = 7
+_RHO_MAX_S_POINTS = 100_000
+
+
+def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the upper concave envelope of points sorted by x (monotone chain)."""
+    hx, hy = [], []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        while len(hx) > 1 and (hx[-1] - hx[-2]) * (y - hy[-2]) >= (hy[-1] - hy[-2]) * (x - hx[-2]):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return np.array(hx), np.array(hy)
+
+
+def _rho_interval(law: OffspringLaw) -> tuple[float, float]:
+    """Enclosure [lo, hi] of rho (see rho_subcritical) by a concave envelope.
+
+    Write y = 1 - X, s = E[hphi(y)] and g(s) = hphi'(1 - s).  For a fixed s
+    the largest E[hphi'(y)] is C(s), the upper concave envelope of the curve
+    y -> (hphi(y), hphi'(y)), so rho is the maximum over s of C(s) g(s) and
+    two-point laws attain it.  lo is the largest C_lo(s) g(s) on the s-grid,
+    with C_lo the hull of exact curve samples: a two-point law attains it.
+    Every derivative of a pgf grows on [0, 1], so between samples i and i+1
+    the curve lies under the line from sample i with slope
+    hphi''(y_{i+1}) / hphi'(y_i), capped at hphi'(y_{i+1}); the hull C_up of
+    these corners lies above C.  C rises and g falls, so C_up(b) g(a) bounds
+    C g on an s-piece [a, b]; pieces whose bound is still >= lo are split
+    and bounded again, and hi is the largest bound left.
+    """
+    ex = law.excess
+    u = np.linspace(0.0, 1.0, _RHO_CURVE_POINTS)
+    # every derivative of a pgf grows with y: crowd the samples towards y = 1
+    h, d, d2 = (np.asarray(ex.pgf(u * (2.0 - u), order)) for order in range(3))
+    if d[-1] == 0.0:  # hphi' = 0: the excess law is the point mass at 0
+        return 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        run = np.where(d[1:] > d[:-1], (d[1:] - d[:-1]) * d[:-1] / d2[1:], 0.0)
+    corners = np.minimum(h[:-1] + run, h[1:])
+    lo_x, lo_y = _upper_hull(h, d)
+    up_x, up_y = _upper_hull(np.r_[h[0], corners, h[-1]], np.r_[d[0], d[1:], d[-1]])
+    s = np.linspace(h[0], 1.0, _RHO_S_POINTS)[None, :]  # later rounds: one row per kept piece
+    lo = 0.0
+    for _ in range(_RHO_ROUNDS):
+        g = np.asarray(ex.pgf(1.0 - s, 1))
+        lo = max(lo, float(np.max(np.interp(s, lo_x, lo_y) * g)))
+        bound = np.interp(s[:, 1:], up_x, up_y) * g[:, :-1]
+        keep = bound >= lo
+        hi = float(np.max(bound[keep], initial=lo))
+        if keep.sum() * _RHO_SPLIT > _RHO_MAX_S_POINTS:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        refl = centroid + (centroid - simplex[-1])
-        frefl = fun(refl)
-        if vals[0] <= frefl < vals[-2]:
-            simplex[-1], vals[-1] = refl, frefl
-        elif frefl < vals[0]:
-            expd = centroid + 2.0 * (centroid - simplex[-1])
-            fexp = fun(expd)
-            if fexp < frefl:
-                simplex[-1], vals[-1] = expd, fexp
-            else:
-                simplex[-1], vals[-1] = refl, frefl
-        else:
-            contr = centroid + 0.5 * (simplex[-1] - centroid)
-            fcon = fun(contr)
-            if fcon < vals[-1]:
-                simplex[-1], vals[-1] = contr, fcon
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    vals[i] = fun(simplex[i])
-    best = int(np.argmin(vals))
-    return simplex[best], vals[best]
+        a, b = s[:, :-1][keep], s[:, 1:][keep]
+        s = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, _RHO_SPLIT + 1)
+    return lo, hi * (1.0 + 1e-12)  # the relative pad covers rounding
 
 
-def rho_subcritical(law: OffspringLaw, grid: int = 200) -> float:
+def rho_subcritical(law: OffspringLaw) -> float:
     """Subcriticality coefficient: the supremum over [0,1]-valued X of
 
         E[hphi'(1-X)] * hphi'(1 - E[hphi(1-X)]).
 
-    For a fixed value of the moment E[hphi(1-X)] the objective is linear
-    in the law of X, so the supremum is attained on two-point supports
-    (x1, x2, lambda); those are scanned on a grid and refined locally.
-    Values below 1 certify the exponentially-contracting message regime.
+    Returns the lower end of the enclosure: a value that an explicit
+    two-point law attains (up to rounding), so a lower bound of rho.
+    ``macroscopic_law`` reports both ends and decides rho < 1 on the upper.
     """
-    if grid < 100:
-        raise LawError("grid must be >= 100")
-
-    def objective(x1, x2, lam):
-        d1 = law.excess_pgf(1.0 - x1, 1)
-        d2 = law.excess_pgf(1.0 - x2, 1)
-        h1 = law.excess_pgf(1.0 - x1)
-        h2 = law.excess_pgf(1.0 - x2)
-        mean_d = lam * d1 + (1.0 - lam) * d2
-        mean_h = lam * h1 + (1.0 - lam) * h2
-        return mean_d * np.asarray(law.excess_pgf(1.0 - mean_h, 1))
-
-    xs = np.linspace(0.0, 1.0, grid)
-    best_val = -np.inf
-    best_arg = (0.0, 0.0, 1.0)
-    for lam in np.linspace(0.0, 1.0, 50):
-        vals = objective(xs[:, None], xs[None, :], lam)
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[idx] > best_val:
-            best_val = float(vals[idx])
-            best_arg = (float(xs[idx[0]]), float(xs[idx[1]]), float(lam))
-
-    def neg(params):
-        x1, x2, lam = np.clip(params, 0.0, 1.0)
-        return -float(objective(x1, x2, lam))
-
-    refined, fval = _nelder_mead(neg, np.asarray(best_arg), scale=1.5 / grid)
-    return max(best_val, -fval)
+    return _rho_interval(law)[0]
 
 
 @dataclass(frozen=True)
@@ -564,18 +562,24 @@ class RegimeReport:
 
     k counts the renormalisation layers (0, 1 or 2); atoms is the law of
     the macroscopic level; fixed_points lists the doubled-map fixed
-    points; rho is the subcriticality coefficient; unique_double_fp
-    records whether the doubled map has exactly one fixed point in the
-    open interval (0, 1); subcritical means rho < 1.
+    points; [rho, rho_upper] encloses the subcriticality coefficient (rho
+    is attained by a two-point law, rho_upper bounds it from above);
+    unique_double_fp records whether the doubled map has exactly one fixed
+    point in the open interval (0, 1).  subcritical means rho_upper < 1:
+    this is where the code decides the regime.
     """
 
     k: int
     atoms: tuple
     fixed_points: tuple
     rho: float
+    rho_upper: float
     unique_double_fp: bool
-    subcritical: bool
     degenerate_family: bool = False
+
+    @property
+    def subcritical(self) -> bool:
+        return self.rho_upper < 1.0
 
 
 def macroscopic_law(law: OffspringLaw) -> RegimeReport:
@@ -586,21 +590,12 @@ def macroscopic_law(law: OffspringLaw) -> RegimeReport:
     level law (gl, gh-gl, 1-gh); argmax at the endpoints {0, 1} yields
     k=0 (level identically 0, leafless perfect-matching regime).
     """
-    rho = rho_subcritical(law)
+    rho, rho_upper = _rho_interval(law)
     try:
         fps = double_fixed_points(law, tol=1e-12)
     except DegenerateFamilyError:
-        return RegimeReport(
-            k=0,
-            atoms=(1.0,),
-            fixed_points=(),
-            rho=rho,
-            unique_double_fp=False,
-            subcritical=rho < 1.0,
-            degenerate_family=True,
-        )
+        return RegimeReport(0, (1.0,), (), rho, rho_upper, False, degenerate_family=True)
     interior = [t for t in fps if 1e-10 < t < 1.0 - 1e-10]
-    unique_fp = len(interior) == 1
     fvals = [float(F_pi(law, t)) for t in fps]
     fmax = max(fvals) if fvals else 2.0
     argmax = [t for t, v in zip(fps, fvals) if v > fmax - 1e-8]
@@ -614,15 +609,7 @@ def macroscopic_law(law: OffspringLaw) -> RegimeReport:
         k, atoms = 2, (gl, gh - gl, 1.0 - gh)
     else:
         k, atoms = 0, (1.0,)
-    return RegimeReport(
-        k=k,
-        atoms=atoms,
-        fixed_points=tuple(fps),
-        rho=rho,
-        unique_double_fp=unique_fp,
-        subcritical=rho < 1.0,
-        degenerate_family=False,
-    )
+    return RegimeReport(k, atoms, tuple(fps), rho, rho_upper, unique_double_fp=len(interior) == 1)
 
 
 def _sample_table(pmf: np.ndarray, rng: np.random.Generator, size=None):

@@ -165,18 +165,20 @@ class WeightLaw:
 
     @staticmethod
     def uniform(a: float = 0.0, b: float = 1.0) -> "WeightLaw":
-        if not b > a:
-            raise GraphError("uniform law needs b > a")
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            raise GraphError(f"uniform law needs finite a < b, got {a:g}, {b:g}")
         return WeightLaw("uniform", (float(a), float(b)))
 
     @staticmethod
     def exponential(rate: float = 1.0) -> "WeightLaw":
-        if not rate > 0:
-            raise GraphError("exponential rate must be positive")
+        if not 0 < rate < math.inf:
+            raise GraphError(f"exponential rate must be positive and finite, got {rate:g}")
         return WeightLaw("exponential", (float(rate),))
 
     @staticmethod
     def constant(v: float) -> "WeightLaw":
+        if not math.isfinite(v):
+            raise GraphError(f"constant weight must be finite, got {v:g}")
         return WeightLaw("constant", (float(v),))
 
     @property

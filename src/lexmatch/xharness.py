@@ -252,14 +252,19 @@ def _small_trees(seed: RngSeed, wlaw: WeightLaw | None = None):
 # ----------------------------------------------------------------------
 
 
+def _rho_text(regime: genfn.RegimeReport) -> str:
+    return f"rho in [{regime.rho:.9g}, {regime.rho_upper:.9g}]"
+
+
 def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Matched-vertex fraction on sparse graphs vs the analytic density.
 
     Poisson laws map to G(n, c/n); other laws to the configuration model
     with i.i.d. degrees.  Only leaf-removal-certified replicas enter the
-    estimate (their Karp-Sipser core was empty or disjoint cycles); if
-    the law is not subcritical and fewer than 90% certify, the run is
-    refused.
+    estimate (their Karp-Sipser core was empty or disjoint cycles).  When
+    fewer than 90% certify, the run is refused unless the law is
+    subcritical (the upper end of its rho enclosure is below 1) and at
+    least one replica certified.
     """
     _need_at_least("size", 1, replicas=cfg.replicas)
     law = cfg.offspring()
@@ -278,14 +283,15 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
             certified += 1
             fractions.append(2.0 * matching.size / g.n)
             _assert_perf_identity(g, matching)
-    frac_certified = certified / max(cfg.replicas, 1)
-    rho = genfn.rho_subcritical(law)
-    if certified == 0 or (frac_certified < 0.9 and rho >= 1.0):
-        raise CertificationError(
-            f"certified replicas {certified}/{cfg.replicas} "
-            f"(fraction {frac_certified:.2f}, rho={rho:.3f}); "
-            "size estimate requires a subcritical law or >= 90% certification"
-        )
+    frac_certified = certified / cfg.replicas
+    if frac_certified < 0.9:
+        regime = genfn.macroscopic_law(law)
+        if certified == 0 or not regime.subcritical:
+            raise CertificationError(
+                f"certified replicas {certified}/{cfg.replicas} "
+                f"(fraction {frac_certified:.2f}, {_rho_text(regime)}); "
+                "size estimate requires a subcritical law or >= 90% certification"
+            )
     est, se = _mean_se(fractions)
     ref = genfn.matching_vertex_density(law)
     rec = ResultRecord(
@@ -308,7 +314,8 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     For each even radius H the fraction of sampled trees whose root has an
     uncertified outgoing message is recorded; one contraction round of the
     doubled recursion advances the radius by two, so the log-fraction is
-    fitted against r = H/2 and compared with log(rho).
+    fitted against r = H/2 and compared with log(rho), rho the lower end of
+    its enclosure.  A law whose enclosure does not lie below 1 is refused.
     """
     _need_at_least("decay", 1, samples=cfg.samples, h_step=cfg.h_step)
     if cfg.h_min > cfg.h_max:
@@ -318,6 +325,8 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     regime = genfn.macroscopic_law(law)
     if regime.k != 1:
         raise RegimeMismatchError(f"decay experiment needs the k=1 regime, got k={regime.k}")
+    if not regime.subcritical:
+        raise RegimeMismatchError(f"decay experiment needs rho < 1, got {_rho_text(regime)}")
     rho = regime.rho
     base = cfg.base_seed()
     radii = list(range(cfg.h_min, cfg.h_max + 1, cfg.h_step))
@@ -410,12 +419,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     counts = {"mandatory": 0, "blocking": 0, "free": 0, "unknown": 0}
     for g in itertools.islice(_trees(base.child(0), law, "edge", cfg.depth), cfg.samples):
         levels, certified = bp.macroscopic_squeeze(g)
-        a, b = g.root.u, g.root.v
-        if not (certified.get((a, b)) and certified.get((b, a))):
-            counts["unknown"] += 1
-            continue
-        s = levels[(a, b)] + levels[(b, a)]
-        counts["mandatory" if s < 1 else "blocking" if s > 1 else "free"] += 1
+        counts[bp.classify_edge(levels, certified, g.root.u, g.root.v)] += 1
     total = cfg.samples - counts["unknown"]
     if total == 0:
         raise HarnessError("no certified root edges at this depth")

@@ -70,6 +70,26 @@ class TestPgfEval:
         ddirect = sum(p * k * x ** (k - 1) for k, p in enumerate(pmf) if k >= 1)
         assert law.pgf(x) == pytest.approx(direct, abs=1e-14)
         assert law.pgf(x, order=1) == pytest.approx(ddirect, abs=1e-14)
+        d2direct = sum(p * k * (k - 1) * x ** (k - 2) for k, p in enumerate(pmf) if k >= 2)
+        assert law.pgf(x, order=2) == pytest.approx(d2direct, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            OffspringLaw.poisson(2.3),
+            OffspringLaw.binomial(5, 0.4),
+            OffspringLaw.binomial(1, 0.4),
+            OffspringLaw.geometric(0.35),
+            parse_law("geom:0.35").excess,
+            OffspringLaw.finite_support([0.2, 0.5, 0.3]),
+        ],
+        ids=["poisson", "binomial", "binomial-1", "geometric", "geometric1", "finite"],
+    )
+    def test_second_derivative_is_difference_quotient(self, law):
+        xs = np.linspace(0.05, 0.95, 10)
+        step = 1e-6
+        quotient = (law.pgf(xs + step, order=1) - law.pgf(xs - step, order=1)) / (2 * step)
+        np.testing.assert_allclose(law.pgf(xs, order=2), quotient, rtol=1e-6, atol=1e-8)
 
 
 class TestSizeBiasedPgf:
@@ -346,6 +366,14 @@ class TestKarpSipser:
         assert ks.vertex_density == pytest.approx(c * ks.edge_density, abs=0.0)
 
 
+def two_point_rho(law, x1, x2, lam):
+    """The objective of rho_subcritical for the law of X: x1 w.p. lam, else x2."""
+    h1, h2 = (np.asarray(law.excess_pgf(1.0 - x)) for x in (x1, x2))
+    d1, d2 = (np.asarray(law.excess_pgf(1.0 - x, 1)) for x in (x1, x2))
+    mean_h = lam * h1 + (1.0 - lam) * h2
+    return (lam * d1 + (1.0 - lam) * d2) * np.asarray(law.excess_pgf(1.0 - mean_h, 1))
+
+
 def poisson_rho_oracle(c: float) -> float:
     """Independent oracle: max of c^2 y e^(-cy) over y in [e^-c, 1]."""
     ys = np.linspace(math.exp(-c), 1.0, 2_000_001)
@@ -385,6 +413,51 @@ class TestRhoSubcritical:
             assert rho >= val - 1e-9
 
 
+class TestRhoInterval:
+    """genfn._rho_interval encloses rho; rho_subcritical is its lower end."""
+
+    @pytest.mark.parametrize("c", [round(0.2 + 0.1 * i, 1) for i in range(49)])
+    def test_contains_poisson_closed_form(self, c):
+        # hphi' = c hphi, so rho = max over y in [e^-c, 1] of c^2 y e^(-cy)
+        lo, hi = genfn._rho_interval(OffspringLaw.poisson(c))
+        rho = c * c * math.exp(-c) if c < 1.0 else c / math.e
+        assert lo <= rho * (1.0 + 1e-12) and rho <= hi  # lo is a value, so up to rounding
+        assert hi - lo <= 1e-6
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_contains_geometric_closed_form(self, p):
+        # one-point laws reach only 1 here: the maximum needs a two-point law
+        law = OffspringLaw.geometric(p)
+        lo, hi = genfn._rho_interval(law)
+        rho = (1.0 + p) ** 2 / (4.0 * p)
+        assert lo <= rho * (1.0 + 1e-12) and rho <= hi
+        assert hi - lo <= 1e-6
+        xs = np.linspace(0.0, 1.0, 1001)
+        assert np.max(two_point_rho(law, xs, xs, 1.0)) <= 1.0 + 1e-12 < lo
+
+    @pytest.mark.parametrize("spec", ["binom:4:0.3", "binom:8:0.3"])
+    def test_narrow_on_binomials(self, spec):
+        lo, hi = genfn._rho_interval(parse_law(spec))
+        assert 0.0 < hi - lo <= 1e-6
+
+    @pytest.mark.parametrize("spec", ["binom:4:0.3", "pmf:0.123,0,0.857,0.004,0.016"])
+    def test_upper_end_dominates_two_point_laws(self, spec):
+        law = parse_law(spec)
+        lo, hi = genfn._rho_interval(law)
+        x1, x2, lam = np.random.default_rng(5).random((3, 200_000))
+        vals = two_point_rho(law, x1, x2, lam)
+        assert np.max(vals) <= hi
+        assert np.max(vals) >= lo - 1e-3  # the sample comes near the supremum
+
+    def test_lower_end_is_rho_subcritical(self):
+        law = parse_law("binom:4:0.3")
+        assert genfn.rho_subcritical(law) == genfn._rho_interval(law)[0]
+
+    def test_point_mass_excess_law(self):
+        # pi = delta(1): every non-root vertex is a leaf, so rho = 0
+        assert genfn._rho_interval(OffspringLaw.delta(1)) == (0.0, 0.0)
+
+
 class TestMacroscopicLaw:
     def test_poisson_1_single_level(self):
         rep = genfn.macroscopic_law(OffspringLaw.poisson(1.0))
@@ -416,6 +489,14 @@ class TestMacroscopicLaw:
             for t in rep.fixed_points:
                 assert abs(genfn.double_map(law, t) - t) < 1e-9
 
+    def test_subcritical_reads_the_upper_end(self):
+        # Poisson(e) has rho = 1 exactly; the enclosure straddles it
+        rep = genfn.macroscopic_law(OffspringLaw.poisson(math.e))
+        assert rep.rho <= 1.0 <= rep.rho_upper
+        assert not rep.subcritical
+        rep = genfn.macroscopic_law(OffspringLaw.poisson(2.718))
+        assert rep.rho_upper < 1.0 and rep.subcritical
+
     def test_subcritical_implies_unique(self):
         for c in [0.3, 0.8, 1.5, 2.2, 2.6]:
             rep = genfn.macroscopic_law(OffspringLaw.poisson(c))
@@ -441,6 +522,22 @@ class TestLawPlumbing:
     def test_negative_pmf_rejected(self):
         with pytest.raises(LawError):
             OffspringLaw.finite_support([1.2, -0.2])
+
+    @pytest.mark.parametrize("pmf", [[0.5, math.nan], [math.inf, 0.0], [0.5, 0.5, -math.inf]])
+    def test_non_finite_pmf_rejected(self, pmf):
+        with pytest.raises(LawError, match="finite"):
+            OffspringLaw.finite_support(pmf)
+
+    def test_geometric1_is_internal(self):
+        # the excess law of geom:p is geometric on {1, 2, ...}, mean 1/p
+        law = parse_law("geom:0.5").excess
+        assert law.family == "geometric1"
+        assert law.mean == 2.0
+        assert law.pgf(1.0, order=1) == pytest.approx(law.mean, rel=1e-12)
+        with pytest.raises(LawError):
+            law.excess
+        with pytest.raises(LawError):
+            law.spec_string()
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10).filter(

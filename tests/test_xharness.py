@@ -626,6 +626,27 @@ class TestCli:
             (["solve", "--grid-t", "-1"], "solve experiment needs a positive finite grid_t, got -1.0"),
             (["solve", "--grid-t", "nan"], "solve experiment needs a positive finite grid_t, got nan"),
             (["solve", "--weights", "const:1.0"], "solve experiment needs an atomless weight law, got const:1.0"),
+            (["solve", "--law", "pmf:0.5,nan"], "pmf entries must be finite and non-negative"),
+            (["solve", "--law", "pmf:inf,0"], "pmf entries must be finite and non-negative"),
+            (
+                ["gen", "--model", "ubgw", "--law", "poisson:3.0", "--depth", "2", "--seed", "1",
+                 "--weights", "uniform:0:inf"],
+                "cannot parse weight spec 'uniform:0:inf': uniform law needs finite a < b, got 0, inf",
+            ),
+            (
+                ["solve", "--weights", "uniform:0:inf"],
+                "cannot parse weight spec 'uniform:0:inf': uniform law needs finite a < b, got 0, inf",
+            ),
+            (
+                ["gen", "--model", "ubgw", "--weights", "exp:inf"],
+                "cannot parse weight spec 'exp:inf': exponential rate must be positive and finite, got inf",
+            ),
+            (
+                ["gen", "--model", "ubgw", "--weights", "const:nan"],
+                "cannot parse weight spec 'const:nan': constant weight must be finite, got nan",
+            ),
+            (["match", "--graph", "tree.txt", "--k", "-1"], "match needs k >= 0, got -1"),
+            (["gen", "--model", "config", "--n", "-3"], "n must be >= 1"),
         ],
         ids=[
             "solve-grid",
@@ -637,6 +658,14 @@ class TestCli:
             "solve-grid-t-negative",
             "solve-grid-t-nan",
             "solve-weights-const",
+            "solve-pmf-nan",
+            "solve-pmf-inf",
+            "gen-uniform-inf",
+            "solve-uniform-inf",
+            "gen-exp-inf",
+            "gen-const-nan",
+            "match-k",
+            "gen-config-n",
         ],
     )
     def test_out_of_range_one_line_error(self, capsys, argv, message):
@@ -644,6 +673,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, prefix, rho",
+        [
+            # k = 1 but rho > 1: no exponential decay to measure
+            (["decay", "--law", "pmf:0.123,0,0.857,0.004,0.016"], "decay experiment needs rho < 1, got ", None),
+            # rho(Poisson(3)) = 3/e; no replica of G(500, 3/500) certifies
+            (
+                ["size", "--law", "poisson:3.0", "--n", "500", "--replicas", "4"],
+                "certified replicas 0/4 (fraction 0.00, ",
+                3.0 / math.e,
+            ),
+        ],
+        ids=["decay", "size"],
+    )
+    def test_refusal_prints_rho_interval(self, capsys, argv, prefix, rho):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: " + prefix)
+        lo, hi = map(float, re.search(r"rho in \[([^,]+), ([^\]]+)\]", captured.err).groups())
+        assert 1.0 < lo <= hi < lo + 1e-6
+        if rho is not None:
+            assert lo <= round(rho, 8) <= hi
 
     def test_enumeration_cap_one_line_error(self, capsys, monkeypatch):
         # any enumerator cap reached under the CLI ends in one error line
