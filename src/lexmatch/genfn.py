@@ -248,6 +248,9 @@ class OffspringLaw:
             q = 1.0 - p
             norm = -math.log(p) - q
             return np.array([0.0 if k < 2 else q**k / (k * norm) for k in ks])
+        if self.family == "geometric1":
+            p = self.params[0]
+            return np.array([0.0 if k == 0 else p * (1.0 - p) ** (k - 1) for k in range(kmax + 1)])
         out = np.zeros(kmax + 1)
         upto = min(kmax + 1, len(self.pmf))
         out[:upto] = self.pmf[:upto]
@@ -274,7 +277,7 @@ class OffspringLaw:
     def _table_kmax(self) -> int:
         if self.family == "finite":
             return len(self.pmf) - 1
-        if self.family == "geometric":
+        if self.family in ("geometric", "geometric1"):
             p = self.params[0]
             return max(4, int(2 + math.log(1e-14) / math.log(1.0 - p)))
         if self.family == "poisson":

@@ -14,7 +14,9 @@ All generators are pure functions of (parameters, seed).  A seed is
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -126,8 +128,47 @@ class WeightedGraph:
         return self.root.vertex if isinstance(self.root, VertexRoot) else self.root.u
 
 
+def _adjacency(n: int, lo, hi, heads: list) -> tuple:
+    """Sorted neighbour tuples of the graph on range(n) whose i-th edge is lo[i] -- hi[i].
+
+    lo and hi are int64 arrays of m ids; heads is hi then lo as a list
+    of Python ints, the head of each directed edge, and the tuples hold
+    those objects, so a graph shares one int per edge end with its weight
+    keys.  Sorting the int64 keys tail * n + head orders the directed
+    edges by tail, then head (n**2 < 2**63 for any n whose tuples fit in
+    memory).
+    """
+    tails = np.concatenate((lo, hi))
+    order = np.argsort(tails * n + np.concatenate((hi, lo)))
+    nbrs = iter(np.array(heads, dtype=object)[order].tolist())
+    return tuple([tuple(islice(nbrs, d)) for d in np.bincount(tails, minlength=n).tolist()])
+
+
+def _from_arrays(n, lo, hi, weights, root) -> WeightedGraph:
+    """The graph whose i-th edge is (lo[i], hi[i]), lo < hi, with the i-th of `weights`."""
+    los, his = lo.tolist(), hi.tolist()
+    return WeightedGraph(
+        n=n,
+        adjacency=_adjacency(n, lo, hi, his + los),
+        weights=dict(zip(zip(los, his), weights)),
+        root=root,
+    )
+
+
+def _first_last(lo, hi):
+    """First and last index of each distinct pair (lo[i], hi[i]), in order of first occurrence."""
+    order = np.lexsort((hi, lo))  # stable: equal pairs keep their input order
+    a, b = lo[order], hi[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    is_last = np.ones(len(order), dtype=bool)
+    is_last[:-1] = new[1:]
+    first, last = order[new], order[is_last]
+    by_first = np.argsort(first)
+    return first[by_first], last[by_first]
+
+
 def _build(n, edge_weights, root, boundary=frozenset()) -> WeightedGraph:
-    adj = [[] for _ in range(n)]
     weights = {}
     for (u, v), w in edge_weights.items():
         if u == v:
@@ -136,11 +177,11 @@ def _build(n, edge_weights, root, boundary=frozenset()) -> WeightedGraph:
         if key in weights:
             raise GraphError(f"duplicate edge {key}")
         weights[key] = float(w)
-        adj[u].append(v)
-        adj[v].append(u)
+    los, his = [u for u, _ in weights], [v for _, v in weights]
+    lo, hi = np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
     return WeightedGraph(
         n=n,
-        adjacency=tuple(tuple(sorted(nb)) for nb in adj),
+        adjacency=_adjacency(n, lo, hi, his + los),
         weights=weights,
         root=root,
         boundary=frozenset(boundary),
@@ -233,19 +274,20 @@ class WeightLaw:
 def parse_weight_law(text: str) -> WeightLaw:
     """Parse a weight spec: uniform:0:1, exp:1.0, const:1.0."""
     parts = text.strip().split(":")
-    kind = parts[0].lower()
+    kind, arity = parts[0].lower(), len(parts) - 1
+    if kind in ("uniform", "unif") and arity in (0, 2):
+        make = WeightLaw.uniform
+    elif kind in ("exp", "exponential") and arity == 1:
+        make = WeightLaw.exponential
+    elif kind in ("const", "constant") and arity == 1:
+        make = WeightLaw.constant
+    else:
+        raise GraphError(f"unknown weight spec {text!r}")
     try:
-        if kind in ("uniform", "unif") and len(parts) == 3:
-            return WeightLaw.uniform(float(parts[1]), float(parts[2]))
-        if kind in ("uniform", "unif") and len(parts) == 1:
-            return WeightLaw.uniform()
-        if kind in ("exp", "exponential") and len(parts) == 2:
-            return WeightLaw.exponential(float(parts[1]))
-        if kind in ("const", "constant") and len(parts) == 2:
-            return WeightLaw.constant(float(parts[1]))
-    except (TypeError, ValueError) as exc:
+        params = [float(x) for x in parts[1:]]
+    except ValueError as exc:
         raise GraphError(f"cannot parse weight spec {text!r}: {exc}") from exc
-    raise GraphError(f"unknown weight spec {text!r}")
+    return make(*params)
 
 
 # ----------------------------------------------------------------------
@@ -253,39 +295,84 @@ def parse_weight_law(text: str) -> WeightLaw:
 # ----------------------------------------------------------------------
 
 
+# uniforms per block of the Erdos-Renyi skip scan: bounds its working memory
+_SKIP_BLOCK = 1 << 14
+
+
+def _skip_scan(rng: np.random.Generator, p: float, cells: int) -> np.ndarray:
+    """Ascending indices of the cells in range(cells) that a geometric skip scan keeps.
+
+    Each cell is kept independently with probability p > 0.  The scan
+    moves 1 + floor(log1p(-r) / log1p(-p)) cells per uniform r and ends at
+    the first skip that reaches past the cells left, so it uses one
+    uniform per kept cell plus that last one.  Blocks of at most
+    _SKIP_BLOCK uniforms are drawn with rng.random(size), the same stream
+    as scalar calls; rng is then rewound and advanced by exactly the
+    uniforms used, so the draws that follow do not depend on the blocking.
+    The skips use math.log1p: np.log1p differs from it in the last bit on
+    some inputs, which could move a kept cell.  Exact while cells < 2**53.
+    """
+    lq = math.log1p(-p)
+    state = rng.bit_generator.state
+    kept, used, last = [], 0, -1
+    while True:
+        left = cells - 1 - last
+        mean = p * left
+        # steps are at most left + 1, so the cumulative sum stays inside int64
+        size = max(1, min(_SKIP_BLOCK, int(mean + 4 * math.sqrt(mean)) + 16, 2**62 // (left + 1)))
+        r = rng.random(size)
+        logs = np.fromiter(map(math.log1p, (-r).tolist()), dtype=float, count=size)
+        with np.errstate(over="ignore"):  # a subnormal p overflows the skip to inf
+            skips = logs / lq
+        # skip < left_i exactly when the cell it reaches is below `cells`
+        pos = last + np.cumsum(np.floor(np.minimum(skips, left)).astype(np.int64) + 1)
+        end = int(np.searchsorted(pos, cells))
+        kept.append(pos[:end])
+        used += end
+        if end < size:
+            break
+        last = int(pos[-1])
+    rng.bit_generator.state = state
+    rng.random(used + 1)
+    return np.concatenate(kept)
+
+
 def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     """G(n, c/n) with a uniform random vertex root and zero-initialised weights.
 
-    Uses geometric edge skipping, so the cost is O(n + m) rather than O(n^2).
+    The cells (w, v), w < v, are scanned row by row (v = 1, 2, ..., and
+    w < v within a row) by geometric edge skipping (Batagelj and Brandes
+    2005), so the cost is O(n + m) rather than O(n^2), in O(m) memory:
+    one vectorised scan (`_skip_scan`), an integer-corrected square root
+    that maps each kept cell back to (w, v), and one sort for the
+    adjacency.  The generator draws exactly m + 1 uniforms for the scan,
+    one per edge and one whose skip ends it, then one integer for the
+    root; the edges enter `weights` in scan order.  Each skip is computed
+    with math.log1p, because np.log1p differs from it in the last bit on
+    some inputs and could move an edge.  So the graph is the one a scalar
+    loop over rng.random() gives.
     """
     if n < 1:
         raise GraphError("n must be >= 1")
     if not (0 < c < n) and n > 1:
         raise GraphError(f"need 0 < c < n, got c={c}, n={n}")
     rng = seed.generator()
-    p = c / n if n > 1 else 0.0
-    edge_weights = {}
-    if p > 0.0:
-        # geometric skipping over the cells (w, v), w < v, row by row: O(n + m);
-        # a skip past the `left` cells after (v, w) ends the scan (inf for subnormal p)
-        lq = math.log1p(-p)
-        v, w, left = 1, -1, n * (n - 1) // 2
-        while (skip := math.log1p(-rng.random()) / lq) < left:
-            step = 1 + int(skip)
-            left -= step
-            w += step
-            while w >= v:
-                w -= v
-                v += 1
-            edge_weights[(w, v)] = 0.0
+    cell = _skip_scan(rng, c / n, n * (n - 1) // 2) if n > 1 else np.empty(0, dtype=np.int64)
+    # cell k is (w, v) with v (v - 1) / 2 <= k < v (v + 1) / 2; the float root is off by at most one
+    v = ((1.0 + np.sqrt(8.0 * cell + 1.0)) / 2.0).astype(np.int64)
+    v -= v * (v - 1) // 2 > cell
+    v += v * (v + 1) // 2 <= cell
+    w = cell - v * (v - 1) // 2
     root = VertexRoot(int(rng.integers(0, n)))
-    return _build(n, edge_weights, root)
+    return _from_arrays(n, w, v, repeat(0.0), root)
 
 
 def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
     """Uniform half-edge pairing with multi-edges and self-loops erased.
 
     An odd degree sum is padded by adding one half-edge to the last vertex.
+    Stubs 2i and 2i + 1 of the permuted stub list form a pair; the kept
+    edges enter `weights` in the order of their first pairing.
     """
     degs = [int(d) for d in degrees]
     if any(d < 0 for d in degs):
@@ -297,15 +384,13 @@ def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
         degs[-1] += 1
     rng = seed.generator()
     stubs = np.repeat(np.arange(n), degs)
-    perm = rng.permutation(len(stubs))
-    stubs = stubs[perm]
-    edge_weights = {}
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = int(stubs[i]), int(stubs[i + 1])
-        if u != v:
-            edge_weights[_edge_key(u, v)] = 0.0
+    stubs = stubs[rng.permutation(len(stubs))]
+    u, v = stubs[0::2], stubs[1::2]
+    keep = u != v
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    first, _ = _first_last(lo, hi)
     root = VertexRoot(int(rng.integers(0, n)))
-    return _build(n, edge_weights, root)
+    return _from_arrays(n, lo[first], hi[first], repeat(0.0), root)
 
 
 def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> WeightedGraph:
@@ -445,6 +530,17 @@ def graph_to_text(g: WeightedGraph) -> str:
 
 
 def graph_from_text(text: str) -> WeightedGraph:
+    """Parse the format `graph_to_text` writes.
+
+    Edge lines are parsed into typed buffers, then checked as arrays, in
+    O(m log m) for the sorts.  A bad input raises GraphError for the
+    first fault in this order: the first bad edge line in file order
+    (not three fields, an unparsable number, a vertex id outside
+    0..n-1, then a non-finite weight), then an `m=` count that differs
+    from the number of distinct edges (an edge listed as `u v` and as
+    `v u` is one edge with the weight of its last line), then a
+    self-loop.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("lexmatch-graph v1 "):
         raise GraphError("missing lexmatch-graph v1 header")
@@ -458,20 +554,44 @@ def graph_from_text(text: str) -> WeightedGraph:
         raise GraphError(f"malformed header: {lines[0]!r}") from exc
     if n < 1:
         raise GraphError(f"header claims n={n}; need at least one vertex")
-    edge_weights = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphError(f"malformed edge line {ln!r}")
+
+    def out_of_range(ln):
+        return GraphError(f"vertex id out of range 0..{n - 1} in edge line {ln!r}")
+
+    us, vs, ws = array("q"), array("q"), array("d")
+    stop = None  # the error of the line that ended parsing, raised unless an earlier line is bad
+    for ln in islice(lines, 1, None):
         try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise GraphError(f"malformed edge line {ln!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"vertex id out of range 0..{n - 1} in edge line {ln!r}")
-        if not math.isfinite(w):
-            raise GraphError(f"non-finite weight in edge line {ln!r}")
-        edge_weights[_edge_key(u, v)] = w
-    if len(edge_weights) != m:
-        raise GraphError(f"header claims m={m}, found {len(edge_weights)} edges")
-    return _build(n, edge_weights, root)
+            a, b, x = ln.split()
+            u, v, w = int(a), int(b), float(x)
+        except ValueError:
+            stop = GraphError(f"malformed edge line {ln!r}")
+            break
+        try:
+            us.append(u)
+            vs.append(v)
+        except OverflowError:  # beyond int64, so out of range
+            del us[len(ws):]
+            stop = out_of_range(ln)
+            break
+        ws.append(w)
+    u, v, w = np.asarray(us), np.asarray(vs), np.asarray(ws)
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = np.flatnonzero(outside | ~np.isfinite(w))
+    if bad.size:
+        i = int(bad[0])
+        ln = lines[1 + i]
+        raise out_of_range(ln) if outside[i] else GraphError(f"non-finite weight in edge line {ln!r}")
+    if stop is not None:
+        raise stop
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    if not np.all(key[1:] > key[:-1]):  # repeated or unsorted edges; graph_to_text writes neither
+        first, last = _first_last(lo, hi)
+        lo, hi, w = lo[first], hi[first], w[last]
+    if len(lo) != m:
+        raise GraphError(f"header claims m={m}, found {len(lo)} edges")
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        raise GraphError(f"self-loop on vertex {int(u[loops[0]])}")
+    return _from_arrays(n, lo, hi, w.tolist(), root)

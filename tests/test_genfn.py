@@ -539,6 +539,16 @@ class TestLawPlumbing:
         with pytest.raises(LawError):
             law.spec_string()
 
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_geometric1_pmf_values(self, p):
+        law = parse_law(f"geom:{p}").excess
+        assert law.pmf_values(4).tolist() == [0.0, p, p * (1 - p), p * (1 - p) ** 2, p * (1 - p) ** 3]
+        table = law.pmf_values(law._table_kmax())
+        assert 1.0 - 1e-13 < table.sum() <= 1.0 + 1e-12
+        # excess_pmf keeps its own summation; the closed forms agree term by term
+        excess = parse_law(f"geom:{p}").excess_pmf()
+        assert law.pmf_values(len(excess) - 1).tolist() == excess.tolist()
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10).filter(
             lambda v: sum(v) > 1e-3

@@ -15,6 +15,7 @@ from lexmatch.randgraph import (
     GraphError,
     RngSeed,
     VertexRoot,
+    WeightedGraph,
     WeightLaw,
     assign_weights,
     ball,
@@ -331,6 +332,119 @@ class TestUbgwTreeDifferential:
             ubgw_tree(OffspringLaw.poisson(1.0), "half-edge", 2, RngSeed(1))
 
 
+def adjacency_of(n, edges):
+    """Sorted neighbour tuples built by list appends, independent of randgraph."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(nb)) for nb in nbrs)
+
+
+def reference_erdos_renyi(n, c, seed):
+    """The scalar skip loop erdos_renyi replaced: one rng.random() call per edge."""
+    rng = seed.generator()
+    p = c / n if n > 1 else 0.0
+    edges = []
+    if p > 0.0:
+        lq = math.log1p(-p)
+        v, w, left = 1, -1, n * (n - 1) // 2
+        while (skip := math.log1p(-rng.random()) / lq) < left:
+            step = 1 + int(skip)
+            left -= step
+            w += step
+            while w >= v:
+                w -= v
+                v += 1
+            edges.append((w, v))
+    root = VertexRoot(int(rng.integers(0, n)))
+    return WeightedGraph(n, adjacency_of(n, edges), dict.fromkeys(edges, 0.0), root)
+
+
+def reference_configuration_model(degrees, seed):
+    """The pair-by-pair dict loop configuration_model replaced."""
+    degs = [int(d) for d in degrees]
+    n = len(degs)
+    if sum(degs) % 2 == 1:
+        degs[-1] += 1
+    rng = seed.generator()
+    stubs = np.repeat(np.arange(n), degs)
+    stubs = stubs[rng.permutation(len(stubs))]
+    edge_weights = {}
+    for i in range(0, len(stubs) - 1, 2):
+        u, v = int(stubs[i]), int(stubs[i + 1])
+        if u != v:
+            edge_weights[(min(u, v), max(u, v))] = 0.0
+    root = VertexRoot(int(rng.integers(0, n)))
+    return WeightedGraph(n, adjacency_of(n, edge_weights), edge_weights, root)
+
+
+def reference_graph_from_text(text):
+    """The line-by-line dict parser graph_from_text replaced (header parsing omitted)."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+    n, m = int(header["n"]), int(header["m"])
+    edge_weights = {}
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise GraphError(f"malformed edge line {ln!r}")
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise GraphError(f"malformed edge line {ln!r}") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"vertex id out of range 0..{n - 1} in edge line {ln!r}")
+        if not math.isfinite(w):
+            raise GraphError(f"non-finite weight in edge line {ln!r}")
+        edge_weights[(min(u, v), max(u, v))] = w
+    if len(edge_weights) != m:
+        raise GraphError(f"header claims m={m}, found {len(edge_weights)} edges")
+    for u, v in edge_weights:
+        if u == v:
+            raise GraphError(f"self-loop on vertex {u}")
+    return WeightedGraph(n, adjacency_of(n, edge_weights), edge_weights, VertexRoot(0))
+
+
+class TestGraphsFromArraysDifferential:
+    """erdos_renyi and configuration_model against their scalar loops, draw for draw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000, 20_000])
+    def test_erdos_renyi_identical(self, n):
+        cs = [1e-310, 0.5, 1.0, 3.0] + ([n - 1e-9] if n <= 50 else [])
+        for c in cs:
+            if n > 1 and c >= n:
+                continue
+            for s in range(3):
+                seed = RngSeed(s, 17)
+                assert_same_graph(erdos_renyi(n, c, seed), reference_erdos_renyi(n, c, seed))
+
+    def test_erdos_renyi_scan_spans_blocks(self):
+        # more edges than uniforms in one block: the scan continues across blocks
+        seed = RngSeed(5, 17)
+        g = erdos_renyi(20_000, 3.0, seed)
+        assert g.m > 1.5 * randgraph._SKIP_BLOCK
+        assert_same_graph(g, reference_erdos_renyi(20_000, 3.0, seed))
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_erdos_renyi_any_block_size(self, monkeypatch, block):
+        # block ends fall on every kind of step, including the one that ends the scan
+        monkeypatch.setattr(randgraph, "_SKIP_BLOCK", block)
+        for n, c in [(2, 1.0), (3, 3 - 1e-9), (50, 1.0), (50, 50 - 1e-9), (300, 3.0)]:
+            for s in range(3):
+                seed = RngSeed(s, 17)
+                assert_same_graph(erdos_renyi(n, c, seed), reference_erdos_renyi(n, c, seed))
+
+    def test_configuration_model_identical(self):
+        rng = np.random.default_rng(23)
+        for s in range(30):
+            # dense small cases repeat pairs and self-loops often
+            n = int(rng.integers(1, 12)) if s % 2 else int(rng.integers(1, 400))
+            degrees = rng.poisson(3.0 if s % 2 else 2.0, n).tolist()
+            seed = RngSeed(s, 19)
+            assert_same_graph(configuration_model(degrees, seed), reference_configuration_model(degrees, seed))
+
+
 class TestAssignWeights:
     def test_empty_graph_unchanged(self):
         g = erdos_renyi(1, 0.5, RngSeed(1))
@@ -410,6 +524,73 @@ class TestSerialization:
         with pytest.raises(GraphError):
             graph_from_text("lexmatch-graph v1 n=2 m=2 root=vertex:0\n0 1 0.5\n")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 0.5\n0 9 0.5\n0 x 0.5\n", "vertex id out of range 0..3 in edge line '0 9 0.5'"),
+            ("0 1 0.5\n0 x 0.5\n0 9 0.5\n", "malformed edge line '0 x 0.5'"),
+            ("1 2 inf\n0 9 0.5\n", "non-finite weight in edge line '1 2 inf'"),
+            ("0 9 nan\n1 2 inf\n", "vertex id out of range 0..3 in edge line '0 9 nan'"),
+            ("1 2 nan\n0 99999999999999999999 0.5\n", "non-finite weight in edge line '1 2 nan'"),
+            ("0 99999999999999999999 0.5\n1 2 nan\n",
+             "vertex id out of range 0..3 in edge line '0 99999999999999999999 0.5'"),
+            ("-1 2 0.5\n0 1\n", "vertex id out of range 0..3 in edge line '-1 2 0.5'"),
+            ("0 1 0.5 7\n-1 2 0.5\n", "malformed edge line '0 1 0.5 7'"),
+        ],
+        ids=["range-then-malformed", "malformed-then-range", "nonfinite-then-range", "range-before-nonfinite",
+             "nonfinite-then-overflow", "overflow-then-nonfinite", "range-then-short", "long-then-range"],
+    )
+    def test_first_bad_line_wins(self, body, message):
+        text = "lexmatch-graph v1 n=4 m=3 root=vertex:0\n" + body
+        with pytest.raises(GraphError) as exc:
+            graph_from_text(text)
+        assert str(exc.value) == message
+
+    def test_edge_count_before_self_loop(self):
+        body = "0 1 0.5\n2 2 0.25\n1 0 0.75\n"
+        with pytest.raises(GraphError, match="^header claims m=3, found 2 edges$"):
+            graph_from_text("lexmatch-graph v1 n=3 m=3 root=vertex:0\n" + body)
+        with pytest.raises(GraphError, match="^self-loop on vertex 2$"):
+            graph_from_text("lexmatch-graph v1 n=3 m=2 root=vertex:0\n" + body)
+
+    def test_reversed_duplicate_keeps_last_weight(self):
+        text = "lexmatch-graph v1 n=3 m=2 root=vertex:0\n1 2 0.5\n0 1 0.25\n2 1 0.75\n"
+        g = graph_from_text(text)
+        assert list(g.weights.items()) == [((1, 2), 0.75), ((0, 1), 0.25)]
+        assert g.adjacency == ((1,), (0, 2), (1,))
+
+    def test_matches_line_by_line_parser(self):
+        # random files mixing good, duplicate, bad and out-of-range lines
+        pieces = ["0 1 0.5", "1 0 0.125", "2 3 1e-300", "3 2 -2.5", "4 1 0.0", "2 2 0.5", "0 5 0.5",
+                  "1 -1 0.5", "0 1 inf", "1 3 nan", "1 2", "1 2 3 4", "a 1 0.5", "0 1 0x1", "9" * 25 + " 0 1"]
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for _ in range(600):
+            body = [pieces[int(i)] for i in rng.integers(0, len(pieces), int(rng.integers(0, 6)))]
+            text = f"lexmatch-graph v1 n=5 m={int(rng.integers(0, 5))} root=vertex:0\n" + "\n".join(body)
+            try:
+                expected = reference_graph_from_text(text)
+            except GraphError as exc:
+                with pytest.raises(GraphError) as got:
+                    graph_from_text(text)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc).split(" ")[0])
+                continue
+            assert_same_graph(graph_from_text(text), expected)
+            outcomes.add("graph")
+        assert outcomes == {"graph", "malformed", "vertex", "non-finite", "header", "self-loop"}
+
+    def test_large_tree_round_trip(self):
+        # a random recursive tree on 1e5 vertices, vertex i hanging from a uniform j < i
+        n = 100_000
+        parents = (RngSeed(31).generator().random(n - 1) * np.arange(1, n)).astype(np.int64)
+        edges = {(int(p), i): 0.0 for i, p in enumerate(parents.tolist(), start=1)}
+        g = assign_weights(randgraph._build(n, edges, VertexRoot(7)), WeightLaw.uniform(), RngSeed(32))
+        h = graph_from_text(graph_to_text(g))
+        assert h.n == n and h.root == g.root
+        assert h.adjacency == adjacency_of(n, edges)
+        assert list(h.weights.items()) == sorted(g.weights.items())
+
 
 class TestWeightLaw:
     def test_parse(self):
@@ -418,6 +599,21 @@ class TestWeightLaw:
         assert parse_weight_law("const:1") == WeightLaw.constant(1.0)
         with pytest.raises(GraphError):
             parse_weight_law("nope:1")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("uniform:1:0", "uniform law needs finite a < b, got 1, 0"),
+            ("exp:-2", "exponential rate must be positive and finite, got -2"),
+            ("uniform:a:1", "cannot parse weight spec 'uniform:a:1': could not convert string to float: 'a'"),
+            ("exp:1:2", "unknown weight spec 'exp:1:2'"),
+            ("nope:x", "unknown weight spec 'nope:x'"),
+        ],
+    )
+    def test_range_errors_are_not_parse_errors(self, spec, message):
+        with pytest.raises(GraphError) as exc:
+            parse_weight_law(spec)
+        assert str(exc.value) == message
 
     def test_cdf(self):
         law = WeightLaw.uniform(0, 2)
