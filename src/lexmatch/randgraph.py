@@ -346,8 +346,8 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     one vectorised scan (`_skip_scan`), an integer-corrected square root
     that maps each kept cell back to (w, v), and one sort for the
     adjacency.  The generator draws exactly m + 1 uniforms for the scan,
-    one per edge and one whose skip ends it, then one integer for the
-    root; the edges enter `weights` in scan order.  Each skip is computed
+    one per edge and one whose skip ends it (none when c/n rounds to 0),
+    then one integer for the root; the edges enter `weights` in scan order.  Each skip is computed
     with math.log1p, because np.log1p differs from it in the last bit on
     some inputs and could move an edge.  So the graph is the one a scalar
     loop over rng.random() gives.
@@ -357,7 +357,9 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     if not (0 < c < n) and n > 1:
         raise GraphError(f"need 0 < c < n, got c={c}, n={n}")
     rng = seed.generator()
-    cell = _skip_scan(rng, c / n, n * (n - 1) // 2) if n > 1 else np.empty(0, dtype=np.int64)
+    p = c / n if n > 1 else 0.0
+    # a c/n that underflows to 0 keeps no cell and draws no uniform
+    cell = _skip_scan(rng, p, n * (n - 1) // 2) if p > 0.0 else np.empty(0, dtype=np.int64)
     # cell k is (w, v) with v (v - 1) / 2 <= k < v (v + 1) / 2; the float root is off by at most one
     v = ((1.0 + np.sqrt(8.0 * cell + 1.0)) / 2.0).astype(np.int64)
     v -= v * (v - 1) // 2 > cell
@@ -532,9 +534,10 @@ def graph_to_text(g: WeightedGraph) -> str:
 def graph_from_text(text: str) -> WeightedGraph:
     """Parse the format `graph_to_text` writes.
 
-    Edge lines are parsed into typed buffers, then checked as arrays, in
-    O(m log m) for the sorts.  A bad input raises GraphError for the
-    first fault in this order: the first bad edge line in file order
+    Edge lines are checked as they are parsed into typed buffers, and
+    repeated edges are merged by one sort, so the cost is O(m log m).  A
+    bad input raises GraphError for the first fault in this order: the
+    first bad edge line in file order
     (not three fields, an unparsable number, a vertex id outside
     0..n-1, then a non-finite weight), then an `m=` count that differs
     from the number of distinct edges (an edge listed as `u v` and as
@@ -555,40 +558,24 @@ def graph_from_text(text: str) -> WeightedGraph:
     if n < 1:
         raise GraphError(f"header claims n={n}; need at least one vertex")
 
-    def out_of_range(ln):
-        return GraphError(f"vertex id out of range 0..{n - 1} in edge line {ln!r}")
-
     us, vs, ws = array("q"), array("q"), array("d")
-    stop = None  # the error of the line that ended parsing, raised unless an earlier line is bad
     for ln in islice(lines, 1, None):
         try:
             a, b, x = ln.split()
             u, v, w = int(a), int(b), float(x)
-        except ValueError:
-            stop = GraphError(f"malformed edge line {ln!r}")
-            break
-        try:
-            us.append(u)
-            vs.append(v)
-        except OverflowError:  # beyond int64, so out of range
-            del us[len(ws):]
-            stop = out_of_range(ln)
-            break
+        except ValueError as exc:
+            raise GraphError(f"malformed edge line {ln!r}") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"vertex id out of range 0..{n - 1} in edge line {ln!r}")
+        if not math.isfinite(w):
+            raise GraphError(f"non-finite weight in edge line {ln!r}")
+        us.append(u)
+        vs.append(v)
         ws.append(w)
     u, v, w = np.asarray(us), np.asarray(vs), np.asarray(ws)
-    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    bad = np.flatnonzero(outside | ~np.isfinite(w))
-    if bad.size:
-        i = int(bad[0])
-        ln = lines[1 + i]
-        raise out_of_range(ln) if outside[i] else GraphError(f"non-finite weight in edge line {ln!r}")
-    if stop is not None:
-        raise stop
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    key = lo * n + hi
-    if not np.all(key[1:] > key[:-1]):  # repeated or unsorted edges; graph_to_text writes neither
-        first, last = _first_last(lo, hi)
-        lo, hi, w = lo[first], hi[first], w[last]
+    first, last = _first_last(lo, hi)
+    lo, hi, w = lo[first], hi[first], w[last]
     if len(lo) != m:
         raise GraphError(f"header claims m={m}, found {len(lo)} edges")
     loops = np.flatnonzero(u == v)

@@ -1,6 +1,7 @@
 """Generators, balls and serialization: determinism and distributional checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,18 @@ class TestGraphsFromArraysDifferential:
             for s in range(3):
                 seed = RngSeed(s, 17)
                 assert_same_graph(erdos_renyi(n, c, seed), reference_erdos_renyi(n, c, seed))
+
+    @pytest.mark.parametrize("n, c", [(3, 5e-324), (1_000_000, 1e-318)])
+    def test_erdos_renyi_underflowing_p(self, n, c):
+        # c / n rounds to 0.0: no edge, no warning and no uniform drawn before the root
+        assert c / n == 0.0
+        for s in range(3):
+            seed = RngSeed(s, 17)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = erdos_renyi(n, c, seed)
+            assert g.m == 0
+            assert_same_graph(g, reference_erdos_renyi(n, c, seed))
 
     def test_erdos_renyi_scan_spans_blocks(self):
         # more edges than uniforms in one block: the scan continues across blocks
