@@ -48,6 +48,11 @@ CASES = {
     # the binomial and geometric families (pmf: laws are left out: their
     # excess pgf is a polynomial whose last bits depend on how it is evaluated)
     "solve-binom": [["solve", "--law", "binom:3:0.5", "--grid-points", "512", "--out", "{out}"]],
+    # k = 2: the undamped attempt stalls and the half-damped one restarts
+    "solve-k2": [["solve", "--law", "poisson:3.0", "--grid-points", "512", "--out", "{out}"]],
+    # k = 0 on a leafless excess law: the pinned-limit variant and its recentring
+    "solve-leafless": [["solve", "--law", "binom:3:1.0", "--grid-points", "512", "--out", "{out}"]],
+    "solve-k3": [["solve", "--law", "poisson:1.0", "--k", "3", "--grid-points", "512", "--out", "{out}"]],
     "size-binom": [["size", "--law", "binom:3:0.5", "--n", "2000", "--replicas", "4", "--out", "{out}"]],
     "decay-binom": [
         ["decay", "--law", "binom:2:0.5", "--samples", "300", "--h-max", "6", "--out", "{out}"]
