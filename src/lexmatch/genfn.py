@@ -64,10 +64,10 @@ class DegenerateFamilyError(LawError):
     """
 
 
-def _as_unit_interval(x, tol: float = 1e-9):
-    """Validate x in [0,1] (scalar or array), clipping float fuzz."""
+def _as_unit_interval(x):
+    """Validate x in [0,1] (scalar or array), clipping float fuzz up to 1e-9."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+    if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
         raise DomainError(f"argument outside [0, 1]: {x!r}")
     clipped = np.clip(arr, 0.0, 1.0)
     return clipped if arr.ndim else float(clipped)
@@ -211,18 +211,18 @@ class OffspringLaw:
         """hphi(x) = phi'(x)/phi'(1) (order 0) or hphi'(x) (order 1)."""
         return self.excess.pgf(x, order)
 
-    def excess_pmf(self, tail: float = 1e-12) -> np.ndarray:
-        """Excess-law pmf (k+1) pi(k+1) / m, truncated to mass >= 1-tail."""
-        return self.excess._pmf_table(tail)
+    def excess_pmf(self) -> np.ndarray:
+        """Excess-law pmf (k+1) pi(k+1) / m, truncated to mass >= 1 - 1e-12."""
+        return self.excess._pmf_table()
 
-    def _pmf_table(self, tail: float) -> np.ndarray:
-        """pi(0), pi(1), ... up to mass >= 1-tail, for the families of excess laws."""
+    def _pmf_table(self) -> np.ndarray:
+        """pi(0), pi(1), ... up to mass >= 1 - 1e-12, for the families of excess laws."""
         if self.family in ("binomial", "finite"):
             return self.pmf_values(self._table_kmax())
         c = p = self.params[0]
         probs = []
         total = 0.0
-        while total < 1.0 - tail and len(probs) < 4000:
+        while total < 1.0 - 1e-12 and len(probs) < 4000:
             k = len(probs)
             if self.family == "poisson":
                 pk = math.exp(-c + k * math.log(c) - math.lgamma(k + 1))
@@ -325,8 +325,8 @@ def parse_law(text: str) -> OffspringLaw:
 # ----------------------------------------------------------------------
 
 
-def size_biased_pgf_inverse(law: OffspringLaw, y, tol: float = 1e-12):
-    """Invert the increasing map hphi on [0, 1] by bisection (vectorized)."""
+def size_biased_pgf_inverse(law: OffspringLaw, y):
+    """Invert the increasing map hphi on [0, 1] by bisection (vectorized) to 1e-12."""
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(ya < -1e-12) or np.any(ya > 1.0 + 1e-12):
         raise DomainError(f"inverse argument outside [0, 1]: {y!r}")
@@ -339,7 +339,7 @@ def size_biased_pgf_inverse(law: OffspringLaw, y, tol: float = 1e-12):
         below = law.excess_pgf(mid) < ya
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < tol:
+        if np.max(hi - lo) < 1e-12:
             break
     out = 0.5 * (lo + hi)
     return out if np.ndim(y) else float(out[0])

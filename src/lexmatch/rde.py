@@ -14,11 +14,14 @@ controls the asymptotic matching size.  When the excess law puts no mass
 at zero (leafless trees) the indicator disappears and the limits 0 and 1
 pin the outer layers instead.
 
-Solvers here iterate the damped operator on a uniform grid with the
-weight expectation computed by trapezoid quadrature on the weight CDF
-and the atom of h_0 handled in closed form (smearing it onto the grid
-would bias the size formulas).  A pool-based population-dynamics solver
-provides an independent route to the same law.
+A solved `CdfSystem` holds the grid t, one (k + 1) x n array h whose row
+j samples h_j on t, and beta, the atom of h_0 at zero.  The grid solver
+iterates on it with the weight expectation computed by trapezoid
+quadrature on the weight CDF and the atom handled in closed form
+(smearing it onto the grid would bias the size formulas), in one fixed
+plan: undamped until the residual stalls, then half-damped from the
+start.  A pool-based population-dynamics solver provides an independent
+route to the same law.
 """
 
 from __future__ import annotations
@@ -30,12 +33,11 @@ from typing import ClassVar
 import numpy as np
 
 from .genfn import OffspringLaw, size_biased_pgf_inverse, F_pi
-from .randgraph import WeightLaw
+from .randgraph import RngSeed, WeightLaw
 
 __all__ = [
     "ConvergenceError",
     "GridSpec",
-    "GridCdf",
     "CdfSystem",
     "SolverAttempt",
     "ZetaSampler",
@@ -80,27 +82,6 @@ class GridSpec:
         return (np.arange(self.n_points) - i0) * step
 
 
-@dataclass
-class GridCdf:
-    """Monotone grid-sampled cadlag function with a tracked atom at zero."""
-
-    t: np.ndarray
-    values: np.ndarray
-    atom0: float = 0.0
-
-    @property
-    def left_limit(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def right_limit(self) -> float:
-        return float(self.values[-1])
-
-    def __post_init__(self):
-        if np.any(np.diff(self.values) < -1e-10):
-            raise ValueError("GridCdf values must be non-decreasing")
-
-
 @dataclass(frozen=True)
 class SolverAttempt:
     """One fixed-point attempt of the grid solver.
@@ -123,14 +104,18 @@ class SolverAttempt:
 
 @dataclass
 class CdfSystem:
-    """Solved layer vector with plateau levels and convergence history.
+    """Solved layers h_0..h_k on the grid t, with convergence history.
 
-    `residuals` is the residual history of the final (converged) attempt;
-    `attempts` records every attempt, in order.
+    Row j of the (k + 1) x len(t) array `h` samples h_j on `t`; `beta` is
+    the atom of h_0 at zero (0.0 for a leafless law).  `residuals` is the
+    residual history of the final (converged) attempt; `attempts` records
+    every attempt, in order.
     """
 
     k: int
-    levels: list
+    t: np.ndarray
+    h: np.ndarray
+    beta: float
     law: OffspringLaw
     wlaw: WeightLaw
     residuals: list = field(default_factory=list)
@@ -138,23 +123,15 @@ class CdfSystem:
     attempts: list = field(default_factory=list)
 
     @property
-    def beta(self) -> float:
-        return self.levels[0].atom0
-
-    @property
     def plateau(self) -> list[float]:
-        """l_1..l_k: the stitched limits P(level < j)."""
-        return [self.levels[j].right_limit for j in range(self.k)]
+        """l_1..l_k: the stitched limits P(level < j), as Python floats."""
+        return self.h[: self.k, -1].tolist()
 
     def level_masses(self) -> np.ndarray:
-        return np.array([lv.right_limit - lv.left_limit for lv in self.levels])
+        return self.h[:, -1] - self.h[:, 0]
 
     def stitching_gap(self) -> float:
-        gaps = [
-            abs(self.levels[j].right_limit - self.levels[j + 1].left_limit)
-            for j in range(self.k)
-        ]
-        return max(gaps) if gaps else 0.0
+        return float(np.max(np.abs(self.h[:-1, -1] - self.h[1:, 0]), initial=0.0))
 
 
 class _Quadrature:
@@ -168,7 +145,6 @@ class _Quadrature:
 
     def __init__(self, t: np.ndarray, wlaw: WeightLaw):
         self.t = t
-        self.wlaw = wlaw
         self.n = len(t)
         self.i0 = int(np.searchsorted(t, 0.0))
         assert t[self.i0] == 0.0
@@ -192,6 +168,8 @@ class _Quadrature:
         q[1:] += 0.5 * masses
         self.j_lo = j_lo
         self.q = q
+        # P(W >= t_i), for the closed-form atom contribution
+        self.survival = 1.0 - np.asarray(wlaw.cdf(t))
 
     def expect(self, values: np.ndarray) -> np.ndarray:
         """E[h(W - t_i)] for h piecewise linear with flat extensions."""
@@ -213,24 +191,24 @@ class _Quadrature:
         out = np.correlate(window, self.q, mode="valid")[::-1]
         return out
 
-    def survival(self) -> np.ndarray:
-        """P(W >= t_i), used for the closed-form atom contribution."""
-        return 1.0 - np.asarray(self.wlaw.cdf(self.t))
 
-
-def _expect_layer(quad: _Quadrature, cdf: GridCdf) -> np.ndarray:
-    """Expectation with the atom at zero of the layer handled exactly."""
-    if cdf.atom0 > 0.0:
-        cont = cdf.values.copy()
-        cont[quad.i0 :] -= cdf.atom0
-        return quad.expect(cont) + cdf.atom0 * quad.survival()
-    return quad.expect(cdf.values)
+def _expect_layers(quad: _Quadrature, h: np.ndarray, beta: float) -> np.ndarray:
+    """E[h_j(W - t)] for every row, with the atom beta of h_0 at zero handled exactly."""
+    out = np.empty_like(h)
+    for j, row in enumerate(h):
+        if j == 0 and beta > 0.0:
+            cont = row.copy()
+            cont[quad.i0 :] -= beta
+            out[j] = quad.expect(cont) + beta * quad.survival
+        else:
+            out[j] = quad.expect(row)
+    return out
 
 
 def _monotone_guard(arr: np.ndarray) -> np.ndarray:
     if np.any(np.diff(arr) < -1e-9):
         raise ConvergenceError("iterate lost monotonicity", float("nan"))
-    return np.maximum.accumulate(np.clip(arr, 0.0, 1.0))
+    return np.maximum.accumulate(np.clip(arr, 0.0, 1.0), axis=-1)
 
 
 def _recenter(values: np.ndarray, i0: int) -> np.ndarray:
@@ -238,6 +216,7 @@ def _recenter(values: np.ndarray, i0: int) -> np.ndarray:
 
     Layers without an indicator are translation invariant, so the
     iteration has a neutral drift mode; pinning the crossing removes it.
+    The caller guards monotonicity of the result.
     """
     lo, hi = values[0], values[-1]
     if hi - lo < 1e-12:
@@ -252,83 +231,54 @@ def _recenter(values: np.ndarray, i0: int) -> np.ndarray:
         out[-shift:] = values[-1]
     else:
         out[:-shift] = values[0]
-    return _monotone_guard(out)
+    return out
 
 
+# (damping, stall exit) of each attempt, in order; see solve_system
+_PLAN = ((1.0, True), (0.5, False))
+_TOL = 1e-9
+_MAX_ITER = 5000
 # An undamped attempt whose minimum residual over the last _STALL_WINDOW
 # iterations stays above _STALL_RATIO times its minimum before them is
 # taken to be stuck in the period-2 cycle of the order-reversing operator.
-# Slow contractions that still converge within the default 5000 iterations
+# Slow contractions that still converge within _MAX_ITER iterations
 # shrink it by more per window: poisson:2.71 with uniform weights, which
 # converges at iteration 4899, peaks at a window ratio of 0.89.
 _STALL_WINDOW = 50
 _STALL_RATIO = 0.9
 
 
-def _iterate(law, quad, layers, k, leafless, tol, max_iter, damping, stall_exit=False):
-    """Damped fixed-point iteration of the joint layer operator.
+def _iterate(law, quad, h, leafless, damping, stall_exit):
+    """Damped fixed-point iteration of the joint layer operator from h.
 
-    Returns the final layers, the residual history and why the attempt
-    ended: "converged", "max_iter", or "stalled" (only with stall_exit).
-    The input list is left untouched.
+    Returns the final layers, their h_0 atom, the residual history and why
+    the attempt ended: "converged", "max_iter", or "stalled" (only with
+    stall_exit).  The input array is left untouched.
     """
+    k = len(h) - 1
     i0 = quad.i0
-    layers = list(layers)
+    beta = 0.0
     residuals = []
     floor = math.inf  # minimum residual before the current window
-    for it in range(max_iter):
-        expect = [_expect_layer(quad, lv) for lv in layers]
-        new_vals = []
-        for j in range(k + 1):
-            raw = np.asarray(law.excess_pgf(np.clip(1.0 - expect[k - j], 0.0, 1.0)))
-            if j == 0 and not leafless:
-                raw = raw * (quad.t >= 0.0)
-            new_vals.append(raw)
-        resid = 0.0
-        for j in range(k + 1):
-            mixed = (1.0 - damping) * layers[j].values + damping * new_vals[j]
-            if leafless and 2 * j == k:
-                mixed = _recenter(mixed, i0)
-            mixed = _monotone_guard(mixed)
-            resid = max(resid, float(np.max(np.abs(mixed - layers[j].values))))
-            atom = float(mixed[i0]) if (j == 0 and not leafless) else 0.0
-            layers[j] = GridCdf(quad.t, mixed, atom)
-        residuals.append(resid)
-        if resid < tol:
-            return layers, residuals, "converged"
+    for it in range(_MAX_ITER):
+        expect = _expect_layers(quad, h, beta)
+        raw = np.asarray(law.excess_pgf(np.clip(1.0 - expect[::-1], 0.0, 1.0)))
+        if not leafless:
+            raw[0] *= quad.t >= 0.0
+        mixed = (1.0 - damping) * h + damping * raw
+        if leafless and k % 2 == 0:
+            mixed[k // 2] = _recenter(mixed[k // 2], i0)
+        mixed = _monotone_guard(mixed)
+        residuals.append(float(np.max(np.abs(mixed - h))))
+        h = mixed
+        beta = 0.0 if leafless else float(h[0, i0])
+        if residuals[-1] < _TOL:
+            return h, beta, residuals, "converged"
         if stall_exit and it >= _STALL_WINDOW:
             floor = min(floor, residuals[it - _STALL_WINDOW])
             if min(residuals[-_STALL_WINDOW:]) > _STALL_RATIO * floor:
-                return layers, residuals, "stalled"
-    return layers, residuals, "max_iter"
-
-
-def _iterate_with_fallback(law, quad, layers, k, leafless, tol, max_iter, damping):
-    """Run the fixed-point attempts from `layers`; return the converged
-    layers, the final attempt's residual history and every attempt.
-
-    With a given damping there is one attempt of up to max_iter
-    iterations.  Without one, an undamped attempt runs first (it meets the
-    two-step contraction rate when the regime contracts); it ends early
-    once its residual stalls, i.e. the minimum over the last _STALL_WINDOW
-    iterations stays above _STALL_RATIO times the minimum before them.
-    Then a half-damped attempt, which tames the period-2 oscillation of
-    the order-reversing operator, restarts from the same initial layers.
-    Raises ConvergenceError naming every attempt when none converges.
-    """
-    plan = [(1.0, True), (0.5, False)] if damping is None else [(damping, False)]
-    attempts = []
-    for step, stall_exit in plan:
-        out, residuals, reason = _iterate(
-            law, quad, layers, k, leafless, tol, max_iter, step, stall_exit
-        )
-        attempts.append(SolverAttempt(step, len(residuals), residuals[-1], reason))
-        if reason == "converged":
-            return out, residuals, attempts
-    raise ConvergenceError(
-        "no convergence: " + "; ".join(a.describe() for a in attempts),
-        attempts[-1].residual,
-    )
+                return h, beta, residuals, "stalled"
+    return h, beta, residuals, "max_iter"
 
 
 def solve_system(
@@ -336,22 +286,20 @@ def solve_system(
     wlaw: WeightLaw,
     k: int,
     grid: GridSpec = GridSpec(),
-    tol: float = 1e-9,
-    max_iter: int = 5000,
-    damping: float | None = None,
 ) -> CdfSystem:
     """Solve the renormalised (k+1)-layer system for the message law.
 
-    k should come from the macroscopic regime classification.  With the
-    default damping=None an undamped attempt runs first and, if its
-    residual stalls (as in the period-2 cycle outside the contracting
-    regime), a half-damped attempt restarts from the initial layers; a
-    given damping makes a single attempt of up to max_iter iterations.
-    The returned system lists every attempt in `attempts`, and
-    ConvergenceError names each one when none converges.  With a leafless
-    excess law (hphi(0) = 0) the indicator variant is replaced by the
-    pinned-limit variant automatically.  The weight law must be atomless:
-    the grid tracks no atom but the one of h_0 at zero.
+    k should come from the macroscopic regime classification.  An undamped
+    attempt runs first; if its residual stalls (as in the period-2 cycle
+    outside the contracting regime), i.e. the minimum over the last
+    _STALL_WINDOW iterations stays above _STALL_RATIO times the minimum
+    before them, a half-damped attempt of up to _MAX_ITER iterations
+    restarts from the initial layers.  The returned system lists every
+    attempt in `attempts`, and ConvergenceError names each one when none
+    converges.  With a leafless excess law (hphi(0) = 0) the indicator
+    variant is replaced by the pinned-limit variant automatically.  The
+    weight law must be atomless: the grid tracks no atom but the one of
+    h_0 at zero.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -361,39 +309,35 @@ def solve_system(
     t = grid.build(default_t=8.0 * (wlaw.mean + 1.0))
     quad = _Quadrature(t, wlaw)
     n = len(t)
-    i0 = quad.i0
 
     # initial layers: stacked ramps giving a rough increasing profile per
     # layer; outer-pair attraction pulls the plateaus to the extreme
     # doubled fixed points from below/above
-    layers = []
-    for j in range(k + 1):
-        lo = j / (k + 2.0)
-        hi = (j + 1.5) / (k + 2.0)
-        ramp = lo + (hi - lo) * (np.arange(n) / (n - 1.0))
-        if j == 0 and not leafless:
-            ramp = ramp * (t >= 0.0)
-        if leafless and j == 0:
-            ramp = np.clip(ramp - lo, 0.0, 1.0)
-        if leafless and j == k:
-            ramp = np.clip(ramp + (1.0 - hi), 0.0, 1.0)
-        layers.append(GridCdf(t, _monotone_guard(ramp), 0.0))
+    j = np.arange(k + 1)[:, None]
+    lo, hi = j / (k + 2.0), (j + 1.5) / (k + 2.0)
+    h0 = lo + (hi - lo) * (np.arange(n) / (n - 1.0))
+    if leafless:
+        h0[k] += 1.0 - hi[k]  # lift h_k to end at 1; h_0 already starts at 0
+    else:
+        h0[0] *= t >= 0.0
+    h0 = _monotone_guard(h0)
 
-    layers, residuals, attempts = _iterate_with_fallback(
-        law, quad, layers, k, leafless, tol, max_iter, damping
-    )
-    return CdfSystem(
-        k=k,
-        levels=layers,
-        law=law,
-        wlaw=wlaw,
-        residuals=residuals,
-        leafless=leafless,
-        attempts=attempts,
+    attempts = []
+    for damping, stall_exit in _PLAN:
+        h, beta, residuals, reason = _iterate(law, quad, h0, leafless, damping, stall_exit)
+        attempts.append(SolverAttempt(damping, len(residuals), residuals[-1], reason))
+        if reason == "converged":
+            return CdfSystem(k, t, h, beta, law, wlaw, residuals, leafless, attempts)
+    raise ConvergenceError(
+        "no convergence: " + "; ".join(a.describe() for a in attempts),
+        attempts[-1].residual,
     )
 
 
-def _inverse_integral(law: OffspringLaw, a: float, b: float, points: int = 4097) -> float:
+_INTEGRAL_POINTS = 4097
+
+
+def _inverse_integral(law: OffspringLaw, a: float, b: float) -> float:
     """Integral of 1 - hphi^{-1}(u) over [a, b] by trapezoid quadrature."""
     if b <= a:
         sign = -1.0
@@ -402,38 +346,27 @@ def _inverse_integral(law: OffspringLaw, a: float, b: float, points: int = 4097)
         sign = 1.0
     if b - a < 1e-15:
         return 0.0
-    u = np.linspace(a, b, points)
+    u = np.linspace(a, b, _INTEGRAL_POINTS)
     vals = 1.0 - np.asarray(size_biased_pgf_inverse(law, u))
     return sign * float(np.trapezoid(vals, u))
 
 
 def conservation_check(sys: CdfSystem) -> dict:
-    """Numerical residuals of the boundary-value conservation identities.
+    """Numerical residual of the boundary-value conservation identity.
 
     "bords": beta (1 - hphi^{-1}(beta)) + int_beta^{l_1} (1 - hphi^{-1})
-             minus l_k l_1 + int_{l_k}^1 (1 - hphi^{-1});
-    "energy": the j <-> k-j balance for interior layers (vacuous when
-    k <= 2 since the two sides coincide symbolically).
+             minus l_k l_1 + int_{l_k}^1 (1 - hphi^{-1}).
     """
     law = sys.law
     if sys.k == 0:
-        return {"bords": 0.0, "energy": []}
-    ls = {j + 1: sys.levels[j].right_limit for j in range(sys.k)}
-    ls[sys.k + 1] = 1.0
+        return {"bords": 0.0}
     beta = sys.beta
-    l1, lk = ls[1], ls[sys.k]
+    l1, lk = float(sys.h[0, -1]), float(sys.h[sys.k - 1, -1])
     lhs = beta * (1.0 - float(size_biased_pgf_inverse(law, beta))) + _inverse_integral(
         law, beta, l1
     )
     rhs = lk * l1 + _inverse_integral(law, lk, 1.0)
-    energy = []
-    for j in range(1, sys.k):
-        left = ls[j] * ls[sys.k - j + 1] + _inverse_integral(law, ls[j], ls[j + 1])
-        right = ls[j + 1] * ls[sys.k - j] + _inverse_integral(
-            law, ls[sys.k - j], ls[sys.k - j + 1]
-        )
-        energy.append(abs(left - right))
-    return {"bords": abs(lhs - rhs), "energy": energy}
+    return {"bords": abs(lhs - rhs)}
 
 
 def size_from_system(sys: CdfSystem) -> float:
@@ -453,7 +386,7 @@ def size_from_system(sys: CdfSystem) -> float:
 def size_from_functional(sys: CdfSystem) -> float:
     """The same edge density through the matching functional at l_1."""
     law = sys.law
-    l1 = sys.levels[0].right_limit if sys.k >= 1 else 1.0
+    l1 = float(sys.h[0, -1]) if sys.k >= 1 else 1.0
     return (2.0 - float(F_pi(law, l1))) / law.mean
 
 
@@ -469,7 +402,8 @@ class ZetaSampler:
     source: str
     k: int
     level_probs: np.ndarray
-    layers: list | None = None  # (t, values, lo, hi, atom) tuples for grid source
+    system: CdfSystem | None = None  # grid source
+    values: np.ndarray | None = None  # rows of system.h, made strictly increasing
     pool_levels: np.ndarray | None = None
     pool_z: np.ndarray | None = None
 
@@ -485,11 +419,11 @@ class ZetaSampler:
             cnt = int(mask.sum())
             if cnt == 0:
                 continue
-            t, values, lo, hi, atom = self.layers[j]
+            lo, hi = self.system.h[j, 0], self.system.h[j, -1]
             u = lo + (hi - lo) * rng.random(cnt)
-            zj = np.interp(u, values, t)
-            if atom > 0.0:
-                zj = np.where(u <= lo + atom, 0.0, zj)
+            zj = np.interp(u, self.values[j], self.system.t)
+            if j == 0 and self.system.beta > 0.0:
+                zj = np.where(u <= lo + self.system.beta, 0.0, zj)
             z[mask] = zj
         return levels, z
 
@@ -500,15 +434,11 @@ def zeta_prime(sys: CdfSystem) -> ZetaSampler:
     total = probs.sum()
     if total <= 0:
         raise ValueError("solved system carries no probability mass")
-    layers = []
-    for j in range(sys.k + 1):
-        lv = sys.levels[j]
-        # strictly increasing values are required by interp; collapse
-        # flat stretches by a negligible slope
-        vals = np.maximum.accumulate(lv.values + 1e-15 * np.arange(len(lv.values)))
-        layers.append((lv.t, vals, lv.left_limit, lv.right_limit, lv.atom0))
+    # strictly increasing values are required by interp; collapse flat
+    # stretches by a negligible slope
+    values = np.maximum.accumulate(sys.h + 1e-15 * np.arange(len(sys.t)), axis=1)
     return ZetaSampler(
-        source="grid", k=sys.k, level_probs=probs / total, layers=layers
+        source="grid", k=sys.k, level_probs=probs / total, system=sys, values=values
     )
 
 
@@ -555,9 +485,10 @@ def population_dynamics(
     law: OffspringLaw,
     wlaw: WeightLaw,
     k: int,
-    pool_size: int = 20_000,
-    iters: int = 60,
-    seed=None,
+    *,
+    pool_size: int,
+    iters: int,
+    seed: RngSeed,
 ) -> ZetaSampler:
     """Pool-based Monte Carlo solver for the message law.
 
@@ -568,7 +499,7 @@ def population_dynamics(
     """
     if pool_size < 10_000:
         raise ValueError("pool_size must be at least 10^4")
-    rng = seed.generator() if hasattr(seed, "generator") else np.random.default_rng(seed)
+    rng = seed.generator()
     pool_lvl = np.zeros(pool_size, dtype=np.int64)
     pool_z = np.zeros(pool_size)
     batch = max(1, pool_size // 8)
@@ -593,7 +524,7 @@ def population_dynamics(
 
 def system_to_csv(sys: CdfSystem) -> str:
     """CSV dump: header comment with grid metadata, then level,t,h rows."""
-    t = sys.levels[0].t
+    t = sys.t
     step = float(t[1] - t[0])
     plateaus = ",".join(f"{v:.12g}" for v in sys.plateau)
     lines = [
@@ -601,7 +532,7 @@ def system_to_csv(sys: CdfSystem) -> str:
         f"beta={sys.beta:.12g} plateaus={plateaus}"
     ]
     lines.append("level,t,h")
-    for j, lv in enumerate(sys.levels):
-        for ti, hi in zip(lv.t, lv.values):
+    for j, row in enumerate(sys.h):
+        for ti, hi in zip(t, row):
             lines.append(f"{j},{ti:.12g},{hi:.12g}")
     return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ def sys1():
 
 @pytest.fixture(scope="module")
 def sys2():
-    return solve_system(LAW3, UNIF, 2, damping=0.5)
+    return solve_system(LAW3, UNIF, 2)
 
 
 class TestSolveSystem:
@@ -59,14 +59,14 @@ class TestSolveSystem:
     def test_stitching(self, sys1):
         # h_0(+inf) = h_1(-inf) = gamma
         assert sys1.stitching_gap() < 1e-6
-        assert sys1.levels[1].left_limit == pytest.approx(GAMMA, abs=1e-4)
+        assert sys1.h[1, 0] == pytest.approx(GAMMA, abs=1e-4)
 
     def test_beta_matches_conservation_value(self, sys1):
         assert sys1.beta == pytest.approx(KS1.beta, abs=2e-3)
 
     def test_monotone_layers(self, sys1):
-        for lv in sys1.levels:
-            assert np.all(np.diff(lv.values) >= -1e-12)
+        for row in sys1.h:
+            assert np.all(np.diff(row) >= -1e-12)
 
     def test_two_step_contraction_rate(self, sys1):
         rho = genfn.rho_subcritical(LAW1)
@@ -90,27 +90,28 @@ class TestSolveSystem:
         # perfect-matching regime: edge density 1/m, vertex density 1
         assert size_from_system(sys0) == pytest.approx(1.0 / 3.0, abs=2e-3)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(rde, "_MAX_ITER", 5)
         with pytest.raises(ConvergenceError) as exc:
-            solve_system(OffspringLaw.poisson(3.0), UNIF, 2, max_iter=5, damping=0.5)
+            solve_system(OffspringLaw.poisson(3.0), UNIF, 2)
         assert exc.value.residual > 0
 
 
 class TestSolverAttempts:
-    def test_default_damping_falls_back_after_stall(self, sys2):
+    def test_falls_back_after_stall(self, sys2, monkeypatch):
         # k = 2: the undamped iteration locks into a period-2 cycle, so it
-        # must stop early and the half-damped restart must give exactly the
-        # system that damping=0.5 gives
-        default = solve_system(LAW3, UNIF, 2)
-        for a, b in zip(default.levels, sys2.levels):
-            assert np.array_equal(a.values, b.values) and a.atom0 == b.atom0
-        assert default.plateau == sys2.plateau
-        assert default.residuals == sys2.residuals
-        stalled, converged = default.attempts
+        # must stop early, and the half-damped restart from the initial
+        # layers must give exactly what a lone half-damped attempt gives
+        stalled, converged = sys2.attempts
         assert stalled.damping == 1.0 and stalled.reason == "stalled"
         assert stalled.iterations <= 200 and stalled.residual > 0.1
         assert converged == SolverAttempt(0.5, len(sys2.residuals), sys2.residuals[-1], "converged")
-        assert sys2.attempts == [converged]
+        monkeypatch.setattr(rde, "_PLAN", ((0.5, False),))
+        alone = solve_system(LAW3, UNIF, 2)
+        assert np.array_equal(alone.h, sys2.h) and alone.beta == sys2.beta
+        assert alone.plateau == sys2.plateau and type(alone.plateau[0]) is float
+        assert alone.residuals == sys2.residuals
+        assert alone.attempts == [converged]
 
     @pytest.mark.parametrize(
         "law, grid, iterations",
@@ -129,17 +130,10 @@ class TestSolverAttempts:
         assert len(s.residuals) == iterations
         assert s.attempts == [SolverAttempt(1.0, iterations, s.residuals[-1], "converged")]
 
-    def test_given_damping_runs_to_max_iter(self):
-        # the undamped k = 2 residual stalls within 52 iterations; a given
-        # damping has no stall exit and fails only at max_iter
+    def test_failure_names_both_attempts(self, monkeypatch):
+        monkeypatch.setattr(rde, "_MAX_ITER", 60)
         with pytest.raises(ConvergenceError) as exc:
-            solve_system(LAW3, UNIF, 2, max_iter=80, damping=1.0)
-        assert str(exc.value).startswith("no convergence: damping 1: max_iter after 80 iterations")
-        assert ";" not in str(exc.value)
-
-    def test_failure_names_both_attempts(self):
-        with pytest.raises(ConvergenceError) as exc:
-            solve_system(LAW3, UNIF, 2, max_iter=60)
+            solve_system(LAW3, UNIF, 2)
         msg = str(exc.value)
         assert "damping 1: stalled after" in msg
         assert "; damping 0.5: max_iter after 60 iterations" in msg
@@ -150,7 +144,6 @@ class TestConservation:
     def test_k1_residual(self, sys1):
         cons = conservation_check(sys1)
         assert cons["bords"] < 2e-3
-        assert cons["energy"] == []
 
     def test_exponential_weights(self):
         # the quadrature truncates the unbounded exponential tail at 1e-14 mass
@@ -161,7 +154,7 @@ class TestConservation:
     def test_k0_vacuous(self):
         sys0 = solve_system(OffspringLaw.delta(3), UNIF, 0)
         cons = conservation_check(sys0)
-        assert cons["bords"] == 0.0 and cons["energy"] == []
+        assert cons == {"bords": 0.0}
 
     def test_residual_shrinks_with_grid(self):
         # conservation residual is dominated by solver discretization; it
@@ -183,13 +176,7 @@ class TestSize:
         # with beta = 0 the formula reduces to the perfect-matching integral
         from dataclasses import replace
 
-        forced = replace(
-            sys1,
-            levels=[
-                rde.GridCdf(sys1.levels[0].t, sys1.levels[0].values, 0.0),
-                sys1.levels[1],
-            ],
-        )
+        forced = replace(sys1, beta=0.0)
         direct = rde._inverse_integral(LAW1, 0.0, 1.0)
         assert size_from_system(forced) == pytest.approx(direct, abs=1e-12)
 
@@ -260,6 +247,14 @@ class TestPopulationDynamics:
                 np.abs(np.searchsorted(a, grid) / len(a) - np.searchsorted(b, grid) / len(b))
             )
             assert ks < 0.03
+
+    def test_pure_function_of_seed(self):
+        a, b = (
+            population_dynamics(LAW1, UNIF, 1, pool_size=10_000, iters=2, seed=RngSeed(11))
+            for _ in range(2)
+        )
+        assert np.array_equal(a.pool_levels, b.pool_levels)
+        assert np.array_equal(a.pool_z, b.pool_z)
 
     def test_pool_size_floor(self):
         with pytest.raises(ValueError):
