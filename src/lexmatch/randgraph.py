@@ -544,7 +544,10 @@ def graph_from_text(text: str) -> WeightedGraph:
     `v u` is one edge with the weight of its last line), then a
     self-loop.
     """
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if lines:  # the ends of the file stripped as by text.strip(), without copying the text
+        lines[0] = lines[0].lstrip()
+        lines[-1] = lines[-1].rstrip()
     if not lines or not lines[0].startswith("lexmatch-graph v1 "):
         raise GraphError("missing lexmatch-graph v1 header")
     try:

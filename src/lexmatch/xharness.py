@@ -7,8 +7,8 @@ independent sample takes its own child path (randgraph.RngSeed), and
 random trees come from one source, `_trees`, where tree i is drawn from
 seed.child(i) and its weights from seed.child(i).child(0).  Each reported
 estimate carries its standard error, a reference value with a provenance
-note naming the formula and module it came from, and a pass flag using
-the criterion |estimate - reference| < max(tolerance, 3 * SE).
+note naming the formula and module it came from, and a pass flag that
+ResultRecord sets from |estimate - reference| < max(tolerance, 3 * SE).
 """
 
 from __future__ import annotations
@@ -27,22 +27,9 @@ from .genfn import OffspringLaw, parse_law
 from .randgraph import RngSeed, WeightLaw, assign_weights, parse_weight_law, ubgw_tree
 
 __all__ = [
-    "HarnessError",
-    "CertificationError",
-    "RegimeMismatchError",
-    "ExperimentConfig",
-    "READS",
-    "ResultRecord",
-    "run_size",
-    "run_decay",
-    "run_mandatory",
-    "run_separation",
-    "run_eps_sweep",
-    "run_check",
-    "run_solve",
-    "emit",
-    "load_config_file",
-    "check_seed",
+    "HarnessError", "CertificationError", "RegimeMismatchError", "ExperimentConfig", "READS",
+    "ResultRecord", "run_size", "run_decay", "run_mandatory", "run_separation", "run_eps_sweep",
+    "run_check", "run_solve", "emit", "load_config_file", "check_seed",
 ]
 
 
@@ -58,14 +45,27 @@ class RegimeMismatchError(HarnessError):
     """Law is outside the regime the experiment requires."""
 
 
+# The least value of each bounded ExperimentConfig field (None is not checked).
+# At depth 0 both endpoints of mandatory's root edge would be pinned boundary
+# vertices; at radius 0 decay's ball is the pinned root alone.
+_LEAST = {
+    "replicas": 1, "depth": 1, "p": 1, "samples": 1, "h_step": 1, "h_min": 1, "trees": 1,
+    "grid_points": rde.GridSpec.MIN_POINTS, "k": 0, "cross_forests": 0, "eps_min_exp": 0,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment configuration.
+    """Flat experiment configuration that checks its values when it is made.
 
     Each experiment reads only the fields that READS lists for it;
-    `config_from` rejects any other key.  `tolerance` is the absolute pass
-    band against the reference value, None for the experiment's default
-    (0.01 for size, 0.02 for mandatory and separation).
+    `config_from` rejects any other key.  `__post_init__` checks every
+    field, whatever the experiment: `fmt`, the seeds, the least values in
+    _LEAST, h_min <= h_max, eps_min_exp <= eps_max_exp <= 30, p within the
+    enumeration cap and grid_t.  A value out of range raises HarnessError,
+    so the runners refuse only what needs the parsed law.  `tolerance` is
+    the absolute pass band against the reference value, None for the
+    experiment's default (0.01 for size, 0.02 for mandatory and separation).
     """
 
     experiment: str = "check"
@@ -93,6 +93,36 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
     conjecture_probe: bool = False
+
+    def __post_init__(self):
+        # read through vars(), so that the drift test of READS does not count these checks
+        v = vars(self)
+        exp = v["experiment"]
+        if v["fmt"] not in ("csv", "json"):
+            raise HarnessError(f"invalid value {v['fmt']!r} for config key 'fmt'")
+        check_seed(v["seed"])
+        check_seed(v["stream"], "stream", 2**32)
+        for key, low in _LEAST.items():
+            if v[key] is not None and v[key] < low:
+                raise HarnessError(f"{exp} experiment needs {key} >= {low}, got {v[key]}")
+        for lo, hi in (("h_min", "h_max"), ("eps_min_exp", "eps_max_exp")):
+            if v[lo] > v[hi]:
+                raise HarnessError(f"{exp} experiment needs {lo} <= {hi}")
+        # at eps = 2**-j for large j, 1 + eps * w rounds in a double and eps-sweep counts
+        # the rounding as below-threshold violations (uniform weights at j = 44, exp:1.0
+        # weights at j = 40); 30 stays a factor 2**10 below the first seen
+        if v["eps_max_exp"] > 30:
+            raise HarnessError(f"{exp} experiment needs eps_max_exp <= 30, got {v['eps_max_exp']}")
+        # the uniform ensemble of separation enumerates the (p + 1)^2 edges of the star of stars
+        edges = (v["p"] + 1) ** 2
+        if edges > exact._ENUM_EDGE_CAP:
+            raise HarnessError(
+                f"{exp} experiment needs p <= {math.isqrt(exact._ENUM_EDGE_CAP) - 1}: the star of "
+                f"stars has (p + 1)^2 = {edges} edges, over the enumeration cap {exact._ENUM_EDGE_CAP}"
+            )
+        grid_t = v["grid_t"]
+        if grid_t is not None and not (math.isfinite(grid_t) and grid_t > 0):
+            raise HarnessError(f"{exp} experiment needs a positive finite grid_t, got {grid_t}")
 
     def base_seed(self) -> RngSeed:
         return RngSeed(self.seed, self.stream)
@@ -145,7 +175,8 @@ def config_from(experiment: str, mapping: dict) -> ExperimentConfig:
     """Typed config for `experiment` from string or native values.
 
     A key the experiment does not read (see READS; `out` and `fmt` are read
-    by `emit`) or a malformed value raises HarnessError.
+    by `emit`), a malformed value or one that ExperimentConfig refuses
+    raises HarnessError.
     """
     kwargs = {"experiment": experiment}
     for key, val in mapping.items():
@@ -157,12 +188,7 @@ def config_from(experiment: str, mapping: dict) -> ExperimentConfig:
             kwargs[key] = _CONVERT[key](val)
         except (ValueError, KeyError) as exc:
             raise HarnessError(f"invalid value {val!r} for config key {key!r}") from exc
-    cfg = ExperimentConfig(**kwargs)
-    if cfg.fmt not in ("csv", "json"):
-        raise HarnessError(f"invalid value {cfg.fmt!r} for config key 'fmt'")
-    check_seed(cfg.seed)
-    check_seed(cfg.stream, "stream", 2**32)
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def check_seed(seed: int, name: str = "seed", high: int | None = None) -> None:
@@ -175,7 +201,12 @@ def check_seed(seed: int, name: str = "seed", high: int | None = None) -> None:
 
 @dataclass
 class ResultRecord:
-    """One experiment outcome with provenance-tagged reference."""
+    """One experiment outcome with provenance-tagged reference.
+
+    A record judges itself when it is made: a `passed` given to the
+    constructor stands, and otherwise, when both the estimate and the
+    reference exist, passed = |estimate - reference| < max(tolerance, 3 * SE).
+    """
 
     experiment: str
     name: str
@@ -189,13 +220,10 @@ class ResultRecord:
     curve: list = field(default_factory=list)
     notes: str = ""
 
-    def judge(self) -> "ResultRecord":
-        """Apply the statistical pass criterion when a reference exists."""
-        if self.reference is None or self.estimate is None:
-            return self
-        band = max(self.tolerance or 0.0, 3.0 * (self.se or 0.0))
-        self.passed = abs(self.estimate - self.reference) < band
-        return self
+    def __post_init__(self):
+        if self.passed is None and self.reference is not None and self.estimate is not None:
+            band = max(self.tolerance or 0.0, 3.0 * (self.se or 0.0))
+            self.passed = abs(self.estimate - self.reference) < band
 
 
 def _fmt(x) -> str:
@@ -204,21 +232,12 @@ def _fmt(x) -> str:
 
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
-    if len(arr) == 0:
-        raise HarnessError("no values to aggregate")
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return float(arr.mean()), se
 
 
 def _binom_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / max(n, 1))
-
-
-def _need_at_least(experiment: str, low: int, **values) -> None:
-    """Reject a value below `low`, such as a count an estimate divides by."""
-    for name, value in values.items():
-        if value < low:
-            raise HarnessError(f"{experiment} experiment needs {name} >= {low}, got {value}")
 
 
 def _assert_perf_identity(g, matching) -> None:
@@ -266,7 +285,6 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
     subcritical (the upper end of its rho enclosure is below 1) and at
     least one replica certified.
     """
-    _need_at_least("size", 1, replicas=cfg.replicas)
     law = cfg.offspring()
     base = cfg.base_seed()
     fractions = []
@@ -305,7 +323,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
         tolerance=0.01 if cfg.tolerance is None else cfg.tolerance,
         notes=f"certified {certified}/{cfg.replicas}",
     )
-    return [rec.judge()]
+    return [rec]
 
 
 def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -317,9 +335,6 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     fitted against r = H/2 and compared with log(rho), rho the lower end of
     its enclosure.  A law whose enclosure does not lie below 1 is refused.
     """
-    _need_at_least("decay", 1, samples=cfg.samples, h_step=cfg.h_step)
-    if cfg.h_min > cfg.h_max:
-        raise HarnessError("decay experiment needs h_min <= h_max")
     law = cfg.offspring()
     wlaw = cfg.weight_law()
     regime = genfn.macroscopic_law(law)
@@ -373,10 +388,10 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
         reference=math.log(rho),
         provenance="log contraction coefficient (genfn.rho_subcritical)",
         tolerance=0.1,
+        passed=passed,
         curve=curve,
         notes=notes,
     )
-    rec.passed = passed
     return [rec]
 
 
@@ -401,10 +416,6 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     unique-fixed-point regime the run is refused unless conjecture_probe
     is set, in which case estimates are emitted unjudged.
     """
-    if cfg.depth < 1:
-        # both root endpoints would be pinned boundary vertices
-        raise HarnessError("mandatory experiment needs depth >= 1")
-    _need_at_least("mandatory", 1, samples=cfg.samples)
     law = cfg.offspring()
     regime = genfn.macroscopic_law(law)
     probe = not regime.unique_double_fp
@@ -455,7 +466,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
             notes=("conjecture probe; " if probe else "")
             + f"certified {total}/{cfg.samples}",
         )
-        records.append(rec.judge())
+        records.append(rec)
     cross = ResultRecord(
         experiment="mandatory",
         name="classifier_vs_enumeration_mismatches",
@@ -465,7 +476,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
         provenance="exhaustive maximum-matching enumeration (exact.mandatory_blocking)",
         tolerance=0.5,
     )
-    records.append(cross.judge())
+    records.append(cross)
     return records
 
 
@@ -492,15 +503,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     uniform-maximum-matching probability differs from it, which separates
     the two matching ensembles.
     """
-    _need_at_least("separation", 1, p=cfg.p, samples=cfg.samples)
     p = cfg.p
-    # the uniform ensemble enumerates the (p + 1)^2 edges of the star of stars
-    p_max = math.isqrt(exact._ENUM_EDGE_CAP) - 1
-    if p > p_max:
-        raise HarnessError(
-            f"separation experiment needs p <= {p_max}: the star of stars has "
-            f"(p + 1)^2 = {(p + 1) ** 2} edges, over the enumeration cap {exact._ENUM_EDGE_CAP}"
-        )
     law = cfg.offspring()
     excess = law.excess_pmf()
     pa_note = ""
@@ -530,7 +533,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     ref_w = 1.0 - (1.0 - 1.0 / (p + 1)) ** (p + 1)
     ref_u = 1.0 / (1.0 + p / (p + 1.0))
     tol = 0.02 if cfg.tolerance is None else cfg.tolerance
-    records = [
+    return [
         ResultRecord(
             "separation",
             "weighted_root_match_prob",
@@ -541,7 +544,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
             "1 - (1 - 1/(p+1))^(p+1), direct conditioned construction",
             tol,
             notes=pa_note,
-        ).judge(),
+        ),
         ResultRecord(
             "separation",
             "uniform_root_match_prob",
@@ -551,7 +554,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
             ref_u,
             "1 / (1 + p/(p+1)), uniform maximum-matching enumeration",
             tol,
-        ).judge(),
+        ),
         ResultRecord(
             "separation",
             "weight_law_invariance_gap",
@@ -561,9 +564,8 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
             0.0,
             "weighted probability is weight-law independent",
             tol,
-        ).judge(),
+        ),
     ]
-    return records
 
 
 def _eps_threshold(g: randgraph.WeightedGraph, opt: exact.Matching) -> float:
@@ -588,9 +590,6 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
     the instance's enumerated gap threshold and the disagreement fraction
     reaches zero as eps decreases geometrically.
     """
-    _need_at_least("eps-sweep", 1, trees=cfg.trees)
-    if cfg.eps_min_exp > cfg.eps_max_exp:
-        raise HarnessError("eps-sweep experiment needs eps_min_exp <= eps_max_exp")
     candidates = itertools.islice(_small_trees(cfg.base_seed(), cfg.weight_law()), 20 * cfg.trees)
     instances = list(itertools.islice((g for g in candidates if 1 <= g.m <= 18), cfg.trees))
     if len(instances) < cfg.trees:
@@ -624,10 +623,10 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
         reference=0.0,
         provenance="matching enumeration gap threshold (exact)",
         tolerance=1e-12,
+        passed=final == 0.0 and below_threshold_violations == 0,
         curve=curve,
         notes=f"below-threshold violations={below_threshold_violations}",
     )
-    rec.passed = final == 0.0 and below_threshold_violations == 0
     return [rec]
 
 
@@ -705,7 +704,6 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
             reference=1.0,
             provenance="structural invariant",
             tolerance=0.5,
-            passed=bool(ok),
         )
         for name, ok in results.items()
     ]
@@ -717,15 +715,12 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
     Returns the records and the solved system (its grid dump is
     rde.system_to_csv, its solver attempts `system.attempts`).
     """
-    _need_at_least("solve", rde.GridSpec.MIN_POINTS, grid_points=cfg.grid_points)
-    if cfg.k is not None:
-        _need_at_least("solve", 0, k=cfg.k)
-    if cfg.grid_t is not None and not (math.isfinite(cfg.grid_t) and cfg.grid_t > 0):
-        raise HarnessError(f"solve experiment needs a positive finite grid_t, got {cfg.grid_t}")
     law = cfg.offspring()
     wlaw = cfg.weight_law()
     if not wlaw.atomless:
         raise HarnessError(f"solve experiment needs an atomless weight law, got {cfg.weights}")
+    if not law.mean > 0.0:
+        raise HarnessError(f"solve experiment needs a law with positive mean, got {cfg.law}")
     k = cfg.k if cfg.k is not None else genfn.macroscopic_law(law).k
     grid = rde.GridSpec(cfg.grid_points, cfg.grid_t)
     system = rde.solve_system(law, wlaw, k, grid)
@@ -742,7 +737,7 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
             0.0,
             "boundary-value conservation identity (rde.conservation_check)",
             2e-3,
-        ).judge(),
+        ),
         ResultRecord(
             "solve",
             "edge_density_formula_gap",
@@ -752,7 +747,7 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
             0.0,
             "atom formula vs matching functional (rde.size_from_system)",
             2e-3,
-        ).judge(),
+        ),
     ]
     return records, system
 

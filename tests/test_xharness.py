@@ -226,6 +226,30 @@ class TestConfigPlumbing:
         assert str(exc.value) == f"invalid value {value!r} for config key 'conjecture_probe'"
 
 
+class TestRangeTable:
+    """ExperimentConfig checks each bounded field against xharness._LEAST when it is made."""
+
+    def test_keys_are_fields_some_experiment_reads(self):
+        read = set().union(*xharness.READS.values())
+        assert set(xharness._LEAST) <= read & set(ExperimentConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("key, low", list(xharness._LEAST.items()))
+    def test_default_in_range_and_one_below_rejected(self, key, low):
+        default = ExperimentConfig.__dataclass_fields__[key].default
+        assert default is None or default >= low
+        with pytest.raises(xharness.HarnessError) as exc:
+            ExperimentConfig(**{key: low - 1})
+        assert str(exc.value) == f"check experiment needs {key} >= {low}, got {low - 1}"
+
+    def test_record_judges_itself_unless_given_a_flag(self):
+        def record(estimate, passed=None):
+            return xharness.ResultRecord("x", "y", {}, estimate, 0.1, 1.0, "", 0.2, passed)
+
+        # the band is max(tolerance, 3 * SE) = 0.3
+        assert [record(1.29).passed, record(1.31).passed, record(None).passed] == [True, False, None]
+        assert record(1.0, passed=False).passed is False
+
+
 class _RecordingConfig(ExperimentConfig):
     """ExperimentConfig that records the names of the fields read from it."""
 
@@ -477,7 +501,7 @@ class TestCli:
     def test_mandatory_depth_zero_one_line_error(self, capsys):
         assert cli(["mandatory", "--depth", "0", "--samples", "50"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: mandatory experiment needs depth >= 1\n"
+        assert captured.err == "error: mandatory experiment needs depth >= 1, got 0\n"
 
     def test_gen_er_subnormal_c_has_no_edges(self, capsys):
         assert cli(["gen", "--model", "er", "--n", "2", "--c", "1e-310"]) == 0
@@ -648,6 +672,16 @@ class TestCli:
             (["gen", "--model", "ubgw", "--weights", "uniform:1:0"], "uniform law needs finite a < b, got 1, 0"),
             (["match", "--graph", "tree.txt", "--k", "-1"], "match needs k >= 0, got -1"),
             (["gen", "--model", "config", "--n", "-3"], "n must be >= 1"),
+            (["mandatory", "--cross-forests", "-1"], "mandatory experiment needs cross_forests >= 0, got -1"),
+            (
+                ["eps-sweep", "--eps-min-exp", "-2000", "--eps-max-exp", "1"],
+                "eps-sweep experiment needs eps_min_exp >= 0, got -2000",
+            ),
+            (["eps-sweep", "--eps-max-exp", "1075"], "eps-sweep experiment needs eps_max_exp <= 30, got 1075"),
+            # 1 + 2**-44 * w rounds in a double: violations that are rounding, not counterexamples
+            (["eps-sweep", "--eps-max-exp", "44"], "eps-sweep experiment needs eps_max_exp <= 30, got 44"),
+            (["decay", "--h-min", "0", "--h-max", "2"], "decay experiment needs h_min >= 1, got 0"),
+            (["solve", "--law", "pmf:1"], "solve experiment needs a law with positive mean, got pmf:1"),
         ],
         ids=[
             "solve-grid",
@@ -668,6 +702,12 @@ class TestCli:
             "gen-uniform-reversed",
             "match-k",
             "gen-config-n",
+            "mandatory-cross-forests",
+            "eps-sweep-min-exp",
+            "eps-sweep-max-exp-underflow",
+            "eps-sweep-max-exp-rounding",
+            "decay-h-min",
+            "solve-zero-mean",
         ],
     )
     def test_out_of_range_one_line_error(self, capsys, argv, message):
