@@ -237,9 +237,14 @@ class SqueezeResult:
 
 
 def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[dict, dict]:
-    """Messages under the all-zero and the all-top boundary, oriented once."""
+    """Messages under the all-zero and the all-top boundary, oriented once.
+
+    Without boundary vertices the two sweeps are the same sweep, run once.
+    """
     oriented = _orient_forest(g, avoid=g.boundary)
     lo = _sweep(g, k, dict.fromkeys(g.boundary, ZERO), oriented, weights)
+    if not g.boundary:
+        return lo, lo
     hi = _sweep(g, k, dict.fromkeys(g.boundary, top_msg(k)), oriented, weights)
     return lo, hi
 

@@ -451,34 +451,36 @@ def rde_step(
 ):
     """Push n samples through one step of the lexicographic recursion.
 
-    Draws N from the excess law, fresh weights from wlaw, inputs from the
-    sampler, and returns the resulting (levels, z) arrays.  Stationarity
-    of the sampler's law means the output law matches the input law.
+    Draws N from the excess law, then N.sum() inputs from the sampler and
+    as many fresh weights from wlaw: a node with N children draws exactly
+    N inputs, and a node with none gives (0, 0).  Returns the resulting
+    (levels, z) arrays.  Stationarity of the sampler's law means the
+    output law matches the input law.
     """
     N = np.asarray(law.sample_excess(rng, n))
-    M = max(int(N.max()), 1)
-    in_lvl, in_z = sampler.sample(rng, n * M)
-    in_lvl = in_lvl.reshape(n, M)
-    in_z = in_z.reshape(n, M)
-    w = np.asarray(wlaw.sample(rng, (n, M)), dtype=float)
+    total = int(N.sum())
+    in_lvl, in_z = sampler.sample(rng, total)
+    w = np.asarray(wlaw.sample(rng, total), dtype=float)
     return _lex_reduce(sampler.k, N, in_lvl, in_z, w)
 
 
 def _lex_reduce(k, N, in_lvl, in_z, w):
-    """maxlex((0,0), max_m (k, w_m) - (lvl_m, z_m)) row-wise."""
-    n, M = in_lvl.shape
-    cand_lvl = k - in_lvl
-    cand_z = w - in_z
-    valid = np.arange(M)[None, :] < np.asarray(N)[:, None]
-    lvl_masked = np.where(valid, cand_lvl, -(10**9))
-    max_lvl = lvl_masked.max(axis=1)
-    z_masked = np.where(valid & (lvl_masked == max_lvl[:, None]), cand_z, -np.inf)
-    max_z = z_masked.max(axis=1)
-    out_lvl = np.where(max_lvl > 0, max_lvl, 0).astype(np.int64)
-    out_z = np.where(
-        max_lvl > 0, max_z, np.where(max_lvl == 0, np.maximum(max_z, 0.0), 0.0)
-    )
-    return out_lvl, out_z
+    """maxlex((0,0), max over each group of (k, w) - (lvl, z)).
+
+    The flat inputs come in consecutive groups of N[i] entries, one group
+    per output; an empty group gives (0, 0).  numpy orders complex numbers
+    lexicographically, real part first, so with each candidate encoded as
+    level + i z one segment maximum over the non-empty groups is the
+    lexicographic maximum, exactly.
+    """
+    full = N > 0
+    counts = N[full]
+    cand = np.empty(len(w), dtype=complex)
+    cand.real = k - in_lvl
+    cand.imag = w - in_z
+    out = np.zeros(len(N), dtype=complex)
+    out[full] = np.maximum(np.maximum.reduceat(cand, np.cumsum(counts) - counts), 0.0)
+    return out.real.astype(np.int64), out.imag
 
 
 def population_dynamics(
@@ -494,13 +496,17 @@ def population_dynamics(
 
     Repeatedly replaces uniformly chosen pool entries by one application
     of the recursion fed from the current pool (asynchronous batches, so
-    the order-reversing operator cannot lock into a two-cycle).  `iters`
-    counts full-pool sweeps.
+    the order-reversing operator cannot lock into a two-cycle).  An update
+    whose node has N children draws exactly N pool entries and N weights.
+    `iters` counts full-pool sweeps.  The pool starts at (k // 2, 0),
+    which is (0, 0) for k <= 1: for k >= 2 the recursion maps the levels
+    {0, k} into {0, k}, so an all-(0, 0) pool would never reach the
+    middle levels.
     """
     if pool_size < 10_000:
         raise ValueError("pool_size must be at least 10^4")
     rng = seed.generator()
-    pool_lvl = np.zeros(pool_size, dtype=np.int64)
+    pool_lvl = np.full(pool_size, k // 2, dtype=np.int64)
     pool_z = np.zeros(pool_size)
     batch = max(1, pool_size // 8)
     total = iters * pool_size
@@ -508,9 +514,9 @@ def population_dynamics(
     while done < total:
         b = min(batch, total - done)
         N = np.asarray(law.sample_excess(rng, b))
-        M = max(int(N.max()), 1)
-        idx = rng.integers(0, pool_size, (b, M))
-        w = np.asarray(wlaw.sample(rng, (b, M)), dtype=float)
+        inputs = int(N.sum())
+        idx = rng.integers(0, pool_size, inputs)
+        w = np.asarray(wlaw.sample(rng, inputs), dtype=float)
         out_lvl, out_z = _lex_reduce(k, N, pool_lvl[idx], pool_z[idx], w)
         slots = rng.integers(0, pool_size, b)
         pool_lvl[slots] = out_lvl

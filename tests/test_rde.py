@@ -211,6 +211,59 @@ class TestZetaPrime:
         assert tv < 0.02
 
 
+class TestLexReduce:
+    """The ragged reduction against a per-group loop of the recursion."""
+
+    @staticmethod
+    def loop(k, N, in_lvl, in_z, w):
+        out, i = [], 0
+        for count in N:
+            best = (0, 0.0)
+            for m in range(i, i + count):
+                best = max(best, (k - int(in_lvl[m]), float(w[m] - in_z[m])))
+            out.append(best)
+            i += count
+        return out
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_loop(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(50):
+            N = rng.integers(0, 5, int(rng.integers(1, 40)))
+            total = int(N.sum())
+            # few values, so that levels and w - z tie exactly; level k + 1 gives negative levels
+            in_lvl = rng.integers(0, k + 2, total)
+            in_z = rng.choice([-0.5, 0.0, 0.25, 0.5], total)
+            w = rng.choice([0.0, 0.25, 0.5], total)
+            lvl, z = rde._lex_reduce(k, N, in_lvl, in_z, w)
+            assert lvl.dtype == np.int64 and len(lvl) == len(z) == len(N)
+            assert list(zip(lvl.tolist(), z.tolist())) == self.loop(k, N, in_lvl, in_z, w)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_step_draws_no_input_for_a_leaf(self, k):
+        # law = delta_1 has excess law delta_0: every N is 0
+        drawn = []
+
+        class Recorder(rde.ZetaSampler):
+            def sample(self, rng, n):
+                drawn.append(n)
+                return super().sample(rng, n)
+
+        probs = np.ones(k + 1) / (k + 1)
+        pool = np.arange(10) % (k + 1)
+        sampler = Recorder("pool", k, probs, pool_levels=pool, pool_z=np.ones(10))
+        lvl, z = rde_step(sampler, OffspringLaw.delta(1), UNIF, np.random.default_rng(1), 1000)
+        assert drawn == [0]
+        assert np.all(lvl == 0) and np.all(z == 0.0)
+
+    def test_k2_pool_of_leaves_collapses(self):
+        # the pool starts at level 1; 30 sweeps replace every slot but with probability about 1e-9
+        pool = population_dynamics(
+            OffspringLaw.delta(1), UNIF, 2, pool_size=10_000, iters=30, seed=RngSeed(13)
+        )
+        assert np.all(pool.pool_levels == 0) and np.all(pool.pool_z == 0.0)
+
+
 class TestPopulationDynamics:
     def test_all_leaves_collapse(self):
         # law = delta_1 has excess law delta_0: every update is (0, 0)
@@ -247,6 +300,12 @@ class TestPopulationDynamics:
                 np.abs(np.searchsorted(a, grid) / len(a) - np.searchsorted(b, grid) / len(b))
             )
             assert ks < 0.03
+
+    def test_k2_agrees_with_grid_solver(self, sys2):
+        # a pool started at (0, 0) never reaches level 1 at k = 2; it starts at level 1
+        pool = population_dynamics(LAW3, UNIF, 2, pool_size=30_000, iters=60, seed=RngSeed(12))
+        tv = 0.5 * np.abs(pool.level_probs - sys2.level_masses()).sum()
+        assert tv < 0.03
 
     def test_pure_function_of_seed(self):
         a, b = (

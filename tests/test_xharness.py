@@ -680,8 +680,15 @@ class TestCli:
             (["eps-sweep", "--eps-max-exp", "1075"], "eps-sweep experiment needs eps_max_exp <= 30, got 1075"),
             # 1 + 2**-44 * w rounds in a double: violations that are rounding, not counterexamples
             (["eps-sweep", "--eps-max-exp", "44"], "eps-sweep experiment needs eps_max_exp <= 30, got 44"),
-            (["decay", "--h-min", "0", "--h-max", "2"], "decay experiment needs h_min >= 1, got 0"),
+            (["decay", "--h-min", "0", "--h-max", "2"], "decay experiment needs h_min >= 2, got 0"),
+            # radius 1 is pre-asymptotic: 1..11 read FAIL where 2..12 passes
+            (["decay", "--h-min", "1", "--h-max", "11"], "decay experiment needs h_min >= 2, got 1"),
             (["solve", "--law", "pmf:1"], "solve experiment needs a law with positive mean, got pmf:1"),
+            (
+                ["solve", "--law", "geom:0.5"],
+                "solve experiment needs a law outside the degenerate family "
+                "(doubled map the identity on [0, 1]), got geom:0.5",
+            ),
         ],
         ids=[
             "solve-grid",
@@ -707,7 +714,9 @@ class TestCli:
             "eps-sweep-max-exp-underflow",
             "eps-sweep-max-exp-rounding",
             "decay-h-min",
+            "decay-h-min-1",
             "solve-zero-mean",
+            "solve-degenerate",
         ],
     )
     def test_out_of_range_one_line_error(self, capsys, argv, message):
