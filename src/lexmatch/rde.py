@@ -9,8 +9,9 @@ equals j with z <= t.  The functions solve the coupled system
     h_0(t) = 1_{t>=0} hphi(1 - E[h_k(W - t)]),
 
 with increasing-limit stitching between consecutive layers; the plateau
-values are fixed points of the doubled map and the atom beta = h_0(0)
-controls the asymptotic matching size.  When the excess law puts no mass
+values are fixed points of the doubled map, and the atom beta = h_0(0)
+gives the matched-edge density in closed form, (1 - phi(hphi^{-1}(beta)))/m,
+which is (1 - beta)/c for Poisson(c).  When the excess law puts no mass
 at zero (leafless trees) the indicator disappears and the limits 0 and 1
 pin the outer layers instead.
 
@@ -334,53 +335,43 @@ def solve_system(
     )
 
 
-_INTEGRAL_POINTS = 4097
+def _tail_integral(law: OffspringLaw, a: float) -> float:
+    """int_a^1 (1 - hphi^{-1}(u)) du = (1 - phi(x))/m - (1 - x) a, x = hphi^{-1}(a).
 
-
-def _inverse_integral(law: OffspringLaw, a: float, b: float) -> float:
-    """Integral of 1 - hphi^{-1}(u) over [a, b] by trapezoid quadrature."""
-    if b <= a:
-        sign = -1.0
-        a, b = b, a
-    else:
-        sign = 1.0
-    if b - a < 1e-15:
-        return 0.0
-    u = np.linspace(a, b, _INTEGRAL_POINTS)
-    vals = 1.0 - np.asarray(size_biased_pgf_inverse(law, u))
-    return sign * float(np.trapezoid(vals, u))
+    Substitute u = hphi(x) and integrate by parts; for a below hphi(0) the
+    inverse clips to x = 0 and the same formula holds.
+    """
+    x = float(size_biased_pgf_inverse(law, a))
+    return (1.0 - float(law.pgf(x))) / law.mean - (1.0 - x) * a
 
 
 def conservation_check(sys: CdfSystem) -> dict:
-    """Numerical residual of the boundary-value conservation identity.
+    """Residual of the boundary-value conservation identity.
 
     "bords": beta (1 - hphi^{-1}(beta)) + int_beta^{l_1} (1 - hphi^{-1})
-             minus l_k l_1 + int_{l_k}^1 (1 - hphi^{-1}).
+             minus l_k l_1 + int_{l_k}^1 (1 - hphi^{-1}), in closed form
+    (the left side is size_from_system minus the tail from l_1).  At the
+    plateau pair l_1 = hphi(1 - l_k), l_k = hphi(1 - l_1) it is the
+    identity size_from_system = size_from_functional, so it reads the
+    formula gap up to the solver's plateau error.
     """
-    law = sys.law
     if sys.k == 0:
         return {"bords": 0.0}
-    beta = sys.beta
     l1, lk = float(sys.h[0, -1]), float(sys.h[sys.k - 1, -1])
-    lhs = beta * (1.0 - float(size_biased_pgf_inverse(law, beta))) + _inverse_integral(
-        law, beta, l1
-    )
-    rhs = lk * l1 + _inverse_integral(law, lk, 1.0)
+    lhs = size_from_system(sys) - _tail_integral(sys.law, l1)
+    rhs = lk * l1 + _tail_integral(sys.law, lk)
     return {"bords": abs(lhs - rhs)}
 
 
 def size_from_system(sys: CdfSystem) -> float:
     """Matched-edge density beta (1 - hphi^{-1}(beta)) + int_beta^1 (1 - hphi^{-1}).
 
-    Multiplying by the offspring mean gives the matched-vertex density,
-    which cross-checks against (2 - F_pi(l_1)) / phi'(1).
+    In closed form (1 - phi(hphi^{-1}(beta)))/m, which for Poisson(c) is
+    (1 - beta)/c.  Times the mean it is the matched-vertex density, which
+    cross-checks against (2 - F_pi(l_1)) / phi'(1).
     """
     law = sys.law
-    beta = sys.beta
-    out = _inverse_integral(law, beta, 1.0)
-    if beta > 0:
-        out += beta * (1.0 - float(size_biased_pgf_inverse(law, beta)))
-    return out
+    return (1.0 - float(law.pgf(size_biased_pgf_inverse(law, sys.beta)))) / law.mean
 
 
 def size_from_functional(sys: CdfSystem) -> float:

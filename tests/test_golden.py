@@ -6,11 +6,13 @@ their exit codes with the committed copy, byte for byte.  A refactor must
 leave all of it unchanged.
 
 A change that alters the realized random draws on purpose (a new seed
-derivation or a new tree sampler, say) regenerates these files with
+derivation or a new tree sampler, say), or that replaces a formula on
+purpose (a closed form for a quadrature, say), regenerates these files
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in CHANGES.md.
+and says so in CHANGES.md, listing the values that moved.
 """
 
 import io

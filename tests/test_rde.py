@@ -173,12 +173,18 @@ class TestSize:
         assert size_from_system(sys1) == pytest.approx(0.544062, abs=2e-3)
 
     def test_beta_zero_limit_formula(self, sys1):
-        # with beta = 0 the formula reduces to the perfect-matching integral
+        # with beta = 0 the formula reduces to int_0^1 (1 - hphi^{-1}) = (1 - pi(0))/m
         from dataclasses import replace
 
         forced = replace(sys1, beta=0.0)
-        direct = rde._inverse_integral(LAW1, 0.0, 1.0)
-        assert size_from_system(forced) == pytest.approx(direct, abs=1e-12)
+        assert size_from_system(forced) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 20.0])
+    def test_poisson_closed_form(self, c):
+        # Karp and Sipser: the matched-vertex density of Poisson(c) is 1 - beta
+        law = OffspringLaw.poisson(c)
+        s = solve_system(law, UNIF, genfn.macroscopic_law(law).k)
+        assert size_from_system(s) * c == pytest.approx(1.0 - s.beta, abs=1e-12)
 
     def test_two_formulas_agree(self, sys1, sys2):
         assert size_from_system(sys1) == pytest.approx(size_from_functional(sys1), abs=2e-3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexmatch import xharness
+from lexmatch import genfn, rde, xharness
 from lexmatch.cli import cli
 from lexmatch.randgraph import GraphError, WeightedGraph, graph_from_text, graph_to_text
 from lexmatch.xharness import (
@@ -683,7 +683,16 @@ class TestCli:
             (["decay", "--h-min", "0", "--h-max", "2"], "decay experiment needs h_min >= 2, got 0"),
             # radius 1 is pre-asymptotic: 1..11 read FAIL where 2..12 passes
             (["decay", "--h-min", "1", "--h-max", "11"], "decay experiment needs h_min >= 2, got 1"),
-            (["solve", "--law", "pmf:1"], "solve experiment needs a law with positive mean, got pmf:1"),
+            (["solve", "--law", "pmf:1"], "solve experiment needs a law with mean >= 1e-09, got pmf:1"),
+            # below mean 1e-9 both size formulas cancel in a double; at 1e-300 both read 0
+            (
+                ["solve", "--law", "poisson:1e-300"],
+                "solve experiment needs a law with mean >= 1e-09, got poisson:1e-300",
+            ),
+            (
+                ["solve", "--law", "poisson:1e-10"],
+                "solve experiment needs a law with mean >= 1e-09, got poisson:1e-10",
+            ),
             (
                 ["solve", "--law", "geom:0.5"],
                 "solve experiment needs a law outside the degenerate family "
@@ -716,6 +725,8 @@ class TestCli:
             "decay-h-min",
             "decay-h-min-1",
             "solve-zero-mean",
+            "solve-tiny-mean",
+            "solve-mean-below-bound",
             "solve-degenerate",
         ],
     )
@@ -780,3 +791,25 @@ class TestSolveLimits:
         for grid_t in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(xharness.HarnessError, match="positive finite grid_t"):
                 xharness.run_solve(ExperimentConfig(experiment="solve", grid_points=128, grid_t=grid_t))
+
+    def test_small_mean_above_bound_answers(self, capsys):
+        assert cli(["solve", "--law", "poisson:1e-8", "--grid-points", "128"]) == 0
+        assert "[PASS] solve/edge_density_formula_gap" in capsys.readouterr().out
+
+
+# Poisson c in (2.6, 2.8) is the critical window, where the grid solver
+# needs more than its current plan; geom:0.5, the degenerate family, is
+# refused in one line (TestCli::test_out_of_range_one_line_error)
+_SWEEP_LAWS = [f"poisson:{c}" for c in (0.05, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0)] + [
+    "binom:3:0.5", "binom:8:0.3", "binom:8:0.4", "pmf:0.2,0.5,0.3", "binom:3:1.0",
+]
+
+
+class TestSolveSweep:
+    @pytest.mark.parametrize("spec", _SWEEP_LAWS)
+    def test_size_matches_vertex_density(self, spec):
+        # at the default grid, in vertex units
+        _, system = xharness.run_solve(ExperimentConfig(experiment="solve", law=spec))
+        law = system.law
+        vertex_density = rde.size_from_system(system) * law.mean
+        assert vertex_density == pytest.approx(genfn.matching_vertex_density(law), abs=1e-5)
