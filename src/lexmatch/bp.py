@@ -21,10 +21,15 @@ the pointwise lexicographic order of boundary conditions at every
 application, so the two constant extreme conditions bound every other
 condition edge by edge; where the two extremal sweeps agree the message
 is certified independent of everything outside the ball.
+
+A forest's directed edge is fixed by its child endpoint v, so a sweep
+stores its messages in two lists indexed by vertex; every directed-edge
+mapping returned here is a view keyed (u, v) over such lists, not a dict.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 
 from .exact import BLOCKING, FREE, MANDATORY, Matching, _orient_forest
@@ -34,6 +39,7 @@ __all__ = [
     "ZERO",
     "top_msg",
     "FieldInconsistencyError",
+    "EdgeMap",
     "MessageField",
     "SqueezeResult",
     "sweep_tree",
@@ -60,12 +66,79 @@ class FieldInconsistencyError(AssertionError):
     """Edge rule and vertex rule disagreed on a supposedly valid field."""
 
 
+class EdgeMap(MutableMapping):
+    """Messages on the directed edges of an oriented forest, keyed (u, v).
+
+    up[v] is msg(parent(v), v) and down[v] is msg(v, parent(v)).  Keys run
+    in BFS order, (p, v) then (v, p) for each non-root v.  A write is
+    allowed only on an existing edge key and lands in the lists.
+    """
+
+    __slots__ = ("parent", "order", "up", "down")
+
+    def __init__(self, parent: list, order: list, up: list, down: list):
+        self.parent, self.order, self.up, self.down = parent, order, up, down
+
+    def _locate(self, key) -> tuple[list, int]:
+        u, v = key
+        parent = self.parent
+        # range first: a negative index would read a list from its end
+        if 0 <= u < len(parent) and 0 <= v < len(parent):
+            if parent[v] == u:
+                return self.up, v
+            if parent[u] == v:
+                return self.down, u
+        raise KeyError(key)
+
+    def __getitem__(self, key):
+        msgs, i = self._locate(key)
+        return msgs[i]
+
+    def __setitem__(self, key, value):
+        msgs, i = self._locate(key)
+        msgs[i] = value
+
+    def __delitem__(self, key):
+        raise TypeError("directed-edge messages cannot be deleted")
+
+    def __iter__(self):
+        parent = self.parent
+        for v in self.order:
+            p = parent[v]
+            if p >= 0:
+                yield (p, v)
+                yield (v, p)
+
+    def __len__(self) -> int:
+        return 2 * (len(self.order) - self.parent.count(-1))
+
+
+class _PairView(Mapping):
+    """Read-only mapping key -> op(lo[key], hi[key]) over two sweeps of one forest."""
+
+    __slots__ = ("lo", "hi", "op")
+
+    def __init__(self, lo: EdgeMap, hi: EdgeMap, op):
+        self.lo, self.hi, self.op = lo, hi, op
+
+    def __getitem__(self, key):
+        lo, hi = self.lo, self.hi
+        msgs, i = lo._locate(key)  # the two sweeps share one orientation
+        return self.op(msgs[i], (hi.up if msgs is lo.up else hi.down)[i])
+
+    def __iter__(self):
+        return iter(self.lo)
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+
 @dataclass
 class MessageField:
-    """Messages on all directed edges of a forest plus boundary bookkeeping."""
+    """Messages of a forest (an EdgeMap, writable on edge keys) plus boundary bookkeeping."""
 
     k: int
-    messages: dict
+    messages: EdgeMap
     boundary_spec: dict
 
 
@@ -85,8 +158,8 @@ def _resolve_boundary(g: WeightedGraph, k: int, spec):
     return out
 
 
-def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) -> dict:
-    """Two-pass computation of all directed-edge messages, keyed (u, v).
+def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) -> EdgeMap:
+    """Two-pass computation of all directed-edge messages, as an EdgeMap.
 
     pinned maps a boundary vertex b to the exogenous message (parent(b), b);
     pinned vertices must not have children inside g (true for radius
@@ -124,6 +197,7 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
             top1[p], arg[p] = cand, v
         elif cand > top2[p]:
             top2[p] = cand
+    up = top1.copy()  # msg(parent(v), v), pins included
 
     # downward pass in BFS order: when v is reached, its parent's maxima
     # already hold every candidate at the parent, the grandparent's
@@ -131,14 +205,12 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     # top1 and its top1 otherwise; unless v is a leaf, v's candidate from
     # its parent is then merged into v's maxima (arg -1) for v's children
     # (a pinned vertex is a leaf, so its top1 keeps the pin)
-    messages = {}
+    down = [ZERO] * n
     for v in order:
         p = parent[v]
         if p < 0:
             continue
-        msg = top2[p] if arg[p] == v else top1[p]
-        messages[(p, v)] = top1[v]
-        messages[(v, p)] = msg
+        msg = down[v] = top2[p] if arg[p] == v else top1[p]
         if len(adjacency[v]) == 1:
             continue
         cand = (k - msg[0], pw[v] - msg[1])
@@ -147,7 +219,7 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
             top1[v], arg[v] = cand, -1
         elif cand > top2[v]:
             top2[v] = cand
-    return messages
+    return EdgeMap(parent, order, up, down)
 
 
 def sweep_tree(g: WeightedGraph, k: int) -> MessageField:
@@ -186,20 +258,25 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     """
     k = field.k
     messages = field.messages
+    parent, up, down = messages.parent, messages.up, messages.down
     weights = g.weights
     chosen = []
-    matched_of = {}
-    # edge rule, by ascending edge: (level, z) of msg(u,v) + msg(v,u) < (k, w)
-    for u, v in g.edges():
-        a = messages[(u, v)]
-        b = messages[(v, u)]
+    matched_of = [None] * g.n
+    # edge rule, one edge per child vertex v with parent p:
+    # (level, z) of msg(p,v) + msg(v,p) < (k, w)
+    for v, p in enumerate(parent):
+        if p < 0:
+            continue
+        a, b = up[v], down[v]
+        e = (p, v) if p < v else (v, p)
         level = a[0] + b[0]
-        if level < k or (level == k and a[1] + b[1] < weights[(u, v)]):
-            if u in matched_of or v in matched_of:
+        if level < k or (level == k and a[1] + b[1] < weights[e]):
+            if matched_of[p] is not None or matched_of[v] is not None:
                 raise FieldInconsistencyError("edge rule selected incident edges")
-            chosen.append((u, v))
-            matched_of[u] = v
-            matched_of[v] = u
+            chosen.append(e)
+            matched_of[p] = v
+            matched_of[v] = p
+    chosen.sort()  # ascending, so the matching's weight sums in edge order
 
     # vertex rule: u matched to argmax of (k, w(u,v)) - msg(u, v) when > (0,0).
     # Pinned boundary vertices are skipped: their exterior candidates are
@@ -209,34 +286,35 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     for u, nb in enumerate(g.adjacency):
         if u in pinned:
             continue
+        p = parent[u]
         best_level, best_z, arg = 0, 0.0, None
         for v in nb:
-            level, z = messages[(u, v)]
+            level, z = down[u] if v == p else up[v]  # msg(u, v)
             level = k - level
             if level < best_level:
                 continue
             z = weights[(u, v) if u < v else (v, u)] - z
             if level > best_level or z > best_z:
                 best_level, best_z, arg = level, z, v
-        if matched_of.get(u) != arg:
+        if matched_of[u] != arg:
             raise FieldInconsistencyError(
                 f"vertex rule ({u} -> {arg}) disagrees with edge rule "
-                f"({u} -> {matched_of.get(u)})"
+                f"({u} -> {matched_of[u]})"
             )
     return Matching.from_edges(g, chosen)
 
 
 @dataclass
 class SqueezeResult:
-    """Per-directed-edge interval bounds valid for every boundary condition."""
+    """Per-directed-edge bounds valid for every boundary condition (views over two sweeps)."""
 
     k: int
-    lower: dict
-    upper: dict
-    certified: dict
+    lower: Mapping
+    upper: Mapping
+    certified: Mapping
 
 
-def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[dict, dict]:
+def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[EdgeMap, EdgeMap]:
     """Messages under the all-zero and the all-top boundary, oriented once.
 
     Without boundary vertices the two sweeps are the same sweep, run once.
@@ -258,53 +336,42 @@ def squeeze(g: WeightedGraph, k: int) -> SqueezeResult:
     exterior.
     """
     lo, hi = _extremal_sweeps(g, k)
-    # both bounds start as the all-zero messages; an uncertified edge then
-    # takes the all-top message as whichever bound it lies on
-    lower, upper, certified = dict(lo), dict(lo), {}
-    for key, a in lo.items():
-        b = hi[key]
-        if a == b:
-            certified[key] = True
-        else:
-            certified[key] = False
-            if a < b:
-                upper[key] = b
-            else:
-                lower[key] = b
-    return SqueezeResult(k=k, lower=lower, upper=upper, certified=certified)
+    return SqueezeResult(
+        k=k,
+        lower=_PairView(lo, hi, min),
+        upper=_PairView(lo, hi, max),
+        certified=_PairView(lo, hi, lambda a, b: a == b),
+    )
 
 
-def macroscopic_squeeze(g: WeightedGraph) -> tuple[dict, dict]:
+def macroscopic_squeeze(g: WeightedGraph) -> tuple[Mapping, Mapping]:
     """(levels, certified) from the two extremal level sweeps.
 
     The levels are the level parts of the k = 1 extremal sweeps with every
     weight set to zero, i.e. the weightless recursion
     level(u, v) = max(0, max_{u' ~ v, u' != u} (1 - level(v, u'))) with
-    constant boundary level 0 or 1.
+    constant boundary level 0 or 1.  Both are read-only mappings keyed
+    (u, v): the all-zero level, and whether the two extremal levels agree.
     """
     lo, hi = _extremal_sweeps(g, 1, dict.fromkeys(g.weights, 0.0))
-    levels, certified = {}, {}
-    for key, (level, _) in lo.items():
-        levels[key] = level
-        certified[key] = level == hi[key][0]
-    return levels, certified
+    return _PairView(lo, hi, lambda a, b: a[0]), _PairView(lo, hi, lambda a, b: a[0] == b[0])
 
 
-def classify_edge(levels: dict, certified: dict, u: int, v: int) -> str:
+def classify_edge(levels: Mapping, certified: Mapping, u: int, v: int) -> str:
     """Class of edge uv from its certified directed levels (single-jump regime).
 
     The edge is mandatory iff the two directed levels sum below 1, blocking
     iff above 1, free iff exactly 1; an edge with an uncertified direction
     is "unknown", never guessed.
     """
-    ok = certified.get((u, v)) and certified.get((v, u))
-    if not ok or (u, v) not in levels or (v, u) not in levels:
+    a, b = levels.get((u, v)), levels.get((v, u))
+    if not (certified.get((u, v)) and certified.get((v, u))) or a is None or b is None:
         return UNKNOWN
-    s = levels[(u, v)] + levels[(v, u)]
+    s = a + b
     return MANDATORY if s < 1 else BLOCKING if s > 1 else FREE
 
 
-def classify_edges_from_levels(g: WeightedGraph, levels: dict, certified: dict) -> dict:
+def classify_edges_from_levels(g: WeightedGraph, levels: Mapping, certified: Mapping) -> dict:
     """classify_edge for every edge of g."""
     return {(u, v): classify_edge(levels, certified, u, v) for u, v in g.edges()}
 
@@ -314,15 +381,14 @@ def scalar_sweep_eps(g: WeightedGraph, eps: float):
 
     Z(u, v) = max(0, max_{u' ~ v} (1 + eps*w(v,u') - Z(v, u'))) with the
     inclusion rule 1 + eps*w(u,v) > Z(u,v) + Z(v,u); Z is the z part of
-    the k = 0 message sweep on the weights 1 + eps*w.
+    the k = 0 message sweep on the weights 1 + eps*w.  Returns (Z, matching)
+    with Z a read-only mapping keyed (u, v).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     weps = {e: 1.0 + eps * w for e, w in g.weights.items()}
-    field = {key: z for key, (_, z) in _sweep(g, 0, {}, weights=weps).items()}
-    chosen = [
-        (u, v)
-        for u, v in g.edges()
-        if field[(u, v)] + field[(v, u)] < weps[(u, v)]
-    ]
-    return field, Matching.from_edges(g, chosen)
+    msgs = _sweep(g, 0, {}, weights=weps)
+    up, down = msgs.up, msgs.down
+    edges = (((p, v) if p < v else (v, p), v) for v, p in enumerate(msgs.parent) if p >= 0)
+    chosen = sorted(e for e, v in edges if up[v][1] + down[v][1] < weps[e])
+    return _PairView(msgs, msgs, lambda a, b: a[1]), Matching.from_edges(g, chosen)

@@ -648,10 +648,14 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     violations = 0
     for g in itertools.islice(_small_trees(base.child(0), wlaw), 100):
         f = bp.sweep_tree(g, 1)
-        for (u, v), val in f.messages.items():
-            cands = [(f.k - f.messages[(v, w)][0], g.weight(v, w) - f.messages[(v, w)][1])
-                     for w in g.adjacency[v] if w != u]
-            residuals += max([bp.ZERO, *cands]) != val
+        msgs = f.messages
+        for (u, v), val in msgs.items():
+            best = bp.ZERO
+            for w in g.adjacency[v]:
+                if w != u:
+                    level, z = msgs[(v, w)]
+                    best = max(best, (f.k - level, g.weight(v, w) - z))
+            residuals += best != val
         try:
             bp.extract_matching(g, f)
         except (bp.FieldInconsistencyError, exact.NotAMatchingError):

@@ -67,3 +67,50 @@ def test_solve_workload_round_passes_its_checks(tmp_path):
     assert wl.check([results]) == []
     solved = [results["solve_k1"], results["solve_k2"]]
     assert tracer.counts["solver_iterations"] == sum(len(s.residuals) for s in solved)
+
+
+def test_tracer_counts_the_sweep_views():
+    # the tracer's hooks take len() of the mappings the sweeps return and
+    # replace SqueezeResult's views by read-counting dict copies
+    from lexmatch import bp
+    from lexmatch.genfn import OffspringLaw
+    from lexmatch.randgraph import RngSeed, WeightLaw, assign_weights, ubgw_tree
+
+    spans = _load(SPANS)
+    modules = {name: importlib.import_module(f"lexmatch.{name}") for name in spans.MODULES}
+    trees = [
+        assign_weights(
+            ubgw_tree(OffspringLaw.poisson(1.5), "vertex", 1 + i % 4, RngSeed(57, i)),
+            WeightLaw.uniform(0, 1),
+            RngSeed(58, i),
+        )
+        for i in range(20)
+    ]
+
+    def run(g):
+        sq = bp.squeeze(g, 1)
+        levels, certified = bp.macroscopic_squeeze(g)
+        return bp.sweep_tree(g, 1).messages, sq, levels, certified, bp.scalar_sweep_eps(g, 0.5)[0]
+
+    untraced = [run(g) for g in trees]
+    tracer = spans.Tracer(modules)
+    tracer.install()
+    try:
+        traced = [run(g) for g in trees]
+        reads = [sq.certified[key] for _, sq, *_ in traced for key in list(sq.certified)[:1]]
+    finally:
+        tracer.uninstall()
+    calls = ("bp.sweep_tree", "bp.squeeze", "bp.macroscopic_squeeze", "bp.scalar_sweep_eps")
+    assert tracer.check_counts(dict.fromkeys(calls, len(trees))) == []
+    lengths = sum(
+        len(msgs) + len(sq.lower) + len(sq.upper) + len(levels) + len(certified) + len(z)
+        for msgs, sq, levels, certified, z in untraced
+    )
+    assert lengths == 6 * sum(2 * g.m for g in trees) > 0
+    assert tracer.counts["directed_edges"] == lengths
+    assert tracer.counts["squeeze_edges"] == sum(len(sq.certified) for _, sq, *_ in untraced)
+    assert tracer.counts["squeeze_reads"] == len(reads) > 0
+    for (_, sq, *_), (_, before, *_) in zip(traced, untraced):
+        assert isinstance(sq.certified, spans._ReadCountingDict)
+        assert sq.lower == before.lower and sq.upper == before.upper
+        assert sq.certified == before.certified and list(sq.certified) == list(before.certified)
