@@ -10,13 +10,19 @@ function
 the pgf of the law of the number of children of a non-root vertex of the
 unimodular branching tree (equivalently, the excess-degree law
 k -> (k+1) pi(k+1) / m).  This module computes phi and hphi in closed form
-per family, locates the fixed points of the doubled map
-t -> hphi(1 - hphi(1 - t)), evaluates the matching functional F_pi whose
-maximum gives the asymptotic matched-vertex density, recovers the
-Karp-Sipser constants for Poisson laws, and encloses the subcriticality
-coefficient rho (the contraction rate of the two-step message operator) in
-an interval [lo, hi].  A two-point law attains lo, so lo is a lower bound;
-hi is an upper bound, and only hi < 1 certifies the contracting regime.
+per family, locates the fixed points of the doubled map D(t) = S(S(t)),
+S(t) = hphi(1 - t), evaluates the matching functional F_pi whose maximum
+gives the asymptotic matched-vertex density, recovers the Karp-Sipser
+constants for Poisson laws, and encloses the subcriticality coefficient rho
+(the contraction rate of the two-step message operator) in an interval
+[lo, hi].  A two-point law attains lo, so lo is a lower bound; hi is an
+upper bound, and only hi < 1 certifies the contracting regime.
+
+The regime is read off the structure of D.  S is decreasing, so D fixes
+the one fixed point gamma of S and pairs each other fixed point t < gamma
+with its conjugate S(t) > gamma.  F_pi'(x) = m hphi'(1-x) (D(x) - x), so
+the maxima of F_pi are the fixed points where D(x) - x changes sign from +
+to -, and gamma is one iff hphi'(1-gamma) <= 1 (that is, D'(gamma) <= 1).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "KarpSipserConstants",
     "size_biased_pgf_inverse",
     "double_map",
+    "single_fixed_point",
     "double_fixed_points",
     "F_pi",
     "matching_vertex_density",
@@ -351,77 +358,64 @@ def double_map(law: OffspringLaw, t):
     return law.excess_pgf(1.0 - np.asarray(law.excess_pgf(1.0 - np.asarray(t))))
 
 
+def single_fixed_point(law: OffspringLaw) -> float:
+    """gamma, the one fixed point of the decreasing map S(t) = hphi(1 - t), by 200 bisection steps."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(law.excess_pgf(1.0 - mid)) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 _SCAN_POINTS = 10_000
 
 
 def double_fixed_points(law: OffspringLaw, tol: float = 1e-12) -> list[float]:
-    """All fixed points of t -> hphi(1-hphi(1-t)) on [0, 1].
+    """All fixed points of D(t) = S(S(t)), S(t) = hphi(1-t), on [0, 1], ascending.
 
-    Sign-change scan on a 10^4-point grid followed by bisection; tangential
-    roots are recovered from grid minima of the residual.  Raises
-    DegenerateFamilyError when the map is the identity on a subinterval
-    (residual below 10*tol at >= 10 distinct equispaced interior points).
+    S is decreasing, so D fixes gamma = S(gamma) and pairs every other fixed
+    point t < gamma with its conjugate S(t) > gamma.  The lows are the sign
+    changes of D(t) - t on a scan of [0, gamma), refined by bisection to
+    tol; a root within 1e-7 of gamma is rounding and is dropped.  Returns
+    lows + [gamma] + their conjugates.  As F_pi'(x) = m hphi'(1-x) (D(x) - x),
+    these are the critical points of F_pi, and gamma is a maximum iff
+    hphi'(1-gamma) <= 1; a root where D(x) - x touches zero without changing
+    sign is no maximum, and the scan may miss it.  Raises
+    DegenerateFamilyError when D is the identity (residual below 10*tol at
+    10 equispaced interior points).
     """
     if tol <= 0:
         raise LawError("tol must be positive")
-    grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    resid = np.asarray(double_map(law, grid)) - grid
-
     interior = np.linspace(0.05, 0.95, 10)
     interior_resid = np.abs(np.asarray(double_map(law, interior)) - interior)
     if np.all(interior_resid < 10.0 * tol):
         raise DegenerateFamilyError(
             "doubled map is the identity on [0,1]; continuum of fixed points"
         )
+    gamma = single_fixed_point(law)
+    # 10^4 equispaced points up to gamma (1 - 10^-4), then gamma (1 - 10^-j) for
+    # j = 4.25, 4.5, ..., 6: they crowd gamma, where conjugate pairs are born
+    crowd = 1.0 - 10.0 ** -np.linspace(4.25, 6.0, 8)
+    grid = np.r_[np.linspace(0.0, gamma, _SCAN_POINTS, endpoint=False), gamma * crowd]
+    resid = np.asarray(double_map(law, grid)) - grid
 
-    roots: list[float] = []
-
-    def _add(r: float) -> None:
-        for existing in roots:
-            if abs(existing - r) < 1e-8:
-                return
-        roots.append(r)
-
-    # grid zeros and sign changes, in grid order
+    lows: list[float] = []
     for i in np.flatnonzero((resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0)):
-        if resid[i] == 0.0:
-            _add(grid[i])
-            continue
         lo, hi, flo = grid[i], grid[i + 1], resid[i]
-        while hi - lo > tol:
+        while flo != 0.0 and hi - lo > tol:
             mid = 0.5 * (lo + hi)
             fm = double_map(law, mid) - mid
-            if fm == 0.0:
-                lo = hi = mid
-                break
             if flo * fm < 0.0:
                 hi = mid
             else:
                 lo, flo = mid, fm
-        _add(0.5 * (lo + hi))
-    if resid[-1] == 0.0:
-        _add(1.0)
-
-    # tangential roots: local minima of |resid| that touch zero
-    absr = np.abs(resid)
-    inner = absr[1:-1]
-    for i in 1 + np.flatnonzero((inner < 1e-7) & (inner <= absr[:-2]) & (inner <= absr[2:])):
-        lo, hi = grid[i - 1], grid[i + 1]
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if abs(double_map(law, m1) - m1) < abs(double_map(law, m2) - m2):
-                hi = m2
-            else:
-                lo = m1
-            if hi - lo < tol:
-                break
-        cand = 0.5 * (lo + hi)
-        if abs(double_map(law, cand) - cand) < 1e-9:
-            _add(cand)
-
-    roots.sort()
-    return roots
+        root = float(lo if flo == 0.0 else 0.5 * (lo + hi))
+        if gamma - root >= 1e-7:
+            lows.append(root)
+    return lows + [gamma] + [float(law.excess_pgf(1.0 - t)) for t in reversed(lows)]
 
 
 def F_pi(law: OffspringLaw, x) -> float:
@@ -563,13 +557,16 @@ def rho_subcritical(law: OffspringLaw) -> float:
 class RegimeReport:
     """Macroscopic-level structure of the message distribution.
 
-    k counts the renormalisation layers (0, 1 or 2); atoms is the law of
-    the macroscopic level; fixed_points lists the doubled-map fixed
-    points; [rho, rho_upper] encloses the subcriticality coefficient (rho
-    is attained by a two-point law, rho_upper bounds it from above);
-    unique_double_fp records whether the doubled map has exactly one fixed
-    point in the open interval (0, 1).  subcritical means rho_upper < 1:
-    this is where the code decides the regime.
+    k counts the renormalisation layers (0, 1 or 2): 1 when F_pi peaks at
+    gamma, 2 at a conjugate pair, 0 at {0, 1}.  F_pi'(x) = m hphi'(1-x)
+    (D(x) - x) puts its maxima at fixed points of D, and gamma is one iff
+    hphi'(1-gamma) <= 1.  atoms is the law of the macroscopic level;
+    fixed_points lists the doubled-map fixed points (lows, gamma, the lows'
+    conjugates); [rho, rho_upper] encloses the subcriticality coefficient
+    (rho is attained by a two-point law, rho_upper bounds it from above);
+    unique_double_fp records whether gamma is the only fixed point in the
+    open interval (0, 1).  subcritical means rho_upper < 1: this is where
+    the code decides the regime.
     """
 
     k: int
@@ -588,31 +585,33 @@ class RegimeReport:
 def macroscopic_law(law: OffspringLaw) -> RegimeReport:
     """Classify the macroscopic level distribution of the messages.
 
-    A single argmax gamma of F_pi yields k=1 with level law
-    (gamma, 1-gamma); a conjugate argmax pair (gl, gh) yields k=2 with
-    level law (gl, gh-gl, 1-gh); argmax at the endpoints {0, 1} yields
-    k=0 (level identically 0, leafless perfect-matching regime).
+    F_pi'(x) = m hphi'(1-x) (D(x) - x), so F_pi peaks where D(x) - x
+    changes sign from + to -, and F_pi(t) = F_pi(S(t)) on a conjugate pair.
+    gamma is a peak iff D'(gamma) = hphi'(1-gamma)^2 <= 1, and surely when
+    no fixed point lies below it (then D(x) >= x on [0, gamma)).  The best
+    point is the argmax of F_pi over the low fixed points and over gamma
+    when gamma is a peak.  An interior gamma
+    yields k=1 with level law (gamma, 1-gamma); an interior low gl yields
+    k=2 with level law (gl, S(gl)-gl, 1-S(gl)); a best point at 0 yields k=0
+    (level identically 0, leafless perfect-matching regime).
     """
     rho, rho_upper = _rho_interval(law)
     try:
         fps = double_fixed_points(law, tol=1e-12)
     except DegenerateFamilyError:
         return RegimeReport(0, (1.0,), (), rho, rho_upper, False, degenerate_family=True)
+    lows, gamma = fps[: len(fps) // 2], fps[len(fps) // 2]
+    peak = not lows or law.excess_pgf(1.0 - gamma, 1) <= 1.0
+    best = max(lows + [gamma] if peak else lows, key=lambda t: F_pi(law, t))
     interior = [t for t in fps if 1e-10 < t < 1.0 - 1e-10]
-    fvals = [float(F_pi(law, t)) for t in fps]
-    fmax = max(fvals) if fvals else 2.0
-    argmax = [t for t, v in zip(fps, fvals) if v > fmax - 1e-8]
-    argmax_interior = [t for t in argmax if 1e-10 < t < 1.0 - 1e-10]
-
-    if len(argmax_interior) == 1 and len(argmax) == 1:
-        g = argmax_interior[0]
-        k, atoms = 1, (g, 1.0 - g)
-    elif len(argmax_interior) == 2 and len(argmax) == 2:
-        gl, gh = argmax_interior
-        k, atoms = 2, (gl, gh - gl, 1.0 - gh)
+    if best == gamma and best in interior:
+        k, atoms = 1, (gamma, 1.0 - gamma)
+    elif best in interior:
+        gh = float(law.excess_pgf(1.0 - best))
+        k, atoms = 2, (best, gh - best, 1.0 - gh)
     else:
         k, atoms = 0, (1.0,)
-    return RegimeReport(k, atoms, tuple(fps), rho, rho_upper, unique_double_fp=len(interior) == 1)
+    return RegimeReport(k, atoms, tuple(fps), rho, rho_upper, unique_double_fp=interior == [gamma])
 
 
 def _sample_table(pmf: np.ndarray, rng: np.random.Generator, size=None):

@@ -402,17 +402,6 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
     return [rec]
 
 
-def _single_map_fixed_point(law: OffspringLaw) -> float:
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(law.excess_pgf(1.0 - mid)) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Densities of always-matched and never-matched edges.
 
@@ -431,7 +420,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
             "mandatory/blocking densities need a unique doubled fixed point "
             "in (0,1); rerun with conjecture_probe for unjudged estimates"
         )
-    gamma = _single_map_fixed_point(law)
+    gamma = genfn.single_fixed_point(law)
     tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     base = cfg.base_seed()
     counts = {"mandatory": 0, "blocking": 0, "free": 0, "unknown": 0}

@@ -7,17 +7,19 @@ leave all of it unchanged.
 
 A change that alters the realized random draws on purpose (a new seed
 derivation or a new tree sampler, say), or that replaces a formula on
-purpose (a closed form for a quadrature, say), regenerates these files
-with
+purpose (a closed form for a quadrature, say), regenerates the cases it
+moves with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-and says so in CHANGES.md, listing the values that moved.
+(every case when none is named) and says so in CHANGES.md, listing the
+values that moved.
 """
 
 import io
 import pathlib
 import shlex
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -108,9 +110,13 @@ def test_outputs_match_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for name, commands in CASES.items():
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {' '.join(unknown)}; known: {' '.join(CASES)}")
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            files = run_case(commands, pathlib.Path(tmp))
+            files = run_case(CASES[name], pathlib.Path(tmp))
         case_dir = GOLDEN / name
         case_dir.mkdir(parents=True, exist_ok=True)
         for stale in case_dir.iterdir():
