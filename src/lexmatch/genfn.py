@@ -401,6 +401,8 @@ def double_fixed_points(law: OffspringLaw, tol: float = 1e-12) -> list[float]:
     crowd = 1.0 - 10.0 ** -np.linspace(4.25, 6.0, 8)
     grid = np.r_[np.linspace(0.0, gamma, _SCAN_POINTS, endpoint=False), gamma * crowd]
     resid = np.asarray(double_map(law, grid)) - grid
+    if law.excess_pgf(0.0) == 0.0:
+        resid[0] = 0.0  # leafless: D(0) = hphi(1 - hphi(1)) = 0 and S(0) = 1, however hphi(1) rounds
 
     lows: list[float] = []
     for i in np.flatnonzero((resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0)):
@@ -415,7 +417,7 @@ def double_fixed_points(law: OffspringLaw, tol: float = 1e-12) -> list[float]:
         root = float(lo if flo == 0.0 else 0.5 * (lo + hi))
         if gamma - root >= 1e-7:
             lows.append(root)
-    return lows + [gamma] + [float(law.excess_pgf(1.0 - t)) for t in reversed(lows)]
+    return lows + [gamma] + [float(law.excess_pgf(1.0 - t)) if t else 1.0 for t in reversed(lows)]
 
 
 def F_pi(law: OffspringLaw, x) -> float:

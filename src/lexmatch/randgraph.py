@@ -9,13 +9,15 @@ message passing can apply boundary conditions there.
 All generators are pure functions of (parameters, seed).  A seed is
 (seed, stream, path): Philox keyed by SeedSequence(seed, spawn key
 (stream, *path)), so distinct paths give distinct streams without shared state.
+`RngSeed.children` keys a block of children in one vectorised pass of that hash.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 import numpy as np
@@ -44,19 +46,48 @@ class GraphError(ValueError):
     """Invalid graph construction or malformed serialized input."""
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator, pool size 4)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _hashmix(value, init: int, mult: int, calls: int):
+    """SeedSequence's hash steps calls + 1..calls + 4 from init, step calls + d + 1 on uint64 lane d."""
+    c = np.array([[init * pow(mult, calls + d, 2**32) & _MASK] for d in range(5)], dtype=np.uint64)
+    value = (value ^ c[:4]) * c[1:] & _MASK
+    return value ^ value >> 16
+
+
+@functools.cache
+def _fixed_key() -> type:
+    """The ISeedSequence of one given Philox key, defined on first use: numpy.random loads lazily."""
+    @dataclass(frozen=True)
+    class FixedKey(np.random.bit_generator.ISeedSequence):
+        key: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return FixedKey
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Reproducible generator key (seed, stream, path); identical keys draw identically.
 
     `child(i)` appends i to the path.  Distinct keys give distinct streams:
     the spawn key is (stream, *path), one 32-bit word per path entry.
+    `children` keys a block of them in one vectorised hash pass; `key` is never compared.
     """
 
     seed: int
     stream: int = 0
     path: tuple = ()
+    key: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def generator(self) -> np.random.Generator:
+        if self.key is not None:
+            return np.random.Generator(np.random.Philox(_fixed_key()(self.key)))
         # one uint32 array holds the words of (stream, *path); numpy converts it at once
         key = np.array((self.stream, *self.path), dtype=np.uint32)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
@@ -67,6 +98,26 @@ class RngSeed:
         if not 0 <= index < 2**32:
             raise GraphError(f"child index must be in [0, 2**32), got {index}")
         return RngSeed(self.seed, self.stream, self.path + (index,))
+
+    def children(self, start: int, stop: int, tail: tuple = ()) -> list["RngSeed"]:
+        """The seeds at path + (i, *tail) for i in [start, stop), each carrying its Philox key.
+
+        The prefix (stream, *path) is hashed once; i, *tail are mixed in for all i at once."""
+        words = (self.stream, *self.path, *tail)
+        if not all(0 <= w < 2**32 for w in words) or start < stop and not 0 <= start < stop <= 2**32:
+            raise GraphError(f"spawn-key words must be in [0, 2**32), got {words}, [{start}, {stop})")
+        pool = np.random.SeedSequence(self.seed, spawn_key=((self.stream, *self.path),)).pool
+        # the prefix's E words took 4 * E hash steps: 4 filled the pool, 12 mixed it, 4 per word past it
+        calls = 4 * (max(4, -(-int(self.seed).bit_length() // 32)) + 1 + len(self.path))
+        pool = pool.astype(np.uint64)[:, None]
+        for word in (np.arange(start, stop, dtype=np.uint64), *tail):
+            mixed = pool * _MIX_L - _hashmix(word, _INIT_A, _MULT_A, calls) * _MIX_R & _MASK
+            pool, calls = mixed ^ mixed >> 16, calls + 4
+        # generate_state(2, np.uint64) hashes the 4 pool words and pairs them little-endian
+        state = _hashmix(pool, _INIT_B, _MULT_B, 0)
+        keys = (state[0::2] | state[1::2] << 32).T
+        paths = (self.path + (i, *tail) for i in range(start, stop))
+        return [RngSeed(self.seed, self.stream, path, key) for path, key in zip(paths, keys)]
 
 
 @dataclass(frozen=True)

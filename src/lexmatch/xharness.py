@@ -59,6 +59,7 @@ _LEAST = {
 # formulas are off by 2.7e-8 and 1.4e-7 relative at mean 1e-9, by 2.2e-5
 # and 1.3e-4 at 1e-12, and at 1e-300 both read 0 where the density is 1.
 _SOLVE_MIN_MEAN = 1e-9
+_BLOCK = 1024  # child seeds keyed per RngSeed.children call in `_seeds`
 
 
 @dataclass(frozen=True)
@@ -256,16 +257,22 @@ def _assert_perf_identity(g, matching) -> None:
         raise HarnessError("vertex/edge performance proportionality violated")
 
 
+def _seeds(seed: RngSeed, tail: tuple = ()):
+    """The seeds at seed.path + (i, *tail), i = 0, 1, ... without end, keyed _BLOCK at a time."""
+    for b in itertools.count(0, _BLOCK):
+        yield from seed.children(b, b + _BLOCK, tail)
+
+
 def _trees(seed: RngSeed, law: OffspringLaw, rooting: str, depth, wlaw: WeightLaw | None = None):
     """The i.i.d. tree sequence on `seed`: tree i from seed.child(i), weights from .child(0).
 
     `depth` is an int or a function of i; without `wlaw` the weights stay
     zero.  The sequence is endless: take a slice of it.
     """
-    for i in itertools.count():
-        s = seed.child(i)
+    wseeds = itertools.repeat(None) if wlaw is None else _seeds(seed, (0,))
+    for i, s, ws in zip(itertools.count(), _seeds(seed), wseeds):
         g = ubgw_tree(law, rooting, depth(i) if callable(depth) else depth, s)
-        yield g if wlaw is None else assign_weights(g, wlaw, s.child(0))
+        yield g if wlaw is None else assign_weights(g, wlaw, ws)
 
 
 def _small_trees(seed: RngSeed, wlaw: WeightLaw | None = None):
@@ -511,10 +518,10 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     base = cfg.base_seed()
     wlaw_a, wlaw_b = cfg.weight_law(), parse_weight_law(cfg.weights_b)
 
-    def weighted_estimate(wlaw: WeightLaw, seeds: RngSeed) -> tuple[float, float]:
+    def weighted_estimate(wlaw: WeightLaw, seed: RngSeed) -> tuple[float, float]:
         hits = 0
-        for i in range(cfg.samples):
-            g = assign_weights(g0, wlaw, seeds.child(i))
+        for s in itertools.islice(_seeds(seed), cfg.samples):
+            g = assign_weights(g0, wlaw, s)
             m = bp.extract_matching(g, bp.sweep_tree(g, 1))
             _assert_perf_identity(g, m)
             hits += m.covers(0)
@@ -523,8 +530,8 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     est_a, se_a = weighted_estimate(wlaw_a, base.child(0))
     est_b, se_b = weighted_estimate(wlaw_b, base.child(1))
-    uniform = (exact.uniform_max_matching(g0, base.child(2).child(i)) for i in range(cfg.samples))
-    est_u = sum(m.covers(0) for m in uniform) / cfg.samples
+    useeds = itertools.islice(_seeds(base.child(2)), cfg.samples)
+    est_u = sum(exact.uniform_max_matching(g0, s).covers(0) for s in useeds) / cfg.samples
 
     ref_w = 1.0 - (1.0 - 1.0 / (p + 1)) ** (p + 1)
     ref_u = 1.0 / (1.0 + p / (p + 1.0))

@@ -4,6 +4,7 @@ A deletion that leaves a stale `__all__` entry or a stale tracer target
 fails here rather than inside a traced benchmark round.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -67,6 +68,25 @@ def test_solve_workload_round_passes_its_checks(tmp_path):
     assert wl.check([results]) == []
     solved = [results["solve_k1"], results["solve_k2"]]
     assert tracer.counts["solver_iterations"] == sum(len(s.residuals) for s in solved)
+
+
+def test_decay_workload_round_makes_its_traced_calls(tmp_path):
+    # one traced round of the benchmark's decay workload at 200 trees a radius:
+    # one generator per ubgw_tree and per assign_weights call, and one
+    # sample_excess per drawn vertex, as the per-tree seed blocks must keep
+    spans, workloads = _load(SPANS), _load(BENCH / "workloads.py")
+    modules = {name: importlib.import_module(f"lexmatch.{name}") for name in spans.MODULES}
+    wl = workloads.WORKLOADS["decay"](1, str(tmp_path))
+    wl.cfg = dataclasses.replace(wl.cfg, samples=200)
+    tracer = spans.Tracer(modules)
+    tracer.install()
+    try:
+        for _, op in wl.operations():
+            op()
+    finally:
+        tracer.uninstall()
+    assert tracer.check_counts(wl.expected_calls()) == []
+    assert tracer.summary()["randgraph.rngseed_generator"]["calls"] == 2 * 200 * len(wl.radii)
 
 
 def test_tracer_counts_the_sweep_views():

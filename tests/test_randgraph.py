@@ -103,6 +103,63 @@ class TestRngSeed:
         assert a != b
 
 
+def _numpy_key(seed: int, stream: int, path: tuple) -> np.ndarray:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path))
+    return ss.generate_state(2, np.uint64)
+
+
+class TestRngSeedChildren:
+    """`children` keys a block of seeds exactly as SeedSequence keys each one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**300 - 1),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 2**32 - 1), max_size=3),
+        st.one_of(st.sampled_from([0, 2**32 - 64]), st.integers(0, 2**32 - 64)),
+        st.one_of(st.just(()), st.just((0,)), st.integers(0, 2**32 - 1).map(lambda w: (w,))),
+    )
+    def test_keys_equal_seed_sequence(self, seed, stream, path, start, tail):
+        base = RngSeed(seed, stream, tuple(path))
+        kids = base.children(start, start + 64, tail)
+        assert [k.path for k in kids] == [(*path, i, *tail) for i in range(start, start + 64)]
+        for kid in kids:
+            assert kid.key.dtype == np.uint64
+            assert np.array_equal(kid.key, _numpy_key(seed, stream, kid.path))
+            plain = RngSeed(seed, stream, kid.path)
+            assert kid == plain and hash(kid) == hash(plain) and repr(kid) == repr(plain)
+        for kid in (kids[0], kids[-1]):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *kid.path))
+            want = np.random.Generator(np.random.Philox(ss)).random(5)
+            assert np.array_equal(kid.generator().random(5), want)
+
+    def test_child_and_children_agree(self):
+        base = RngSeed(7, 3).child(2)
+        for kid in base.children(0, 5) + base.children(10, 12, (0,)):
+            plain = RngSeed(7, 3, kid.path)
+            assert plain.key is None and plain == kid
+            assert np.array_equal(plain.generator().random(8), kid.generator().random(8))
+            assert np.array_equal(kid.key, plain.generator().bit_generator.state["state"]["key"])
+
+    def test_empty_range(self):
+        assert RngSeed(7).children(5, 5) == []
+        assert RngSeed(7).children(9, 3, (0,)) == []
+
+    @pytest.mark.parametrize(
+        "start, stop, tail",
+        [(-1, 3, ()), (2**32 - 1, 2**32 + 1, ()), (0, 3, (2**32,)), (0, 3, (0, -1)), (5, 5, (2**32,))],
+    )
+    def test_words_outside_one_word_raise(self, start, stop, tail):
+        with pytest.raises(GraphError):
+            RngSeed(7).children(start, stop, tail)
+
+    def test_prefix_words_outside_one_word_raise(self):
+        # SeedSequence would split such a word in two, and the keys would be wrong
+        for seed in (RngSeed(7, 2**32), RngSeed(7, 0, (1, 2**32))):
+            with pytest.raises(GraphError):
+                seed.children(0, 3)
+
+
 class TestErdosRenyi:
     def test_single_vertex(self):
         g = erdos_renyi(1, 0.5, RngSeed(1))

@@ -53,7 +53,7 @@ LAW_TABLE = [
     ("geom:0.5", 0, False, 0),
     ("pmf:0,0,0.5" + ",0" * 9 + ",0.5", 2, False, 5),
     ("pmf:0,0,0.3" + ",0" * 17 + ",0.7", 0, True, 3),
-    ("pmf:0,0,0.8" + ",0" * 27 + ",0.2", 1, True, 1),
+    ("pmf:0,0,0.8" + ",0" * 27 + ",0.2", 1, True, 3),
 ]
 
 
