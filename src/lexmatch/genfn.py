@@ -23,6 +23,8 @@ the one fixed point gamma of S and pairs each other fixed point t < gamma
 with its conjugate S(t) > gamma.  F_pi'(x) = m hphi'(1-x) (D(x) - x), so
 the maxima of F_pi are the fixed points where D(x) - x changes sign from +
 to -, and gamma is one iff hphi'(1-gamma) <= 1 (that is, D'(gamma) <= 1).
+No margin is fixed: a sign of D(t) - t counts only where it clears a bound
+on its rounding error, and the degenerate family is recognised exactly.
 """
 
 from __future__ import annotations
@@ -358,65 +360,68 @@ def double_map(law: OffspringLaw, t):
     return law.excess_pgf(1.0 - np.asarray(law.excess_pgf(1.0 - np.asarray(t))))
 
 
+def _bisect(above, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] (above(lo) true, above(hi) false) until lo and hi are adjacent doubles."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return mid
+
+
 def single_fixed_point(law: OffspringLaw) -> float:
-    """gamma, the one fixed point of the decreasing map S(t) = hphi(1 - t), by 200 bisection steps."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(law.excess_pgf(1.0 - mid)) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """gamma, the one fixed point of the decreasing map S(t) = hphi(1 - t), by bisection."""
+    return _bisect(lambda t: float(law.excess_pgf(1.0 - t)) > t, 0.0, 1.0)
+
+
+def _residual(law: OffspringLaw, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(t) - t and a first-order bound on its rounding error (Higham 2002, section 5.1).
+
+    hphi errs by (4 + 2n) eps relative, n the Poisson exponent c, the binomial power or
+    the pmf length (Horner on positive terms); hphi' carries its argument's error forward.
+    """
+    ex, eps = law.excess, np.finfo(float).eps
+    rel = (4 + 2 * (ex.params[0] if ex.params else len(ex.pmf))) * eps
+    s = ex.pgf(1.0 - t)
+    d = ex.pgf(1.0 - s)
+    err_s = rel * s + ex.pgf(1.0 - t, 1) * eps * (1.0 - t)
+    return d - t, rel * d + ex.pgf(1.0 - s, 1) * (err_s + eps * (1.0 - s)) + eps * np.abs(d - t)
 
 
 _SCAN_POINTS = 10_000
 
 
-def double_fixed_points(law: OffspringLaw, tol: float = 1e-12) -> list[float]:
+def double_fixed_points(law: OffspringLaw) -> list[float]:
     """All fixed points of D(t) = S(S(t)), S(t) = hphi(1-t), on [0, 1], ascending.
 
     S is decreasing, so D fixes gamma = S(gamma) and pairs every other fixed
-    point t < gamma with its conjugate S(t) > gamma.  The lows are the sign
-    changes of D(t) - t on a scan of [0, gamma), refined by bisection to
-    tol; a root within 1e-7 of gamma is rounding and is dropped.  Returns
+    point t < gamma with its conjugate S(t) > gamma.  No margin is fixed: a
+    point of a scan of [0, gamma) counts only where |D(t) - t| exceeds the
+    bound on its rounding error (``_residual``), so its sign is the true one,
+    and consecutive counted points of opposite signs are bisected to adjacent
+    doubles; a leafless law (hphi(0) = 0) has the low 0 by algebra.  Returns
     lows + [gamma] + their conjugates.  As F_pi'(x) = m hphi'(1-x) (D(x) - x),
     these are the critical points of F_pi, and gamma is a maximum iff
     hphi'(1-gamma) <= 1; a root where D(x) - x touches zero without changing
-    sign is no maximum, and the scan may miss it.  Raises
-    DegenerateFamilyError when D is the identity (residual below 10*tol at
-    10 equispaced interior points).
+    sign is no maximum, and the scan may miss it.  Raises DegenerateFamilyError
+    when D is the identity, i.e. hphi is Moebius: a polynomial hphi of degree d
+    gives D of degree d^2, and Poisson has D(0) = e^-c > 0, so the excess law
+    is geometric1 (from geom:p) or the point mass at 1 (every law on {0, 2}).
     """
-    if tol <= 0:
-        raise LawError("tol must be positive")
-    interior = np.linspace(0.05, 0.95, 10)
-    interior_resid = np.abs(np.asarray(double_map(law, interior)) - interior)
-    if np.all(interior_resid < 10.0 * tol):
-        raise DegenerateFamilyError(
-            "doubled map is the identity on [0,1]; continuum of fixed points"
-        )
+    ex = law.excess
+    leafless = ex.pgf(0.0) == 0.0
+    if ex.family == "geometric1" or (leafless and ex.mean == 1.0):
+        raise DegenerateFamilyError("doubled map is the identity on [0,1]; continuum of fixed points")
     gamma = single_fixed_point(law)
     # 10^4 equispaced points up to gamma (1 - 10^-4), then gamma (1 - 10^-j) for
     # j = 4.25, 4.5, ..., 6: they crowd gamma, where conjugate pairs are born
     crowd = 1.0 - 10.0 ** -np.linspace(4.25, 6.0, 8)
     grid = np.r_[np.linspace(0.0, gamma, _SCAN_POINTS, endpoint=False), gamma * crowd]
-    resid = np.asarray(double_map(law, grid)) - grid
-    if law.excess_pgf(0.0) == 0.0:
-        resid[0] = 0.0  # leafless: D(0) = hphi(1 - hphi(1)) = 0 and S(0) = 1, however hphi(1) rounds
-
-    lows: list[float] = []
-    for i in np.flatnonzero((resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0)):
-        lo, hi, flo = grid[i], grid[i + 1], resid[i]
-        while flo != 0.0 and hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fm = double_map(law, mid) - mid
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = float(lo if flo == 0.0 else 0.5 * (lo + hi))
-        if gamma - root >= 1e-7:
-            lows.append(root)
+    resid, bound = _residual(law, grid)
+    counted = np.flatnonzero((np.abs(resid) > bound) & (grid > 0.0 if leafless else True))
+    up = resid[counted] > 0.0  # compare signs: a product of two tiny residuals underflows
+    lows = [0.0] if leafless else []
+    for f in np.flatnonzero(up[:-1] != up[1:]):
+        lo, hi, side = grid[counted[f]], grid[counted[f + 1]], up[f]
+        lows.append(float(_bisect(lambda x: (double_map(law, x) > x) == side, lo, hi)))
     return lows + [gamma] + [float(law.excess_pgf(1.0 - t)) if t else 1.0 for t in reversed(lows)]
 
 
@@ -445,7 +450,7 @@ def matching_vertex_density(law: OffspringLaw) -> float:
     asymptotically perfect matchings, so 1 is returned for them.
     """
     try:
-        fps = double_fixed_points(law, tol=1e-12)
+        fps = double_fixed_points(law)
     except DegenerateFamilyError:
         return 1.0
     candidates = np.concatenate([fps, np.linspace(0.0, 1.0, 2001)])
@@ -471,10 +476,8 @@ def karp_sipser_poisson(c: float) -> KarpSipserConstants:
     atom of the level-0 message CDF at zero; the matched-vertex density is
     2 - gh - gl - c gl gh.
     """
-    if not (c > 0 and math.isfinite(c)):
-        raise LawError(f"c must be positive, got {c}")
     law = OffspringLaw.poisson(c)
-    fps = double_fixed_points(law, tol=1e-14)
+    fps = double_fixed_points(law)
     gl, gh = fps[0], math.exp(-c * fps[0])
     beta = c * gl * gh + gl + gh - 1.0
     edge = (2.0 - gh - gl - c * gl * gh) / c
@@ -564,7 +567,8 @@ class RegimeReport:
     (D(x) - x) puts its maxima at fixed points of D, and gamma is one iff
     hphi'(1-gamma) <= 1.  atoms is the law of the macroscopic level;
     fixed_points lists the doubled-map fixed points (lows, gamma, the lows'
-    conjugates); [rho, rho_upper] encloses the subcriticality coefficient
+    conjugates, to adjacent doubles with no margin; empty when
+    degenerate_family, D the identity); [rho, rho_upper] encloses the subcriticality coefficient
     (rho is attained by a two-point law, rho_upper bounds it from above);
     unique_double_fp records whether gamma is the only fixed point in the
     open interval (0, 1).  subcritical means rho_upper < 1: this is where
@@ -592,20 +596,21 @@ def macroscopic_law(law: OffspringLaw) -> RegimeReport:
     gamma is a peak iff D'(gamma) = hphi'(1-gamma)^2 <= 1, and surely when
     no fixed point lies below it (then D(x) >= x on [0, gamma)).  The best
     point is the argmax of F_pi over the low fixed points and over gamma
-    when gamma is a peak.  An interior gamma
-    yields k=1 with level law (gamma, 1-gamma); an interior low gl yields
-    k=2 with level law (gl, S(gl)-gl, 1-S(gl)); a best point at 0 yields k=0
-    (level identically 0, leafless perfect-matching regime).
+    when gamma is a peak.  Interior is 0 < t < 1, with no margin.  An interior
+    gamma yields k=1 with level law (gamma, 1-gamma); an interior low gl, however
+    small (4.2e-18 at Poisson(40)), yields k=2 with level law (gl, S(gl)-gl,
+    1-S(gl)); a best point at 0 (exact, leafless laws only) or gamma = 1 (hphi
+    identically 1) yields k=0 (level identically 0, perfect-matching regime).
     """
     rho, rho_upper = _rho_interval(law)
     try:
-        fps = double_fixed_points(law, tol=1e-12)
+        fps = double_fixed_points(law)
     except DegenerateFamilyError:
         return RegimeReport(0, (1.0,), (), rho, rho_upper, False, degenerate_family=True)
     lows, gamma = fps[: len(fps) // 2], fps[len(fps) // 2]
     peak = not lows or law.excess_pgf(1.0 - gamma, 1) <= 1.0
     best = max(lows + [gamma] if peak else lows, key=lambda t: F_pi(law, t))
-    interior = [t for t in fps if 1e-10 < t < 1.0 - 1e-10]
+    interior = [t for t in fps if 0.0 < t < 1.0]
     if best == gamma and best in interior:
         k, atoms = 1, (gamma, 1.0 - gamma)
     elif best in interior:

@@ -740,18 +740,19 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
     k = cfg.k if cfg.k is not None else regime.k
     grid = rde.GridSpec(cfg.grid_points, cfg.grid_t)
     system = rde.solve_system(law, wlaw, k, grid)
-    cons = rde.conservation_check(system)
+    plateau = system.plateau
+    relation = abs(plateau[0] - float(law.excess_pgf(1.0 - plateau[-1]))) if k else 0.0
     size = rde.size_from_system(system)
     cross = rde.size_from_functional(system)
     records = [
         ResultRecord(
             "solve",
-            "conservation_residual",
+            "plateau_relation_residual",
             {"law": cfg.law, "weights": cfg.weights, "k": k, "grid": cfg.grid_points},
-            cons["bords"],
+            relation,
             None,
             0.0,
-            "boundary-value conservation identity (rde.conservation_check)",
+            "plateau relation |l_1 - hphi(1 - l_k)| of the solved layers",
             2e-3,
         ),
         ResultRecord(

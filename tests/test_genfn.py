@@ -1,6 +1,7 @@
 """Generating-function analytics against independent scalar oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ class TestExcessLawDifferential:
 
 class TestDoubleFixedPoints:
     def test_poisson_1_single_point(self):
-        pts = genfn.double_fixed_points(OffspringLaw.poisson(1.0), tol=1e-12)
+        pts = genfn.double_fixed_points(OffspringLaw.poisson(1.0))
         assert len(pts) == 1
         assert pts[0] == pytest.approx(GAMMA_1, abs=1e-9)
         # cross-check: the fixed point of t = exp(-t) satisfies the doubled map
@@ -286,7 +287,7 @@ class TestDoubleFixedPoints:
 
     def test_poisson_3_three_points_conjugate(self):
         law = OffspringLaw.poisson(3.0)
-        pts = genfn.double_fixed_points(law, tol=1e-12)
+        pts = genfn.double_fixed_points(law)
         assert len(pts) == 3
         gl, gh = pts[0], pts[-1]
         assert abs(gh - math.exp(-3.0 * gl)) < 1e-9
@@ -307,6 +308,59 @@ class TestDoubleFixedPoints:
     def test_deterministic_two_degenerate(self):
         with pytest.raises(DegenerateFamilyError):
             genfn.double_fixed_points(OffspringLaw.delta(2))
+
+
+# laws whose residual bound is checked, spelled so that parse_law and the
+# decimal oracle read the same doubles
+_BOUND_LAWS = [
+    "poisson:1",
+    f"poisson:{math.e - 1e-4!r}",
+    "poisson:60",
+    "binom:8:0.4",
+    "binom:1000:0.01",
+    "pmf:0.2,0.5,0.3",
+    "pmf:0.1,0,0,0,0,0.9",
+    "pmf:0.05,0.1,0,0.2,0.15,0,0,0.1,0,0,0,0,0.4",
+]
+
+
+def _decimal_hphi(spec):
+    """Independent oracle: the excess pgf of spec on Decimal arguments."""
+    kind, _, rest = spec.partition(":")
+    if kind == "poisson":
+        c = Decimal(float(rest))
+        return lambda x: (c * (x - 1)).exp()
+    if kind == "binom":
+        n, q = int(rest.split(":")[0]), Decimal(float(rest.split(":")[1]))
+        return lambda x: (1 - q + q * x) ** (n - 1)
+    probs = [Decimal(float(v)) for v in rest.split(",")]
+    mean = sum(k * p for k, p in enumerate(probs))
+    coeffs = [k * p / mean for k, p in enumerate(probs)][1:]
+
+    def horner(x):
+        acc = Decimal(0)
+        for a in reversed(coeffs):
+            acc = acc * x + a
+        return acc
+
+    return horner
+
+
+@pytest.mark.parametrize("spec", _BOUND_LAWS)
+def test_residual_bound_holds_against_decimal(spec):
+    law = parse_law(spec)
+    gamma = genfn.single_fixed_point(law)
+    # 1 000 points on [0, 1] and 200 crowding gamma, where D(t) - t cancels
+    near = gamma * 10.0 ** -np.linspace(1.0, 15.0, 100)
+    t = np.clip(np.r_[np.linspace(0.0, 1.0, 1000), gamma - near, gamma + near], 0.0, 1.0)
+    resid, bound = genfn._residual(law, t)
+    hphi = _decimal_hphi(spec)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for ti, ri, bi in zip(t.tolist(), resid.tolist(), bound.tolist()):
+            x = Decimal(ti)
+            exact = hphi(1 - hphi(1 - x)) - x
+            assert abs(Decimal(ri) - exact) <= Decimal(bi), (ti, ri, exact, bi)
 
 
 class TestFPi:

@@ -5,6 +5,7 @@ point with its conjugate S(t).  F_pi'(x) = m hphi'(1-x) (D(x) - x), so the
 maxima of F_pi are the fixed points where D(x) - x falls through zero.
 """
 
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,10 @@ LAW_TABLE = [
     ("poisson:7", 2, False, 3),
     ("poisson:10", 2, False, 3),
     ("poisson:20", 2, False, 3),
+    # the low fixed point is tiny (1.4e-11, 1.9e-22, 5.1e-131) but interior
+    ("poisson:25", 2, False, 3),
+    ("poisson:50", 2, False, 3),
+    ("poisson:300", 2, False, 3),
     ("binom:1:0.5", 0, False, 1),
     ("binom:2:0.5", 1, True, 1),
     ("binom:3:0.5", 1, True, 1),
@@ -42,6 +47,10 @@ LAW_TABLE = [
     ("binom:4:0.9", 2, False, 3),
     ("binom:6:0.6", 2, False, 3),
     ("binom:10:0.5", 2, False, 3),
+    ("binom:50:0.5", 2, False, 3),
+    ("binom:1000:0.5", 2, False, 3),
+    # pi on {0, 2}: the excess law is the point mass at 1
+    ("binom:2:1.0", 0, False, 0),
     ("pmf:1", 0, False, 1),
     ("pmf:0,1", 0, False, 1),
     ("pmf:0.2,0.5,0.3", 1, True, 1),
@@ -51,6 +60,8 @@ LAW_TABLE = [
     ("pmf:0,0,0.789473684210526,0,0,0.210526315789474", 1, True, 3),
     ("pmf:0.1,0,0,0,0,0.9", 0, True, 3),
     ("geom:0.5", 0, False, 0),
+    ("geom:1e-6", 0, False, 0),
+    ("geom:1e-8", 0, False, 0),
     ("pmf:0,0,0.5" + ",0" * 9 + ",0.5", 2, False, 5),
     ("pmf:0,0,0.3" + ",0" * 17 + ",0.7", 0, True, 3),
     ("pmf:0,0,0.8" + ",0" * 27 + ",0.2", 1, True, 3),
@@ -90,7 +101,10 @@ class TestLawSweep:
             assert abs(genfn.double_map(law, t) - t) < 1e-9
             assert min(abs(law.excess_pgf(1.0 - t) - s) for s in fps) < 1e-9
         if law.family == "poisson":
-            assert gamma == pytest.approx(lambert_w_over_c(law.params[0]), abs=1e-12)
+            c = law.params[0]
+            assert gamma == pytest.approx(lambert_w_over_c(c), abs=1e-12)
+            # abs=0: the low can lie far below approx's default absolute tolerance
+            assert fps[0] == pytest.approx(math.exp(-c * fps[-1]), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("spec", ["poisson:0.5", "poisson:3", "binom:4:0.9", "pmf:0.2,0.5,0.3"])
@@ -106,7 +120,7 @@ def test_F_pi_derivative_identity(spec):
 DELTAS = [10.0**-j for j in range(2, 9)]
 
 
-@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("delta", [0.0] + DELTAS)
 def test_one_fixed_point_below_e(delta):
     report = genfn.macroscopic_law(OffspringLaw.poisson(math.e - delta))
     assert (report.k, len(report.fixed_points)) == (1, 1)
@@ -122,6 +136,15 @@ def test_a_conjugate_pair_above_e(delta):
     assert report.atoms == (gl, gh - gl, 1.0 - gh)
 
 
+def test_degenerate_family_read_off_the_law(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the degenerate test evaluates no doubled map")
+
+    monkeypatch.setattr(genfn, "double_map", no_scan)
+    report = genfn.macroscopic_law(parse_law("geom:1e-8"))
+    assert report.degenerate_family and report.fixed_points == ()
+
+
 def test_solve_just_above_e_is_a_one_line_no_convergence(capsys):
     assert cli(["solve", "--law", "poisson:2.71829", "--grid-points", "512"]) == 1
     captured = capsys.readouterr()
@@ -134,3 +157,30 @@ def test_decay_just_above_e_refused_as_k2(capsys):
     assert cli(["decay", "--law", "poisson:2.7183"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: decay experiment needs the k=1 regime, got k=2\n"
+
+
+def test_decay_at_large_mean_refused_as_k2(capsys):
+    assert cli(["decay", "--law", "poisson:25"]) == 1
+    assert capsys.readouterr().err == "error: decay experiment needs the k=1 regime, got k=2\n"
+
+
+def test_mandatory_at_large_mean_needs_a_unique_fixed_point(capsys):
+    argv = ["mandatory", "--law", "poisson:30", "--depth", "2", "--samples", "10"]
+    assert cli(argv + ["--cross-forests", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mandatory/blocking densities need a unique doubled fixed point")
+    assert err.count("\n") == 1
+
+
+def test_solve_refuses_geom_1e_6_as_degenerate(capsys):
+    assert cli(["solve", "--law", "geom:1e-6", "--grid-points", "512"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve experiment needs a law outside the degenerate family")
+    assert err.count("\n") == 1
+
+
+def test_solve_at_large_mean_runs_at_k2(tmp_path, capsys):
+    assert cli(["solve", "--law", "poisson:25", "--grid-points", "512", "--out", str(tmp_path)]) == 0
+    assert "[PASS] solve/edge_density_formula_gap" in capsys.readouterr().out
+    records = json.loads((tmp_path / "solve.json").read_text())["records"]
+    assert {rec["params"]["k"] for rec in records} == {2}
