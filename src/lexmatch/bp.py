@@ -22,9 +22,10 @@ application, so the two constant extreme conditions bound every other
 condition edge by edge; where the two extremal sweeps agree the message
 is certified independent of everything outside the ball.
 
-A forest's directed edge is fixed by its child endpoint v, so a sweep
-stores its messages in two lists indexed by vertex; every directed-edge
-mapping returned here is a view keyed (u, v) over such lists, not a dict.
+A forest's directed edge is fixed by its child endpoint v and its
+direction, so a sweep keeps each message as an int level and a float z
+in two lists indexed by vertex, no tuple per message; every
+directed-edge mapping returned here is a view keyed (u, v) over them.
 """
 
 from __future__ import annotations
@@ -36,21 +37,9 @@ from .exact import BLOCKING, FREE, MANDATORY, Matching, _orient_forest
 from .randgraph import WeightedGraph
 
 __all__ = [
-    "ZERO",
-    "top_msg",
-    "FieldInconsistencyError",
-    "EdgeMap",
-    "MessageField",
-    "SqueezeResult",
-    "sweep_tree",
-    "extract_matching",
-    "sweep_bounded",
-    "squeeze",
-    "macroscopic_squeeze",
-    "classify_edge",
-    "classify_edges_from_levels",
-    "scalar_sweep_eps",
-    "UNKNOWN",
+    "ZERO", "top_msg", "FieldInconsistencyError", "EdgeMap", "MessageField", "SqueezeResult",
+    "sweep_tree", "extract_matching", "sweep_bounded", "squeeze", "macroscopic_squeeze",
+    "classify_edge", "classify_edges_from_levels", "scalar_sweep_eps", "UNKNOWN",
 ]
 
 ZERO = (0, 0.0)
@@ -69,34 +58,37 @@ class FieldInconsistencyError(AssertionError):
 class EdgeMap(MutableMapping):
     """Messages on the directed edges of an oriented forest, keyed (u, v).
 
-    up[v] is msg(parent(v), v) and down[v] is msg(v, parent(v)).  Keys run
-    in BFS order, (p, v) then (v, p) for each non-root v.  A write is
-    allowed only on an existing edge key and lands in the lists.
+    With n = len(parent), msg(parent(v), v) is (level[v], z[v]) and
+    msg(v, parent(v)) is (level[n + v], z[n + v]); parent, order and pe
+    (the edge to the parent) come from _orient_forest.  Keys run in BFS
+    order, (p, v) then (v, p) for each non-root v.  A write is allowed
+    only on an existing edge key and lands in the lists.
     """
 
-    __slots__ = ("parent", "order", "up", "down")
+    __slots__ = ("parent", "order", "pe", "level", "z")
 
-    def __init__(self, parent: list, order: list, up: list, down: list):
-        self.parent, self.order, self.up, self.down = parent, order, up, down
+    def __init__(self, parent, order, pe, level: list, z: list):
+        self.parent, self.order, self.pe, self.level, self.z = parent, order, pe, level, z
 
-    def _locate(self, key) -> tuple[list, int]:
+    def _locate(self, key) -> int:
         u, v = key
         parent = self.parent
-        # range first: a negative index would read a list from its end
-        if 0 <= u < len(parent) and 0 <= v < len(parent):
+        n = len(parent)
+        # range first: a negative index would read from the end
+        if 0 <= u < n and 0 <= v < n:
             if parent[v] == u:
-                return self.up, v
+                return v
             if parent[u] == v:
-                return self.down, u
+                return n + u
         raise KeyError(key)
 
     def __getitem__(self, key):
-        msgs, i = self._locate(key)
-        return msgs[i]
+        i = self._locate(key)
+        return (self.level[i], self.z[i])
 
     def __setitem__(self, key, value):
-        msgs, i = self._locate(key)
-        msgs[i] = value
+        i = self._locate(key)
+        self.level[i], self.z[i] = value
 
     def __delitem__(self, key):
         raise TypeError("directed-edge messages cannot be deleted")
@@ -123,8 +115,8 @@ class _PairView(Mapping):
 
     def __getitem__(self, key):
         lo, hi = self.lo, self.hi
-        msgs, i = lo._locate(key)  # the two sweeps share one orientation
-        return self.op(msgs[i], (hi.up if msgs is lo.up else hi.down)[i])
+        i = lo._locate(key)  # the two sweeps share one orientation
+        return self.op((lo.level[i], lo.z[i]), (hi.level[i], hi.z[i]))
 
     def __iter__(self):
         return iter(self.lo)
@@ -164,62 +156,53 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     pinned maps a boundary vertex b to the exogenous message (parent(b), b);
     pinned vertices must not have children inside g (true for radius
     boundaries of tree balls).  `oriented` is a precomputed
-    _orient_forest(g, avoid=pinned) and `weights` replaces g.weights.
+    _orient_forest(g, avoid=pinned) and `weights`, indexed by edge id,
+    replaces g.w.  Messages (level, z) are compared lexicographically.
     """
-    parent, order = oriented or _orient_forest(g, avoid=frozenset(pinned))
+    parent, order, pe = oriented or _orient_forest(g, avoid=frozenset(pinned))
     if weights is None:
-        weights = g.weights
-    adjacency = g.adjacency
+        weights = g.w
     n = g.n
-    pw = [0.0] * n  # weight of the edge (v, parent(v))
     # upward pass: the running maxima top1 >= top2 of the candidates at
     # each vertex (arg = the child giving top1) start at (0, 0); once v's
     # children are in, top1[v] is msg(parent(v), v), or v's pin, and its
-    # candidate (k, pw[v]) - top1[v] is pushed into the parent's maxima
-    top1 = [ZERO] * n
-    top2 = [ZERO] * n
-    arg = [-1] * n
+    # candidate (k, w(v, parent(v))) - top1[v] is pushed into the parent's maxima
+    l1, z1, l2, z2, arg = [0] * n, [0.0] * n, [0] * n, [0.0] * n, [-1] * n
     for v in reversed(order):
         p = parent[v]
         if v in pinned:
-            # in a forest, v has children iff it has a neighbour besides p
-            if len(adjacency[v]) > (p >= 0):
-                raise FieldInconsistencyError(f"pinned boundary vertex {v} has interior children")
-            msg = top1[v] = pinned[v]
-        else:
-            msg = top1[v]
+            l1[v], z1[v] = pinned[v]
+        lv, zv = l1[v], z1[v]
         if p < 0:
             continue
-        w = pw[v] = weights[(p, v) if p < v else (v, p)]
-        cand = (k - msg[0], w - msg[1])
-        if cand > top1[p]:
-            top2[p] = top1[p]
-            top1[p], arg[p] = cand, v
-        elif cand > top2[p]:
-            top2[p] = cand
-    up = top1.copy()  # msg(parent(v), v), pins included
+        if p in pinned:
+            raise FieldInconsistencyError(f"pinned boundary vertex {p} has interior children")
+        lc, zc = k - lv, weights[pe[v]] - zv
+        if lc > l1[p] or lc == l1[p] and zc > z1[p]:
+            l2[p], z2[p] = l1[p], z1[p]
+            l1[p], z1[p], arg[p] = lc, zc, v
+        elif lc > l2[p] or lc == l2[p] and zc > z2[p]:
+            l2[p], z2[p] = lc, zc
+    # msg(parent(v), v) at v, pins included; msg(v, parent(v)) overwrites n + v
+    level, z = l1 * 2, z1 * 2
 
     # downward pass in BFS order: when v is reached, its parent's maxima
     # already hold every candidate at the parent, the grandparent's
     # included, so msg(v, parent(v)) is the parent's top2 if v gives its
-    # top1 and its top1 otherwise; unless v is a leaf, v's candidate from
-    # its parent is then merged into v's maxima (arg -1) for v's children
-    # (a pinned vertex is a leaf, so its top1 keeps the pin)
-    down = [ZERO] * n
+    # top1 and its top1 otherwise; v's candidate from its parent is then
+    # merged into v's maxima (arg -1) for v's children
     for v in order:
         p = parent[v]
         if p < 0:
             continue
-        msg = down[v] = top2[p] if arg[p] == v else top1[p]
-        if len(adjacency[v]) == 1:
-            continue
-        cand = (k - msg[0], pw[v] - msg[1])
-        if cand > top1[v]:
-            top2[v] = top1[v]
-            top1[v], arg[v] = cand, -1
-        elif cand > top2[v]:
-            top2[v] = cand
-    return EdgeMap(parent, order, up, down)
+        lv, zv = level[n + v], z[n + v] = (l2[p], z2[p]) if arg[p] == v else (l1[p], z1[p])
+        lc, zc = k - lv, weights[pe[v]] - zv
+        if lc > l1[v] or lc == l1[v] and zc > z1[v]:
+            l2[v], z2[v] = l1[v], z1[v]
+            l1[v], z1[v], arg[v] = lc, zc, -1
+        elif lc > l2[v] or lc == l2[v] and zc > z2[v]:
+            l2[v], z2[v] = lc, zc
+    return EdgeMap(parent, order, pe, level, z)
 
 
 def sweep_tree(g: WeightedGraph, k: int) -> MessageField:
@@ -257,45 +240,45 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     assumes atomless weights.
     """
     k = field.k
-    messages = field.messages
-    parent, up, down = messages.parent, messages.up, messages.down
-    weights = g.weights
+    msgs = field.messages
+    parent, level, z = msgs.parent, msgs.level, msgs.z
+    n = g.n
+    weights = g.w
     chosen = []
-    matched_of = [None] * g.n
+    matched_of = [None] * n
     # edge rule, one edge per child vertex v with parent p:
     # (level, z) of msg(p,v) + msg(v,p) < (k, w)
-    for v, p in enumerate(parent):
+    for v, p, e in zip(range(n), parent, msgs.pe):
         if p < 0:
             continue
-        a, b = up[v], down[v]
-        e = (p, v) if p < v else (v, p)
-        level = a[0] + b[0]
-        if level < k or (level == k and a[1] + b[1] < weights[e]):
+        lv = level[v] + level[n + v]
+        if lv < k or (lv == k and z[v] + z[n + v] < weights[e]):
             if matched_of[p] is not None or matched_of[v] is not None:
                 raise FieldInconsistencyError("edge rule selected incident edges")
-            chosen.append(e)
-            matched_of[p] = v
-            matched_of[v] = p
-    chosen.sort()  # ascending, so the matching's weight sums in edge order
+            chosen.append((p, v) if p < v else (v, p))
+            matched_of[p], matched_of[v] = v, p
+    # ascending: Matching.from_edges sums the weight in the iteration order
+    # of the frozenset it builds, and that order follows the insertion order
+    chosen.sort()
 
     # vertex rule: u matched to argmax of (k, w(u,v)) - msg(u, v) when > (0,0).
     # Pinned boundary vertices are skipped: their exterior candidates are
     # invisible here, and the edge rule already accounts for them through
     # the pinned message.
     pinned = field.boundary_spec
-    for u, nb in enumerate(g.adjacency):
+    for u in range(n):
         if u in pinned:
             continue
         p = parent[u]
         best_level, best_z, arg = 0, 0.0, None
-        for v in nb:
-            level, z = down[u] if v == p else up[v]  # msg(u, v)
-            level = k - level
-            if level < best_level:
+        for v, e in zip(*g.incident(u)):
+            i = n + u if v == p else v  # msg(u, v)
+            lv = k - level[i]
+            if lv < best_level:
                 continue
-            z = weights[(u, v) if u < v else (v, u)] - z
-            if level > best_level or z > best_z:
-                best_level, best_z, arg = level, z, v
+            zv = weights[e] - z[i]
+            if lv > best_level or zv > best_z:
+                best_level, best_z, arg = lv, zv, v
         if matched_of[u] != arg:
             raise FieldInconsistencyError(
                 f"vertex rule ({u} -> {arg}) disagrees with edge rule "
@@ -353,7 +336,7 @@ def macroscopic_squeeze(g: WeightedGraph) -> tuple[Mapping, Mapping]:
     constant boundary level 0 or 1.  Both are read-only mappings keyed
     (u, v): the all-zero level, and whether the two extremal levels agree.
     """
-    lo, hi = _extremal_sweeps(g, 1, dict.fromkeys(g.weights, 0.0))
+    lo, hi = _extremal_sweeps(g, 1, [0.0] * g.m)
     return _PairView(lo, hi, lambda a, b: a[0]), _PairView(lo, hi, lambda a, b: a[0] == b[0])
 
 
@@ -386,9 +369,12 @@ def scalar_sweep_eps(g: WeightedGraph, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    weps = {e: 1.0 + eps * w for e, w in g.weights.items()}
+    weps = [1.0 + eps * w for w in g.w]
     msgs = _sweep(g, 0, {}, weights=weps)
-    up, down = msgs.up, msgs.down
-    edges = (((p, v) if p < v else (v, p), v) for v, p in enumerate(msgs.parent) if p >= 0)
-    chosen = sorted(e for e, v in edges if up[v][1] + down[v][1] < weps[e])
+    n, z = g.n, msgs.z
+    chosen = sorted(
+        (p, v) if p < v else (v, p)
+        for v, p, e in zip(range(n), msgs.parent, msgs.pe)
+        if p >= 0 and z[v] + z[n + v] < weps[e]
+    )
     return _PairView(msgs, msgs, lambda a, b: a[1]), Matching.from_edges(g, chosen)

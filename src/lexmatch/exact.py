@@ -3,38 +3,24 @@
 "Optimal" always means maximal in the lexicographic order (cardinality,
 total weight).  Enumeration-based oracles are capped at desk scale
 (26 edges for optima, 22 for maximum-matching structure); the forest
-dynamic program and certified leaf removal scale further.
-
-Leaf removal costs O(n + m) while leaves last and O(sqrt(n) + deg u) per
-random 2-core step after that.  Its random step picks the live edge at
-index rng.integers(0, live edges) of the list ordered by ascending u,
-then by the iteration order of set(adjacency[u]), keeping v > u.
+dynamic program and certified leaf removal (cost and pick order in
+`leaf_removal`) scale further.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import sub
 
 from .randgraph import RngSeed, WeightedGraph
 
 __all__ = [
-    "EnumerationLimitError",
-    "NotAMatchingError",
-    "CycleError",
-    "Matching",
-    "Perf",
-    "MANDATORY",
-    "BLOCKING",
-    "FREE",
-    "brute_force_opt",
-    "tree_opt_dp",
-    "leaf_removal",
-    "mandatory_blocking",
-    "uniform_max_matching",
-    "perf_of",
-    "matching_to_text",
+    "EnumerationLimitError", "NotAMatchingError", "CycleError", "Matching", "Perf", "MANDATORY",
+    "BLOCKING", "FREE", "brute_force_opt", "tree_opt_dp", "leaf_removal", "mandatory_blocking",
+    "uniform_max_matching", "perf_of", "matching_to_text",
 ]
 
 _OPT_EDGE_CAP = 26
@@ -74,7 +60,7 @@ class Matching:
         ends = [x for e in es for x in e]
         if len(set(ends)) < len(ends):
             raise NotAMatchingError(f"vertex reused in {sorted(es)}")
-        return Matching(es, sum(map(g.weights.__getitem__, es)))
+        return Matching(es, sum(g.weight(u, v) for u, v in es))
 
     def covers(self, v: int) -> bool:
         return any(v in e for e in self.edges)
@@ -109,7 +95,7 @@ def _matchings(g: WeightedGraph):
     first.  sel is the live search stack: copy it to keep it.
     """
     edges = g.edges()
-    weights = [g.weights[e] for e in edges]
+    weights = g.w.tolist()  # in the order of g.edges()
     m = len(edges)
     # conflicts[i]: the edges after edge i that share a vertex with it;
     # blocked[i]: the number of selected edges that share a vertex with edge i
@@ -161,17 +147,23 @@ def brute_force_opt(g: WeightedGraph) -> Matching:
 
 
 def _orient_forest(g: WeightedGraph, avoid=frozenset()):
-    """(parent, bfs_order) with parent -1 at component roots; CycleError on cycles.
+    """(parent, bfs_order, parent_edge) as int64 arrays or ranges; CycleError on cycles.
 
-    Components are rooted at a vertex outside `avoid` whenever one exists,
-    so that pinned boundary vertices are BFS leaves.
+    parent is -1 at component roots and parent_edge[v] is the id of the
+    edge (parent(v), v), -1 at roots.  Components are rooted at a vertex
+    outside `avoid` whenever one exists, so that pinned boundary vertices
+    are BFS leaves.
     """
     n = g.n
-    adjacency = g.adjacency
-    parent = [-2] * n
-    order = []
-    seen_edges = 0
     root_pref = g.root_vertex() if n else 0
+    if g.tree and root_pref == 0 and 0 not in avoid:
+        # BFS from 0 visits a breadth-first tree as 0, 1, 2, ...; edge v - 1 joins v to its parent
+        return array("q", [-1]) + g.lo, range(n), range(-1, n - 1)
+    indptr, nbr, eid = g.csr
+    parent = array("q", [-2]) * n
+    pe = array("q", [-1]) * n
+    order = array("q")
+    seen_edges = 0
     # start at the root; only when its component leaves vertices unseen,
     # every vertex outside `avoid`, then every vertex in it, in turn
     starts = [] if root_pref in avoid else [root_pref]
@@ -186,12 +178,14 @@ def _orient_forest(g: WeightedGraph, avoid=frozenset()):
                 v = order[head]
                 head += 1
                 p = parent[v]
-                for w in adjacency[v]:
+                a, b = indptr[v], indptr[v + 1]
+                for w, e in zip(nbr[a:b], eid[a:b]):
                     if w == p:
                         continue
                     if parent[w] != -2:
                         raise CycleError("graph contains a cycle")
                     parent[w] = v
+                    pe[w] = e
                     seen_edges += 1
                     order.append(w)
         if len(order) == n:
@@ -199,7 +193,7 @@ def _orient_forest(g: WeightedGraph, avoid=frozenset()):
         starts = [v for v in range(n) if v not in avoid] + [v for v in range(n) if v in avoid]
     if seen_edges != g.m:
         raise CycleError("graph contains a cycle")
-    return parent, order
+    return parent, order, pe
 
 
 def tree_opt_dp(g: WeightedGraph):
@@ -212,7 +206,7 @@ def tree_opt_dp(g: WeightedGraph):
     allowing v to be matched inside the component of v seen from u, i.e.
     OPT(subtree at v away from u) - OPT(same subtree with v deleted).
     """
-    parent, order = _orient_forest(g)
+    parent, order, _ = _orient_forest(g)
     zero = (0, 0.0)
 
     # upward pass: for v with parent p, opt_in[v] = OPT of subtree(v),
@@ -221,7 +215,7 @@ def tree_opt_dp(g: WeightedGraph):
     opt_out = [zero] * g.n
     choice = [None] * g.n  # child matched to v in opt_in, or None
     for v in reversed(order):
-        kids = [w for w in g.adjacency[v] if parent[w] == v]
+        kids = [w for w in g.neighbors(v) if parent[w] == v]
         base = zero
         for w in kids:
             base = _vadd(base, opt_in[w])
@@ -255,19 +249,19 @@ def tree_opt_dp(g: WeightedGraph):
     gains = {}
     down = [zero] * g.n  # gain of the complement component seen from v
     for v in order:
-        kids = [w for w in g.adjacency[v] if parent[w] == v]
+        kids = [w for w in g.neighbors(v) if parent[w] == v]
         for w in kids:
             gains[(v, w)] = _vsub(opt_in[w], opt_out[w])
     for v in order:
         p = parent[v]
         candidates = []
-        for w in g.adjacency[v]:
+        for w in g.neighbors(v):
             if parent[w] == v:
                 candidates.append((w, _vsub((1, g.weight(v, w)), gains[(v, w)])))
             elif w == p:
                 candidates.append((w, _vsub((1, g.weight(v, w)), down[v])))
         # down[w] for children w: gain of matching w upward into v's side
-        for w in g.adjacency[v]:
+        for w in g.neighbors(v):
             if parent[w] != v:
                 continue
             best = zero
@@ -327,8 +321,8 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     """
     rng = seed.generator()
     n = g.n
-    adj = g.adjacency
-    deg = list(map(len, adj))
+    indptr, nbr, _ = g.csr
+    deg = list(map(sub, indptr[1:], indptr[:-1]))
     alive = [True] * n
     matched = []
     leaves = [v for v in range(n) if deg[v] == 1]
@@ -343,11 +337,11 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     size = max(1, math.isqrt(n))
 
     # A set keeps the order of its remaining elements when others are
-    # discarded, so a fresh set(adj[v]) filtered by `alive` visits the live
-    # neighbours in the order a shrinking set(adj[v]) would.
+    # discarded, so a fresh set of v's neighbours filtered by `alive` visits
+    # the live neighbours in the order a shrinking set would.
     def remove_vertex(v: int) -> None:
         alive[v] = False
-        for w in set(adj[v]):
+        for w in set(nbr[indptr[v] : indptr[v + 1]]):
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] == 1:
@@ -363,7 +357,7 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
             v = leaves.pop()
             if not alive[v] or deg[v] != 1:
                 continue
-            for u in adj[v]:
+            for u in nbr[indptr[v] : indptr[v + 1]]:
                 if alive[u]:
                     break
             matched.append((v, u))
@@ -377,8 +371,8 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
         if not up:
             exact = max(deg) <= 2  # a core of disjoint cycles
             up = [
-                sum(map(alive.__getitem__, nb[bisect_right(nb, u) :])) if alive[u] else 0
-                for u, nb in enumerate(adj)
+                sum(map(alive.__getitem__, nbr[bisect_right(nbr, u, a, b) : b])) if alive[u] else 0
+                for u, a, b in zip(range(n), indptr, indptr[1:])
             ]
             block = [sum(up[i : i + size]) for i in range(0, n, size)]
         # walk to the live edge at index k: its block, its u, then its v
@@ -391,7 +385,7 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
         while k >= up[u]:
             k -= up[u]
             u += 1
-        for v in set(adj[u]):
+        for v in set(nbr[indptr[u] : indptr[u + 1]]):
             if v > u and alive[v]:
                 if k == 0:
                     break
@@ -454,7 +448,7 @@ def perf_of(g: WeightedGraph, matching: Matching) -> tuple[Perf, Perf]:
     The identity perf_V = (2|E|/n) * perf_E holds exactly on finite graphs.
     """
     for e in matching.edges:
-        if e not in g.weights:
+        if g.edge_id(*e) < 0:
             raise NotAMatchingError(f"edge {e} not in graph")
     Matching.from_edges(g, matching.edges)  # re-validates disjointness
     n = max(g.n, 1)

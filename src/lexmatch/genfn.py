@@ -276,12 +276,19 @@ class OffspringLaw:
             return rng.binomial(n, q, size)
         if self.family == "geometric1":
             return rng.geometric(self.params[0], size)
-        table = self.pmf_values(self._table_kmax())
-        return _sample_table(table, rng, size)
+        if size is None:
+            return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return np.searchsorted(self._cdf, rng.random(size), side="right").astype(np.int64)
 
     def sample_excess(self, rng: np.random.Generator, size=None):
         """Draw from the excess law (children of a non-root tree vertex)."""
         return self.excess.sample(rng, size)
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The normalised cumulative table that `sample` searches, built once per law."""
+        cdf = np.cumsum(self.pmf_values(self._table_kmax()))
+        return cdf / cdf[-1]
 
     def _table_kmax(self) -> int:
         if self.family == "finite":
@@ -619,12 +626,3 @@ def macroscopic_law(law: OffspringLaw) -> RegimeReport:
     else:
         k, atoms = 0, (1.0,)
     return RegimeReport(k, atoms, tuple(fps), rho, rho_upper, unique_double_fp=interior == [gamma])
-
-
-def _sample_table(pmf: np.ndarray, rng: np.random.Generator, size=None):
-    cdf = np.cumsum(pmf)
-    cdf = cdf / cdf[-1]
-    if size is None:
-        return int(np.searchsorted(cdf, rng.random(), side="right"))
-    u = rng.random(size)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)

@@ -1,7 +1,8 @@
 """Random graph and tree generation, weights, balls and serialization.
 
-Graphs are finite, simple and undirected, stored as sorted adjacency
-lists plus a symmetric edge-weight map, with either a vertex root or a
+Graphs are finite, simple and undirected, stored in typed arrays: the
+sorted edges with one weight each, and a CSR index of the directed edges
+(a breadth-first tree needs none), with either a vertex root or a
 directed-edge root.  Truncated objects (depth-limited branching trees,
 radius-H balls) carry their boundary vertex set so that downstream
 message passing can apply boundary conditions there.
@@ -17,28 +18,20 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from functools import cached_property
+from itertools import chain, islice, repeat
+from types import MappingProxyType
 
 import numpy as np
 
 from .genfn import OffspringLaw
 
 __all__ = [
-    "GraphError",
-    "RngSeed",
-    "VertexRoot",
-    "EdgeRoot",
-    "WeightedGraph",
-    "WeightLaw",
-    "parse_weight_law",
-    "erdos_renyi",
-    "configuration_model",
-    "ubgw_tree",
-    "assign_weights",
-    "ball",
-    "graph_to_text",
-    "graph_from_text",
+    "GraphError", "RngSeed", "VertexRoot", "EdgeRoot", "WeightedGraph", "WeightLaw",
+    "parse_weight_law", "erdos_renyi", "configuration_model", "ubgw_tree", "assign_weights", "ball",
+    "graph_to_text", "graph_from_text",
 ]
 
 
@@ -131,112 +124,158 @@ class EdgeRoot:
     v: int
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
+def _typed(code: str, values) -> array:
+    """values as a typed array, 'q' int64 or 'd' float64, written in place without a bytes copy."""
+    out = array(code, [0]) * len(values)
+    np.frombuffer(out, dtype=np.int64 if code == "q" else np.float64)[:] = values
+    return out
 
 
-@dataclass(frozen=True)
+def _index(n: int, lo, hi, w) -> tuple:
+    """The checked, sorted (lo, hi, w) of edges lo[i] -- hi[i] given in any order, their
+    csr, order and tree (see WeightedGraph); each array is typed once final."""
+    a, b = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    lo, hi = (a, b) if np.all(a < b) else (np.minimum(a, b), np.maximum(a, b))  # no copy if oriented
+    if len(lo) and (lo.min() < 0 or hi.max() >= n):
+        i = np.flatnonzero((lo < 0) | (hi >= n))[0]
+        raise GraphError(f"edge {(int(a[i]), int(b[i]))} has a vertex outside 0..{n - 1}")
+    loops = np.flatnonzero(lo == hi)
+    if loops.size:
+        raise GraphError(f"self-loop on vertex {int(lo[loops[0]])}")
+    key = lo * n + hi  # n**2 < 2**63 for any n whose arrays fit in memory
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        raise GraphError(f"duplicate edge {divmod(int(key[dup[0]]), n)}")
+    del key
+    m, order = len(perm), None
+    if np.any(perm != np.arange(m)):
+        order = _typed("q", np.zeros(m, dtype=np.int64))
+        np.frombuffer(order, dtype=np.int64)[perm] = np.arange(m)
+    lo, hi, w = _typed("q", lo[perm]), _typed("q", hi[perm]), _typed("d", np.asarray(w, dtype=float)[perm])
+    del a, b, perm
+    lows, highs = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
+    # with the edges sorted, a stable sort by tail of (hi, lo) then (lo, hi)
+    # lists each vertex's smaller neighbours, then its larger ones, ascending
+    tails = np.concatenate((highs, lows))
+    j = np.argsort(tails, kind="stable")
+    indptr = _typed("q", np.zeros(n + 1, dtype=np.int64))
+    np.cumsum(np.bincount(tails, minlength=n), out=np.frombuffer(indptr, dtype=np.int64)[1:])
+    del tails
+    nbr = _typed("q", np.concatenate((lows, highs))[j])
+    j[j >= m] -= m
+    tree = m == n - 1 and bool(np.all(highs == np.arange(1, n)))
+    return lo, hi, w, (indptr, nbr, _typed("q", j)), order, tree
+
+
+@dataclass
 class WeightedGraph:
-    """Simple rooted graph with symmetric real edge weights.
+    """Simple rooted graph with real edge weights, stored in typed arrays.
 
-    adjacency[i] is the sorted tuple of neighbours of i; weights maps the
-    sorted pair (u, v) to its weight.  `boundary` holds the truncation
-    frontier of depth-limited constructions (empty for whole graphs).
-    Instances are immutable; derive modified copies via dataclasses.replace.
+    Edge i joins lo[i] < hi[i], weighs w[i], and the edges are sorted.
+    csr = (indptr, nbr, eid): v's neighbours nbr[indptr[v]:indptr[v + 1]],
+    ascending, joined to v by the edges eid[...].  `order` is the sorted id
+    of each edge in the order they were made, None if sorted.  `tree`: edge
+    c - 1 is (lo[c - 1], c), a tree numbered breadth first from 0 with
+    consecutive children; from ubgw_tree it has no csr until one is read.
+    Other graphs are checked (no self-loop, repeat or id outside range(n)),
+    sorted and indexed when made.  `adjacency` (sorted neighbour tuples) and
+    `weights` (sorted pair -> weight, in `order`) are read-only views built
+    on first use, which this package's algorithms never read.  `boundary`
+    is the truncation frontier of depth-limited constructions.  No code
+    changes a graph once made (not frozen: that costs a setattr call per
+    field per tree); dataclasses.replace makes copies that share the csr.
     """
 
     n: int
-    adjacency: tuple
-    weights: dict
+    lo: array
+    hi: array
+    w: array
     root: object
     boundary: frozenset = frozenset()
+    order: array | None = field(default=None, repr=False)
+    tree: bool = field(default=False, repr=False, compare=False)
+    links: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.root, VertexRoot):
-            if not (0 <= self.root.vertex < max(self.n, 1)):
-                raise GraphError(f"root vertex {self.root.vertex} not in graph")
-        elif isinstance(self.root, EdgeRoot):
-            key = _edge_key(self.root.u, self.root.v)
-            if key not in self.weights:
-                raise GraphError(f"root edge {key} not in graph")
-        else:
-            raise GraphError(f"unsupported root {self.root!r}")
+        if self.links is None and not self.tree:
+            made = _index(self.n, self.lo, self.hi, self.w)
+            self.lo, self.hi, self.w, self.links, self.order, self.tree = made
+        root = self.root
+        if not isinstance(root, (VertexRoot, EdgeRoot)):
+            raise GraphError(f"unsupported root {root!r}")
+        if isinstance(root, VertexRoot) and not 0 <= root.vertex < max(self.n, 1):
+            raise GraphError(f"root vertex {root.vertex} not in graph")
+        if isinstance(root, EdgeRoot) and self.edge_id(root.u, root.v) < 0:
+            raise GraphError(f"root edge {tuple(sorted((root.u, root.v)))} not in graph")
+
+    @property
+    def csr(self) -> tuple:
+        if self.links is None:
+            self.links = _index(self.n, self.lo, self.hi, self.w)[3]
+        return self.links
 
     @property
     def m(self) -> int:
-        return len(self.weights)
+        return len(self.lo)
 
-    def edges(self):
-        return sorted(self.weights.keys())
+    def edges(self) -> list:
+        return list(zip(self.lo, self.hi))
+
+    def edge_id(self, u: int, v: int) -> int:
+        """Index of the edge {u, v} in lo, hi and w, or -1 when there is none."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return -1
+        if self.links is None:  # a tree: edge c - 1 is (lo[c - 1], c)
+            u, v = min(u, v), max(u, v)
+            return v - 1 if u < v and self.lo[v - 1] == u else -1
+        indptr, nbr, eid = self.links
+        end = indptr[u + 1]
+        j = bisect_left(nbr, v, indptr[u], end)
+        return eid[j] if j < end and nbr[j] == v else -1
 
     def weight(self, u: int, v: int) -> float:
-        return self.weights[_edge_key(u, v)]
+        i = self.edge_id(u, v)
+        if i < 0:
+            raise KeyError((u, v))
+        return self.w[i]
+
+    def incident(self, v: int) -> tuple:
+        """(the neighbours of v, ascending; the ids of the edges to them)."""
+        if self.links is None:  # a tree: the parent, then the children a + 1..b on edges a..b - 1
+            lo = self.lo
+            a, b = bisect_left(lo, v), bisect_right(lo, v)
+            if not v:
+                return range(a + 1, b + 1), range(a, b)
+            return [lo[v - 1], *range(a + 1, b + 1)], [v - 1, *range(a, b)]
+        indptr, nbr, eid = self.links
+        a, b = indptr[v], indptr[v + 1]
+        return nbr[a:b], eid[a:b]
+
+    def neighbors(self, v: int):
+        return self.incident(v)[0]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.incident(v)[0])
 
     def root_vertex(self) -> int:
         return self.root.vertex if isinstance(self.root, VertexRoot) else self.root.u
 
+    @cached_property
+    def adjacency(self) -> tuple:
+        nbrs = [[] for _ in range(self.n)]  # sorted edges fill each list in ascending order
+        for u, v in zip(self.lo, self.hi):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
-def _adjacency(n: int, lo, hi, heads: list) -> tuple:
-    """Sorted neighbour tuples of the graph on range(n) whose i-th edge is lo[i] -- hi[i].
-
-    lo and hi are int64 arrays of m ids; heads is hi then lo as a list
-    of Python ints, the head of each directed edge, and the tuples hold
-    those objects, so a graph shares one int per edge end with its weight
-    keys.  Sorting the int64 keys tail * n + head orders the directed
-    edges by tail, then head (n**2 < 2**63 for any n whose tuples fit in
-    memory).
-    """
-    tails = np.concatenate((lo, hi))
-    order = np.argsort(tails * n + np.concatenate((hi, lo)))
-    nbrs = iter(np.array(heads, dtype=object)[order].tolist())
-    return tuple([tuple(islice(nbrs, d)) for d in np.bincount(tails, minlength=n).tolist()])
-
-
-def _from_arrays(n, lo, hi, weights, root) -> WeightedGraph:
-    """The graph whose i-th edge is (lo[i], hi[i]), lo < hi, with the i-th of `weights`."""
-    los, his = lo.tolist(), hi.tolist()
-    return WeightedGraph(
-        n=n,
-        adjacency=_adjacency(n, lo, hi, his + los),
-        weights=dict(zip(zip(los, his), weights)),
-        root=root,
-    )
-
-
-def _first_last(lo, hi):
-    """First and last index of each distinct pair (lo[i], hi[i]), in order of first occurrence."""
-    order = np.lexsort((hi, lo))  # stable: equal pairs keep their input order
-    a, b = lo[order], hi[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    is_last = np.ones(len(order), dtype=bool)
-    is_last[:-1] = new[1:]
-    first, last = order[new], order[is_last]
-    by_first = np.argsort(first)
-    return first[by_first], last[by_first]
-
-
-def _build(n, edge_weights, root, boundary=frozenset()) -> WeightedGraph:
-    weights = {}
-    for (u, v), w in edge_weights.items():
-        if u == v:
-            raise GraphError(f"self-loop on vertex {u}")
-        key = _edge_key(u, v)
-        if key in weights:
-            raise GraphError(f"duplicate edge {key}")
-        weights[key] = float(w)
-    los, his = [u for u, _ in weights], [v for _, v in weights]
-    lo, hi = np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
-    return WeightedGraph(
-        n=n,
-        adjacency=_adjacency(n, lo, hi, his + los),
-        weights=weights,
-        root=root,
-        boundary=frozenset(boundary),
-    )
+    @cached_property
+    def weights(self) -> MappingProxyType:
+        lo, hi, w = self.lo, self.hi, self.w
+        if self.order is not None:
+            lo, hi, w = ([x[i] for i in self.order] for x in (lo, hi, w))
+        return MappingProxyType(dict(zip(zip(lo, hi), w)))
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +387,10 @@ def parse_weight_law(text: str) -> WeightLaw:
 
 # uniforms per block of the Erdos-Renyi skip scan: bounds its working memory
 _SKIP_BLOCK = 1 << 14
+# ubgw_tree refuses a tree with more vertices, before it builds the generation that passes it
+_MAX_TREE_VERTICES = 10**7
+# edge lines graph_to_text joins at once; graph_from_text splits 32 times as many characters
+_TEXT_BLOCK = 1 << 11
 
 
 def _skip_scan(rng: np.random.Generator, p: float, cells: int) -> np.ndarray:
@@ -395,13 +438,13 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     w < v within a row) by geometric edge skipping (Batagelj and Brandes
     2005), so the cost is O(n + m) rather than O(n^2), in O(m) memory:
     one vectorised scan (`_skip_scan`), an integer-corrected square root
-    that maps each kept cell back to (w, v), and one sort for the
-    adjacency.  The generator draws exactly m + 1 uniforms for the scan,
-    one per edge and one whose skip ends it (none when c/n rounds to 0),
-    then one integer for the root; the edges enter `weights` in scan order.  Each skip is computed
-    with math.log1p, because np.log1p differs from it in the last bit on
-    some inputs and could move an edge.  So the graph is the one a scalar
-    loop over rng.random() gives.
+    that maps each kept cell back to (w, v), and the constructor's sort.
+    The generator draws exactly m + 1 uniforms for the scan, one per edge
+    and one whose skip ends it (none when c/n rounds to 0), then one
+    integer for the root; the `weights` view runs in scan order.  Each
+    skip is computed with math.log1p, because np.log1p differs from it in
+    the last bit on some inputs and could move an edge.  So the graph is
+    the one a scalar loop over rng.random() gives.
     """
     if n < 1:
         raise GraphError("n must be >= 1")
@@ -416,8 +459,9 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     v -= v * (v - 1) // 2 > cell
     v += v * (v + 1) // 2 <= cell
     w = cell - v * (v - 1) // 2
+    del cell
     root = VertexRoot(int(rng.integers(0, n)))
-    return _from_arrays(n, w, v, repeat(0.0), root)
+    return WeightedGraph(n, w, v, np.zeros(len(w)), root)
 
 
 def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
@@ -441,9 +485,9 @@ def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
     u, v = stubs[0::2], stubs[1::2]
     keep = u != v
     lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
-    first, _ = _first_last(lo, hi)
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])  # each pair at its first pairing
     root = VertexRoot(int(rng.integers(0, n)))
-    return _from_arrays(n, lo[first], hi[first], repeat(0.0), root)
+    return WeightedGraph(n, lo[first], hi[first], np.zeros(len(first)), root)
 
 
 def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> WeightedGraph:
@@ -456,71 +500,51 @@ def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> Wei
     distance exactly `depth` form the recorded boundary.
 
     Vertices are numbered in BFS order, the children of each vertex
-    consecutively, and every non-boundary vertex draws its child count
-    when it leaves the queue.  Each neighbour list is therefore sorted by
-    construction (the parent first, then the children in ascending
-    order), and the edges (parent, child) enter `weights` in sorted order,
-    all with weight 0.0.
+    consecutively: the result is a `tree` graph, edges (parent, child) of
+    weight 0.0.  A generation draws its child counts one per vertex, in
+    vertex order, and is refused with a GraphError before it is built
+    when the tree would pass _MAX_TREE_VERTICES vertices.
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
     rng = seed.generator()
-    if rooting == "vertex":
-        root_obj = VertexRoot(0)
-        nbrs = [[]]
-        weights = {}
-        level = range(1)
-    elif rooting == "edge":
-        # the endpoints behave like non-root vertices: excess-law children
-        root_obj = EdgeRoot(0, 1)
-        nbrs = [[1], [0]]
-        weights = {(0, 1): 0.0}
-        level = range(2)
-    else:
+    if rooting not in ("vertex", "edge"):
         raise GraphError(f"rooting must be 'vertex' or 'edge', got {rooting!r}")
-
+    # the endpoints of a root edge behave like non-root vertices: excess-law children
+    n = width = 1 if rooting == "vertex" else 2
+    kids = []
     for d in range(depth):
         draw = law.sample if d == 0 and rooting == "vertex" else law.sample_excess
-        start = end = len(nbrs)
-        for v in level:
-            k = int(draw(rng))
-            if k:
-                kids = range(end, end + k)
-                end += k
-                nbrs[v].extend(kids)
-                for c in kids:
-                    nbrs.append([v])
-                    weights[(v, c)] = 0.0
-        level = range(start, end)
-        if not level:
+        counts = list(map(draw, repeat(rng, width)))
+        width = sum(counts)
+        if n + width > _MAX_TREE_VERTICES:
+            raise GraphError(
+                f"tree passes the cap of {_MAX_TREE_VERTICES} vertices at depth {d + 1} "
+                f"of {depth}: {n + width} vertices"
+            )
+        kids += counts
+        n += width
+        if not width:
             break
-
-    return WeightedGraph(
-        n=len(nbrs),
-        adjacency=tuple(map(tuple, nbrs)),
-        weights=weights,
-        root=root_obj,
-        boundary=frozenset(level),
-    )
+    # the parent of c = 1..n-1 is the vertex whose block of children c falls in
+    parents = chain.from_iterable(map(repeat, range(len(kids)), kids))
+    root = VertexRoot(0) if rooting == "vertex" else EdgeRoot(0, 1)  # 1: the first child of 0
+    lo, hi = array("q", parents if rooting == "vertex" else chain((0,), parents)), array("q", range(1, n))
+    w, boundary = array("d", [0.0]) * (n - 1), frozenset(range(n - width, n))
+    return WeightedGraph(n, lo, hi, w, root, boundary, tree=True)
 
 
 def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedGraph:
     """Replace all edge weights by i.i.d. draws from `law`.
 
-    Draws are assigned in sorted edge order, so the result is a pure
-    function of (graph, law, seed).  Ties under atomic laws are broken
-    downstream by canonical edge order.
+    Draws are assigned in sorted edge order, and the weights view of the
+    result runs in that order, so the result is a pure function of
+    (graph, law, seed).  Ties under atomic laws are broken downstream by
+    canonical edge order.
     """
     rng = seed.generator()
-    keys = sorted(g.weights)
-    draws = law.sample(rng, len(keys)).tolist() if keys else []
-    return WeightedGraph(
-        n=g.n,
-        adjacency=g.adjacency,
-        weights=dict(zip(keys, draws)),
-        root=g.root,
-        boundary=g.boundary,
-    )
+    w = array("d", law.sample(rng, g.m).tobytes() if g.m else b"")
+    return WeightedGraph(g.n, g.lo, g.hi, w, g.root, g.boundary, None, g.tree, g.links)
 
 
 # ----------------------------------------------------------------------
@@ -529,18 +553,13 @@ def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedG
 
 
 def _bfs_depths(g: WeightedGraph, center: int, H: int):
-    depth = {center: 0}
-    order = [center]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        if depth[v] == H:
-            continue
-        for w in g.adjacency[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                order.append(w)
+    depth, order = {center: 0}, [center]
+    for v in order:  # breadth first: order grows as it is read
+        if depth[v] < H:
+            for w in g.neighbors(v):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    order.append(w)
     return depth, order
 
 
@@ -557,12 +576,10 @@ def ball(g: WeightedGraph, center: int, H: int) -> WeightedGraph:
         raise GraphError("H must be >= 0")
     depth, order = _bfs_depths(g, center, H)
     relabel = {old: new for new, old in enumerate(order)}
-    edge_weights = {}
-    for (u, v), w in g.weights.items():
-        if u in relabel and v in relabel:
-            edge_weights[_edge_key(relabel[u], relabel[v])] = w
-    boundary = [relabel[v] for v in order if depth[v] == H]
-    return _build(len(order), edge_weights, VertexRoot(0), boundary)
+    kept = [(relabel[u], relabel[v], w) for u, v, w in zip(g.lo, g.hi, g.w) if u in relabel and v in relabel]
+    lo, hi, w = zip(*kept) if kept else ((), (), ())
+    boundary = frozenset(relabel[v] for v in order if depth[v] == H)
+    return WeightedGraph(len(order), lo, hi, w, VertexRoot(0), boundary)
 
 
 # ----------------------------------------------------------------------
@@ -572,14 +589,22 @@ def ball(g: WeightedGraph, center: int, H: int) -> WeightedGraph:
 
 def graph_to_text(g: WeightedGraph) -> str:
     """Edge-list text format; weights at 17 significant digits round-trip bit-exactly."""
-    if isinstance(g.root, VertexRoot):
-        root_txt = f"vertex:{g.root.vertex}"
-    else:
-        root_txt = f"edge:{g.root.u},{g.root.v}"
-    lines = [f"lexmatch-graph v1 n={g.n} m={g.m} root={root_txt}"]
-    for u, v in g.edges():
-        lines.append(f"{u} {v} {g.weights[(u, v)]:.17g}")
-    return "\n".join(lines) + "\n"
+    root = g.root
+    root_txt = f"vertex:{root.vertex}" if isinstance(root, VertexRoot) else f"edge:{root.u},{root.v}"
+    lines = map("{} {} {:.17g}\n".format, g.lo, g.hi, g.w)
+    # joined a block at a time, so that no list holds every line
+    blocks = ["".join(islice(lines, _TEXT_BLOCK)) for _ in range(0, g.m, _TEXT_BLOCK)]
+    return f"lexmatch-graph v1 n={g.n} m={g.m} root={root_txt}\n" + "".join(blocks)
+
+
+def _lines(text: str, end: int):
+    """text[:end].splitlines(), split a block at a time without copying the text: each
+    block ends just after a newline, where splitlines splits anyway."""
+    start = 0
+    while start < end:
+        stop = text.find("\n", start + 32 * _TEXT_BLOCK, end) + 1 or end
+        yield from text[start:stop].splitlines()
+        start = stop
 
 
 def graph_from_text(text: str) -> WeightedGraph:
@@ -588,32 +613,32 @@ def graph_from_text(text: str) -> WeightedGraph:
     Edge lines are checked as they are parsed into typed buffers, and
     repeated edges are merged by one sort, so the cost is O(m log m).  A
     bad input raises GraphError for the first fault in this order: the
-    first bad edge line in file order
-    (not three fields, an unparsable number, a vertex id outside
-    0..n-1, then a non-finite weight), then an `m=` count that differs
-    from the number of distinct edges (an edge listed as `u v` and as
-    `v u` is one edge with the weight of its last line), then a
-    self-loop.
+    first bad edge line in file order (not three fields, an unparsable
+    number, a vertex id outside 0..n-1, then a non-finite weight), then an
+    `m=` count that differs from the number of distinct edges (an edge
+    listed as `u v` and as `v u` is one edge with the weight of its last
+    line), then a self-loop.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines:  # the ends of the file stripped as by text.strip(), without copying the text
-        lines[0] = lines[0].lstrip()
-        lines[-1] = lines[-1].rstrip()
-    if not lines or not lines[0].startswith("lexmatch-graph v1 "):
+    end = len(text)  # the lines of text.strip(): the last one ends before trailing whitespace
+    while end and text[end - 1].isspace():
+        end -= 1
+    lines = (ln for ln in _lines(text, end) if ln.strip())
+    head = next(lines, "").lstrip()
+    if not head.startswith("lexmatch-graph v1 "):
         raise GraphError("missing lexmatch-graph v1 header")
     try:
-        header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        header = dict(tok.split("=", 1) for tok in head.split()[2:])
         n = int(header["n"])
         m = int(header["m"])
         kind, ids = header["root"].split(":", 1)
         root = {"vertex": VertexRoot, "edge": EdgeRoot}[kind](*map(int, ids.split(",")))
     except (KeyError, ValueError, TypeError) as exc:
-        raise GraphError(f"malformed header: {lines[0]!r}") from exc
+        raise GraphError(f"malformed header: {head!r}") from exc
     if n < 1:
         raise GraphError(f"header claims n={n}; need at least one vertex")
 
     us, vs, ws = array("q"), array("q"), array("d")
-    for ln in islice(lines, 1, None):
+    for ln in lines:
         try:
             a, b, x = ln.split()
             u, v, w = int(a), int(b), float(x)
@@ -627,12 +652,14 @@ def graph_from_text(text: str) -> WeightedGraph:
         vs.append(v)
         ws.append(w)
     u, v, w = np.asarray(us), np.asarray(vs), np.asarray(ws)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    first, last = _first_last(lo, hi)
-    lo, hi, w = lo[first], hi[first], w[last]
-    if len(lo) != m:
-        raise GraphError(f"header claims m={m}, found {len(lo)} edges")
+    # each distinct pair at its first line, with the weight of its last line
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    first, last = np.unique(key, return_index=True)[1], np.unique(key[::-1], return_index=True)[1]
+    by_first = np.argsort(first)
+    if len(first) != m:
+        raise GraphError(f"header claims m={m}, found {len(first)} edges")
     loops = np.flatnonzero(u == v)
     if loops.size:
         raise GraphError(f"self-loop on vertex {int(u[loops[0]])}")
-    return _from_arrays(n, lo, hi, w.tolist(), root)
+    first = first[by_first]
+    return WeightedGraph(n, u[first], v[first], w[len(key) - 1 - last[by_first]], root)

@@ -365,7 +365,7 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
         for g in itertools.islice(_trees(base.child(hi), law, "vertex", H, wlaw), cfg.samples):
             sq = bp.squeeze(g, 1)
             root = g.root_vertex()
-            if any(not sq.certified[(root, v)] for v in g.adjacency[root]):
+            if any(not sq.certified[(root, v)] for v in g.neighbors(root)):
                 uncert += 1
         frac = uncert / cfg.samples
         curve.append({"H": H, "rounds": H / 2.0, "uncertified_fraction": frac, "n": cfg.samples})
@@ -484,17 +484,11 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _star_of_stars(p: int) -> randgraph.WeightedGraph:
-    """Root of degree p+1, each neighbour with p pendant leaves."""
-    edges = {}
-    nxt = 1
-    for j in range(p + 1):
-        hub = nxt
-        nxt += 1
-        edges[(0, hub)] = 0.0
-        for _ in range(p):
-            edges[(min(hub, nxt), max(hub, nxt))] = 0.0
-            nxt += 1
-    return randgraph._build(nxt, edges, randgraph.VertexRoot(0))
+    """Root of degree p+1, each neighbour with p pendant leaves, numbered breadth first."""
+    hubs = range(1, p + 2)
+    lo = [0] * (p + 1) + [h for h in hubs for _ in range(p)]
+    n = len(lo) + 1
+    return randgraph.WeightedGraph(n, lo, range(1, n), [0.0] * (n - 1), randgraph.VertexRoot(0))
 
 
 def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -647,7 +641,7 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
         msgs = f.messages
         for (u, v), val in msgs.items():
             best = bp.ZERO
-            for w in g.adjacency[v]:
+            for w in g.neighbors(v):
                 if w != u:
                     level, z = msgs[(v, w)]
                     best = max(best, (f.k - level, g.weight(v, w) - z))
@@ -680,9 +674,7 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
                     continue
                 if not (sq.lower[key] <= val <= sq.upper[key]):
                     squeeze_ok = False
-    star = randgraph._build(
-        3, {(0, 1): 0.4, (0, 2): 0.7}, randgraph.VertexRoot(0), frozenset((1, 2))
-    )
+    star = randgraph.WeightedGraph(3, [0, 0], [1, 2], [0.4, 0.7], randgraph.VertexRoot(0), frozenset((1, 2)))
     one_lo = bp.sweep_bounded(star, 1, "zero").messages
     one_hi = bp.sweep_bounded(star, 1, "top").messages
     for key in ((1, 0), (2, 0)):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lexmatch import bp, exact, randgraph
+from lexmatch import bp, exact, randgraph, xharness
 from lexmatch.bp import (
     ZERO,
     FieldInconsistencyError,
@@ -19,6 +19,7 @@ from lexmatch.bp import (
     sweep_tree,
     top_msg,
 )
+from lexmatch.cli import cli
 from lexmatch.exact import BLOCKING, FREE, MANDATORY, CycleError, brute_force_opt
 from lexmatch.genfn import OffspringLaw
 from lexmatch.randgraph import (
@@ -33,7 +34,9 @@ from lexmatch.randgraph import (
 
 
 def graph_of(n, edge_weights, root=0, boundary=()):
-    return randgraph._build(n, dict(edge_weights), VertexRoot(root), frozenset(boundary))
+    ew = dict(edge_weights)
+    lo, hi = [u for u, _ in ew], [v for _, v in ew]
+    return randgraph.WeightedGraph(n, lo, hi, list(ew.values()), VertexRoot(root), frozenset(boundary))
 
 
 def path(weights, boundary=()):
@@ -138,7 +141,7 @@ class TestRecursionConsistency:
 
 def reference_sweep(g, k, pinned, weights=None):
     """The child-list two-pass sweep that bp._sweep replaced, kept as its oracle."""
-    parent, order = exact._orient_forest(g, avoid=frozenset(pinned))
+    parent, order, _ = exact._orient_forest(g, avoid=frozenset(pinned))
     if weights is None:
         weights = g.weights
     n = g.n
@@ -226,11 +229,14 @@ class TestKernelDifferential:
 
     def test_weight_override_identical(self):
         for g in self.instances():
+            # bp._sweep takes the override by edge id, in the order of g.edges()
             zero = dict.fromkeys(g.weights, 0.0)
             for pins in (dict.fromkeys(g.boundary, ZERO), dict.fromkeys(g.boundary, top_msg(1))):
-                self.same(bp._sweep(g, 1, pins, weights=zero), reference_sweep(g, 1, pins, zero))
+                by_id = [zero[e] for e in g.edges()]
+                self.same(bp._sweep(g, 1, pins, weights=by_id), reference_sweep(g, 1, pins, zero))
             weps = {e: 1.0 + 0.25 * w for e, w in g.weights.items()}
-            self.same(bp._sweep(g, 0, {}, weights=weps), reference_sweep(g, 0, {}, weps))
+            by_id = [weps[e] for e in g.edges()]
+            self.same(bp._sweep(g, 0, {}, weights=by_id), reference_sweep(g, 0, {}, weps))
 
     @pytest.mark.parametrize(
         "g",
@@ -351,6 +357,18 @@ class TestEdgeMap:
                     sq.lower[next(iter(sq.lower))] = ZERO
 
 
+def traced_peak(run) -> tuple:
+    """(run(), the bytes its allocations peaked at above the start)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_and_squeeze_allocate_per_vertex():
     # a 12 135-vertex ball; a dict entry per directed edge peaked at 366
     # (sweep_tree) and 909 (squeeze) bytes per vertex on CPython 3.11
@@ -360,16 +378,41 @@ def test_sweep_and_squeeze_allocate_per_vertex():
     assert g.n == 12_135
     peaks = {}
     for name, run in (("sweep_tree", lambda: sweep_tree(g, 1)), ("squeeze", lambda: squeeze(g, 1))):
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            result = run()
-            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / g.n
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(run)
+        peaks[name] = peak / g.n
         del result
     assert peaks["sweep_tree"] < 200 and peaks["squeeze"] < 400, peaks
+
+
+def test_generators_and_text_allocate_per_vertex():
+    # neighbour tuples and a dict keyed by pairs peaked at 478 (tree and
+    # weights), 450 (graph_from_text) and 290 (erdos_renyi) bytes per vertex
+    # on CPython 3.11; the arrays must stay under half of that
+    seed = RngSeed(1166)
+    tree = lambda: assign_weights(ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 12, seed), WeightLaw.uniform(0, 1), seed.child(1))
+    g, tree_peak = traced_peak(tree)
+    assert g.n == 12_135
+    text = randgraph.graph_to_text(g)
+    parsed, text_peak = traced_peak(lambda: randgraph.graph_from_text(text))
+    er, er_peak = traced_peak(lambda: erdos_renyi(10**5, 2.0, RngSeed(3)))
+    peaks = {"tree": tree_peak / g.n, "graph_from_text": text_peak / parsed.n, "erdos_renyi": er_peak / er.n}
+    assert peaks["tree"] < 239 and peaks["graph_from_text"] < 225 and peaks["erdos_renyi"] < 145, peaks
+
+
+def test_hot_paths_build_no_views(tmp_path, monkeypatch):
+    # gen and match through the CLI and a small run_size read the arrays only
+    def refuse(g):
+        raise AssertionError("a hot path built the adjacency or weights view")
+
+    monkeypatch.setattr(randgraph.WeightedGraph, "adjacency", property(refuse))
+    monkeypatch.setattr(randgraph.WeightedGraph, "weights", property(refuse))
+    tree, matched = str(tmp_path / "tree.txt"), str(tmp_path / "matching.txt")
+    argv = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "10", "--weights", "uniform:0:1"]
+    assert cli(argv + ["--seed", "3", "--out", tree]) == 0
+    assert cli(["match", "--graph", tree, "--k", "1", "--out", matched]) == 0
+    assert open(matched).readline().startswith("size=")
+    records = xharness.run_size(xharness.ExperimentConfig(experiment="size", n=2000, replicas=3, seed=4))
+    assert records[0].estimate > 0
 
 
 class TestSweepTree:

@@ -28,7 +28,9 @@ from lexmatch.randgraph import RngSeed, VertexRoot, WeightLaw, assign_weights, u
 
 
 def graph_of(n, edge_weights, root=0):
-    return randgraph._build(n, dict(edge_weights), VertexRoot(root))
+    ew = dict(edge_weights)
+    lo, hi = [u for u, _ in ew], [v for _, v in ew]
+    return randgraph.WeightedGraph(n, lo, hi, list(ew.values()), VertexRoot(root))
 
 
 def path(weights):
@@ -395,7 +397,7 @@ class TestOrientForestDifferential:
                     cycles += 1
                     continue
                 new, ref = pair
-                assert new == ref
+                assert (list(new[0]), list(new[1])) == ref  # parent and order; new[2] holds the parent edges
                 forests += new[0].count(-1) > 1
         assert forests > 20 and cycles > 20
 

@@ -212,7 +212,11 @@ def _ref_sample_excess(law, rng, size=None):
         return rng.binomial(n - 1, q, size)
     if law.family == "geometric":
         return rng.geometric(law.params[0], size)
-    return genfn._sample_table(_ref_excess_pmf(law), rng, size)
+    cdf = np.cumsum(_ref_excess_pmf(law))
+    cdf = cdf / cdf[-1]
+    if size is None:
+        return int(np.searchsorted(cdf, rng.random(), side="right"))
+    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
 
 
 _CLOSED_FORM_LAWS = [

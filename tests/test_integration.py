@@ -79,7 +79,8 @@ class TestDualRoutes:
         for i in range(0, 4000, 3):
             edges[(i, nxt)] = 0.0
             nxt += 1
-        g = randgraph._build(nxt, edges, randgraph.VertexRoot(0))
+        g = randgraph.WeightedGraph(nxt, [u for u, _ in edges], [v for _, v in edges], list(edges.values()),
+                                    randgraph.VertexRoot(0))
         g = assign_weights(g, UNIF, RngSeed(3600))
         m_dp, gains = exact.tree_opt_dp(g)
         field = bp.sweep_tree(g, 1)
@@ -112,13 +113,7 @@ class TestAnalyticVersusSimulation:
         for i in range(n):
             g = ubgw_tree(LAW, "vertex", 9, RngSeed(3500, i))
             g = assign_weights(g, UNIF, RngSeed(3501, i))
-            whole = randgraph.WeightedGraph(
-                n=g.n,
-                adjacency=g.adjacency,
-                weights=g.weights,
-                root=g.root,
-                boundary=frozenset(),
-            )
+            whole = randgraph.WeightedGraph(g.n, g.lo, g.hi, g.w, g.root, frozenset())
             m = bp.extract_matching(whole, bp.sweep_tree(whole, 1))
             hits += m.covers(whole.root_vertex())
         # depth truncation bias is O(gamma^depth); 0.02 absorbs it at depth 9

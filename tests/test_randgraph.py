@@ -1,8 +1,8 @@
 """Generators, balls and serialization: determinism and distributional checks."""
 
 import math
+import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexmatch import randgraph
-from lexmatch.genfn import OffspringLaw
+from lexmatch.cli import cli
+from lexmatch.genfn import OffspringLaw, parse_law
 from lexmatch.randgraph import (
     EdgeRoot,
     GraphError,
@@ -36,9 +37,15 @@ def tv_distance(counts_a: dict, counts_b: dict) -> float:
     return 0.5 * sum(abs(counts_a.get(k, 0) / na - counts_b.get(k, 0) / nb) for k in keys)
 
 
+def graph_from(n, edge_weights, root, boundary=()):
+    """The graph on range(n) with the edges and weights of a dict, in its order."""
+    lo, hi = [u for u, _ in edge_weights], [v for _, v in edge_weights]
+    return WeightedGraph(n, lo, hi, list(edge_weights.values()), root, frozenset(boundary))
+
+
 def path_graph(weights):
     ew = {(i, i + 1): w for i, w in enumerate(weights)}
-    return randgraph._build(len(weights) + 1, ew, VertexRoot(0))
+    return graph_from(len(weights) + 1, ew, VertexRoot(0))
 
 
 class TestRngSeed:
@@ -276,7 +283,7 @@ class TestUbgwTree:
 
 
 def reference_ubgw_tree(law, rooting, depth, seed):
-    """The queue-and-_build construction that ubgw_tree replaced, kept as its oracle."""
+    """The queue-and-dict construction that ubgw_tree replaced, kept as its oracle."""
     if depth < 0:
         raise GraphError("depth must be >= 0")
     rng = seed.generator()
@@ -314,7 +321,7 @@ def reference_ubgw_tree(law, rooting, depth, seed):
                 k = int(law.sample_excess(rng))
                 for _ in range(k):
                     child = new_vertex()
-                    edge_weights[randgraph._edge_key(v, child)] = 0.0
+                    edge_weights[(min(v, child), max(v, child))] = 0.0
                     new_frontier.append((child, 1))
             frontier = new_frontier
     else:
@@ -333,15 +340,15 @@ def reference_ubgw_tree(law, rooting, depth, seed):
             edge_weights[(v, child)] = 0.0
             frontier.append((child, d + 1))
 
-    return randgraph._build(max(next_id, 1), edge_weights, root_obj, boundary)
+    return graph_from(max(next_id, 1), edge_weights, root_obj, boundary)
 
 
 def reference_assign_weights(g, law, seed):
-    """The per-draw float() and dataclasses.replace version of assign_weights."""
+    """The per-draw float() and sorted-dict version of assign_weights."""
     rng = seed.generator()
     keys = sorted(g.weights.keys())
     draws = law.sample(rng, len(keys)) if keys else []
-    return replace(g, weights={k: float(w) for k, w in zip(keys, draws)})
+    return graph_from(g.n, {k: float(w) for k, w in zip(keys, draws)}, g.root, g.boundary)
 
 
 def assert_same_graph(a, b):
@@ -389,6 +396,48 @@ class TestUbgwTreeDifferential:
         with pytest.raises(GraphError, match="rooting"):
             ubgw_tree(OffspringLaw.poisson(1.0), "half-edge", 2, RngSeed(1))
 
+    @pytest.mark.parametrize(
+        "spec, depth, seed, least",
+        [
+            ("poisson:2", 15, RngSeed(1166), 90_000),  # the benchmark's `large` tree
+            ("geom:0.5", 10, RngSeed(41, 0), 1_000),
+            ("binom:3:0.5", 12, RngSeed(41, 21), 100),
+        ],
+    )
+    def test_deep_trees_identical(self, spec, depth, seed, least):
+        # generations of thousands of vertices, each drawn as one block of counts
+        law = parse_law(spec)
+        g = ubgw_tree(law, "vertex", depth, seed)
+        assert g.n >= least
+        assert_same_graph(g, reference_ubgw_tree(law, "vertex", depth, seed))
+        wlaw = WeightLaw.uniform(0, 1)
+        assert_same_graph(assign_weights(g, wlaw, seed.child(1)), reference_assign_weights(g, wlaw, seed.child(1)))
+
+
+class TestTreeSizeCap:
+    """ubgw_tree refuses a tree past randgraph._MAX_TREE_VERTICES before building its generation."""
+
+    def test_refused_before_the_generation_is_built(self, monkeypatch):
+        monkeypatch.setattr(randgraph, "_MAX_TREE_VERTICES", 1_000)
+        with pytest.raises(GraphError) as exc:
+            ubgw_tree(OffspringLaw.poisson(30.0), "vertex", 12, RngSeed(1))
+        assert str(exc.value) == "tree passes the cap of 1000 vertices at depth 3 of 12: 23704 vertices"
+        assert ubgw_tree(OffspringLaw.poisson(30.0), "vertex", 2, RngSeed(1)).n == 790  # under the cap
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--model", "ubgw", "--law", "poisson:30", "--depth", "12"],
+            ["mandatory", "--probe", "--law", "poisson:30"],
+        ],
+        ids=["gen", "mandatory-probe"],
+    )
+    def test_cli_one_line_error(self, argv, capsys):
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: tree passes the cap of 10000000 vertices at depth 5 of 12: \d+ vertices\n", captured.err)
+
 
 def adjacency_of(n, edges):
     """Sorted neighbour tuples built by list appends, independent of randgraph."""
@@ -397,6 +446,13 @@ def adjacency_of(n, edges):
         nbrs[u].append(v)
         nbrs[v].append(u)
     return tuple(tuple(sorted(nb)) for nb in nbrs)
+
+
+def checked_graph(n, edge_weights, root):
+    """graph_from, its adjacency view checked against the list-append one."""
+    g = graph_from(n, edge_weights, root)
+    assert g.adjacency == adjacency_of(n, edge_weights)
+    return g
 
 
 def reference_erdos_renyi(n, c, seed):
@@ -416,7 +472,7 @@ def reference_erdos_renyi(n, c, seed):
                 v += 1
             edges.append((w, v))
     root = VertexRoot(int(rng.integers(0, n)))
-    return WeightedGraph(n, adjacency_of(n, edges), dict.fromkeys(edges, 0.0), root)
+    return checked_graph(n, dict.fromkeys(edges, 0.0), root)
 
 
 def reference_configuration_model(degrees, seed):
@@ -434,7 +490,7 @@ def reference_configuration_model(degrees, seed):
         if u != v:
             edge_weights[(min(u, v), max(u, v))] = 0.0
     root = VertexRoot(int(rng.integers(0, n)))
-    return WeightedGraph(n, adjacency_of(n, edge_weights), edge_weights, root)
+    return checked_graph(n, edge_weights, root)
 
 
 def reference_graph_from_text(text):
@@ -461,7 +517,7 @@ def reference_graph_from_text(text):
     for u, v in edge_weights:
         if u == v:
             raise GraphError(f"self-loop on vertex {u}")
-    return WeightedGraph(n, adjacency_of(n, edge_weights), edge_weights, VertexRoot(0))
+    return checked_graph(n, edge_weights, VertexRoot(0))
 
 
 class TestGraphsFromArraysDifferential:
@@ -528,7 +584,7 @@ class TestAssignWeights:
 
     def test_uniform_mean(self):
         ew = {(i, i + 1): 0.0 for i in range(1_000_000)}
-        g = randgraph._build(1_000_001, ew, VertexRoot(0))
+        g = graph_from(1_000_001, ew, VertexRoot(0))
         g2 = assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(4))
         vals = np.fromiter(g2.weights.values(), dtype=float)
         assert abs(vals.mean() - 0.5) < 0.002
@@ -655,7 +711,7 @@ class TestSerialization:
         n = 100_000
         parents = (RngSeed(31).generator().random(n - 1) * np.arange(1, n)).astype(np.int64)
         edges = {(int(p), i): 0.0 for i, p in enumerate(parents.tolist(), start=1)}
-        g = assign_weights(randgraph._build(n, edges, VertexRoot(7)), WeightLaw.uniform(), RngSeed(32))
+        g = assign_weights(graph_from(n, edges, VertexRoot(7)), WeightLaw.uniform(), RngSeed(32))
         h = graph_from_text(graph_to_text(g))
         assert h.n == n and h.root == g.root
         assert h.adjacency == adjacency_of(n, edges)
