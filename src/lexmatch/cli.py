@@ -74,8 +74,7 @@ def _cmd_gen(args) -> int:
     if args.model == "er":
         g = randgraph.erdos_renyi(args.n, args.c, seed)
     elif args.model == "config":
-        if args.n < 1:
-            raise GraphError("n must be >= 1")
+        randgraph.check_vertices(args.n)
         law = parse_law(args.law)
         degrees = law.sample(seed.generator(), args.n)
         g = randgraph.configuration_model(degrees, seed.child(0))

@@ -3,8 +3,9 @@
 "Optimal" always means maximal in the lexicographic order (cardinality,
 total weight).  Enumeration-based oracles are capped at desk scale
 (26 edges for optima, 22 for maximum-matching structure); the forest
-dynamic program and certified leaf removal (cost and pick order in
-`leaf_removal`) scale further.
+dynamic program and certified leaf removal (cost in `leaf_removal`)
+scale further.  Graphs carry one order, their sorted edges: leaf removal
+visits neighbours ascending and numbers live edges in edge order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class EnumerationLimitError(ValueError):
 
 
 class NotAMatchingError(ValueError):
-    """Edge set has two edges sharing a vertex."""
+    """Edge set has a pair that is not an edge, or two edges sharing a vertex."""
 
 
 class CycleError(ValueError):
@@ -56,11 +57,15 @@ class Matching:
 
     @staticmethod
     def from_edges(g: WeightedGraph, edges) -> "Matching":
+        """The matching of the given pairs of g, its weight summed in the frozenset's order."""
         es = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
+        ids = [g.edge_id(u, v) for u, v in es]
+        if -1 in ids:
+            raise NotAMatchingError(f"edge {next(e for e, i in zip(es, ids) if i < 0)} not in graph")
         ends = [x for e in es for x in e]
         if len(set(ends)) < len(ends):
             raise NotAMatchingError(f"vertex reused in {sorted(es)}")
-        return Matching(es, sum(g.weight(u, v) for u, v in es))
+        return Matching(es, sum(map(g.w.__getitem__, ids)))
 
     def covers(self, v: int) -> bool:
         return any(v in e for e in self.edges)
@@ -305,12 +310,8 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     Returns (matching, exact, removed_core_size) where removed_core_size
     counts vertices deleted during random-edge steps.
 
-    Pick order: a random step takes the edge at index
-    rng.integers(0, live edges) of the live edges (u, v), u < v, listed
-    by ascending u, then in the iteration order of set(adjacency[u]).
-    Leaves are matched last-found first, each to its only live neighbour,
-    and the neighbours of a deleted vertex are visited in that same set
-    order.
+    Pick order: a random step takes the k-th live edge in edge order, k =
+    rng.integers(0, live edges), and neighbours are visited ascending.
 
     Cost: O(n + m) while leaves last.  The first random step builds, in
     O(n + m), per-vertex counts of live edges (u, v) with v > u and their
@@ -336,12 +337,9 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     block: list[int] = []
     size = max(1, math.isqrt(n))
 
-    # A set keeps the order of its remaining elements when others are
-    # discarded, so a fresh set of v's neighbours filtered by `alive` visits
-    # the live neighbours in the order a shrinking set would.
     def remove_vertex(v: int) -> None:
         alive[v] = False
-        for w in set(nbr[indptr[v] : indptr[v + 1]]):
+        for w in nbr[indptr[v] : indptr[v + 1]]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] == 1:
@@ -385,8 +383,9 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
         while k >= up[u]:
             k -= up[u]
             u += 1
-        for v in set(nbr[indptr[u] : indptr[u + 1]]):
-            if v > u and alive[v]:
+        a, b = indptr[u], indptr[u + 1]
+        for v in nbr[bisect_right(nbr, u, a, b) : b]:
+            if alive[v]:
                 if k == 0:
                     break
                 k -= 1
@@ -447,10 +446,7 @@ def perf_of(g: WeightedGraph, matching: Matching) -> tuple[Perf, Perf]:
 
     The identity perf_V = (2|E|/n) * perf_E holds exactly on finite graphs.
     """
-    for e in matching.edges:
-        if g.edge_id(*e) < 0:
-            raise NotAMatchingError(f"edge {e} not in graph")
-    Matching.from_edges(g, matching.edges)  # re-validates disjointness
+    Matching.from_edges(g, matching.edges)  # raises unless a matching of g
     n = max(g.n, 1)
     perf_v = Perf(2.0 * matching.size / n, 2.0 * matching.weight / n)
     if g.m == 0:

@@ -30,8 +30,8 @@ from .genfn import OffspringLaw
 
 __all__ = [
     "GraphError", "RngSeed", "VertexRoot", "EdgeRoot", "WeightedGraph", "WeightLaw",
-    "parse_weight_law", "erdos_renyi", "configuration_model", "ubgw_tree", "assign_weights", "ball",
-    "graph_to_text", "graph_from_text",
+    "parse_weight_law", "check_vertices", "erdos_renyi", "configuration_model", "ubgw_tree",
+    "assign_weights", "ball", "graph_to_text", "graph_from_text",
 ]
 
 
@@ -133,7 +133,7 @@ def _typed(code: str, values) -> array:
 
 def _index(n: int, lo, hi, w) -> tuple:
     """The checked, sorted (lo, hi, w) of edges lo[i] -- hi[i] given in any order, their
-    csr, order and tree (see WeightedGraph); each array is typed once final."""
+    csr and tree (see WeightedGraph); each array is typed once final."""
     a, b = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     lo, hi = (a, b) if np.all(a < b) else (np.minimum(a, b), np.maximum(a, b))  # no copy if oriented
     if len(lo) and (lo.min() < 0 or hi.max() >= n):
@@ -149,10 +149,7 @@ def _index(n: int, lo, hi, w) -> tuple:
     if dup.size:
         raise GraphError(f"duplicate edge {divmod(int(key[dup[0]]), n)}")
     del key
-    m, order = len(perm), None
-    if np.any(perm != np.arange(m)):
-        order = _typed("q", np.zeros(m, dtype=np.int64))
-        np.frombuffer(order, dtype=np.int64)[perm] = np.arange(m)
+    m = len(perm)
     lo, hi, w = _typed("q", lo[perm]), _typed("q", hi[perm]), _typed("d", np.asarray(w, dtype=float)[perm])
     del a, b, perm
     lows, highs = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
@@ -166,7 +163,7 @@ def _index(n: int, lo, hi, w) -> tuple:
     nbr = _typed("q", np.concatenate((lows, highs))[j])
     j[j >= m] -= m
     tree = m == n - 1 and bool(np.all(highs == np.arange(1, n)))
-    return lo, hi, w, (indptr, nbr, _typed("q", j)), order, tree
+    return lo, hi, w, (indptr, nbr, _typed("q", j)), tree
 
 
 @dataclass
@@ -175,14 +172,15 @@ class WeightedGraph:
 
     Edge i joins lo[i] < hi[i], weighs w[i], and the edges are sorted.
     csr = (indptr, nbr, eid): v's neighbours nbr[indptr[v]:indptr[v + 1]],
-    ascending, joined to v by the edges eid[...].  `order` is the sorted id
-    of each edge in the order they were made, None if sorted.  `tree`: edge
-    c - 1 is (lo[c - 1], c), a tree numbered breadth first from 0 with
-    consecutive children; from ubgw_tree it has no csr until one is read.
-    Other graphs are checked (no self-loop, repeat or id outside range(n)),
-    sorted and indexed when made.  `adjacency` (sorted neighbour tuples) and
-    `weights` (sorted pair -> weight, in `order`) are read-only views built
-    on first use, which this package's algorithms never read.  `boundary`
+    ascending, joined to v by the edges eid[...].  The edge order is the only
+    order a graph has: graphs with the same edges, weights, root and boundary
+    are equal.  `tree`: edge c - 1 is (lo[c - 1], c), a tree numbered
+    breadth first from 0 with consecutive children; from ubgw_tree it has
+    no csr until one is read.  Other graphs are checked (no self-loop,
+    repeat or id outside range(n)), sorted and indexed when made.
+    `adjacency` (sorted neighbour tuples) and `weights` (sorted pair ->
+    weight, in edge order) are read-only views built on first use, which
+    this package's algorithms never read.  `boundary`
     is the truncation frontier of depth-limited constructions.  No code
     changes a graph once made (not frozen: that costs a setattr call per
     field per tree); dataclasses.replace makes copies that share the csr.
@@ -194,14 +192,13 @@ class WeightedGraph:
     w: array
     root: object
     boundary: frozenset = frozenset()
-    order: array | None = field(default=None, repr=False)
     tree: bool = field(default=False, repr=False, compare=False)
     links: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links is None and not self.tree:
             made = _index(self.n, self.lo, self.hi, self.w)
-            self.lo, self.hi, self.w, self.links, self.order, self.tree = made
+            self.lo, self.hi, self.w, self.links, self.tree = made
         root = self.root
         if not isinstance(root, (VertexRoot, EdgeRoot)):
             raise GraphError(f"unsupported root {root!r}")
@@ -272,10 +269,7 @@ class WeightedGraph:
 
     @cached_property
     def weights(self) -> MappingProxyType:
-        lo, hi, w = self.lo, self.hi, self.w
-        if self.order is not None:
-            lo, hi, w = ([x[i] for i in self.order] for x in (lo, hi, w))
-        return MappingProxyType(dict(zip(zip(lo, hi), w)))
+        return MappingProxyType(dict(zip(zip(self.lo, self.hi), self.w)))
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +381,9 @@ def parse_weight_law(text: str) -> WeightLaw:
 
 # uniforms per block of the Erdos-Renyi skip scan: bounds its working memory
 _SKIP_BLOCK = 1 << 14
-# ubgw_tree refuses a tree with more vertices, before it builds the generation that passes it
-_MAX_TREE_VERTICES = 10**7
+# the most vertices of any graph; ubgw_tree refuses a tree with more before it builds the
+# generation that passes it, and lo * n + hi stays exact in int64 below it
+_MAX_VERTICES = 10**7
 # edge lines graph_to_text joins at once; graph_from_text splits 32 times as many characters
 _TEXT_BLOCK = 1 << 11
 
@@ -431,6 +426,14 @@ def _skip_scan(rng: np.random.Generator, p: float, cells: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def check_vertices(n: int) -> None:
+    """Refuse a vertex count below 1 or above _MAX_VERTICES, before anything of size n is made."""
+    if n < 1:
+        raise GraphError("n must be >= 1")
+    if n > _MAX_VERTICES:
+        raise GraphError(f"n={n} passes the cap of {_MAX_VERTICES} vertices")
+
+
 def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     """G(n, c/n) with a uniform random vertex root and zero-initialised weights.
 
@@ -441,13 +444,11 @@ def erdos_renyi(n: int, c: float, seed: RngSeed) -> WeightedGraph:
     that maps each kept cell back to (w, v), and the constructor's sort.
     The generator draws exactly m + 1 uniforms for the scan, one per edge
     and one whose skip ends it (none when c/n rounds to 0), then one
-    integer for the root; the `weights` view runs in scan order.  Each
-    skip is computed with math.log1p, because np.log1p differs from it in
-    the last bit on some inputs and could move an edge.  So the graph is
-    the one a scalar loop over rng.random() gives.
+    integer for the root.  Each skip is computed with math.log1p, because
+    np.log1p differs from it in the last bit on some inputs and could move
+    an edge.  So the graph is the one a scalar loop over rng.random() gives.
     """
-    if n < 1:
-        raise GraphError("n must be >= 1")
+    check_vertices(n)
     if not (0 < c < n) and n > 1:
         raise GraphError(f"need 0 < c < n, got c={c}, n={n}")
     rng = seed.generator()
@@ -468,8 +469,7 @@ def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
     """Uniform half-edge pairing with multi-edges and self-loops erased.
 
     An odd degree sum is padded by adding one half-edge to the last vertex.
-    Stubs 2i and 2i + 1 of the permuted stub list form a pair; the kept
-    edges enter `weights` in the order of their first pairing.
+    Stubs 2i and 2i + 1 of the permuted stub list form a pair.
     """
     degs = [int(d) for d in degrees]
     if any(d < 0 for d in degs):
@@ -484,10 +484,9 @@ def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
     stubs = stubs[rng.permutation(len(stubs))]
     u, v = stubs[0::2], stubs[1::2]
     keep = u != v
-    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
-    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])  # each pair at its first pairing
+    lo, hi = np.divmod(np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep]), n)
     root = VertexRoot(int(rng.integers(0, n)))
-    return WeightedGraph(n, lo[first], hi[first], np.zeros(len(first)), root)
+    return WeightedGraph(n, lo, hi, np.zeros(len(lo)), root)
 
 
 def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> WeightedGraph:
@@ -503,7 +502,7 @@ def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> Wei
     consecutively: the result is a `tree` graph, edges (parent, child) of
     weight 0.0.  A generation draws its child counts one per vertex, in
     vertex order, and is refused with a GraphError before it is built
-    when the tree would pass _MAX_TREE_VERTICES vertices.
+    when the tree would pass _MAX_VERTICES vertices.
     """
     if depth < 0:
         raise GraphError("depth must be >= 0")
@@ -517,9 +516,9 @@ def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> Wei
         draw = law.sample if d == 0 and rooting == "vertex" else law.sample_excess
         counts = list(map(draw, repeat(rng, width)))
         width = sum(counts)
-        if n + width > _MAX_TREE_VERTICES:
+        if n + width > _MAX_VERTICES:
             raise GraphError(
-                f"tree passes the cap of {_MAX_TREE_VERTICES} vertices at depth {d + 1} "
+                f"tree passes the cap of {_MAX_VERTICES} vertices at depth {d + 1} "
                 f"of {depth}: {n + width} vertices"
             )
         kids += counts
@@ -537,14 +536,13 @@ def ubgw_tree(law: OffspringLaw, rooting: str, depth: int, seed: RngSeed) -> Wei
 def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedGraph:
     """Replace all edge weights by i.i.d. draws from `law`.
 
-    Draws are assigned in sorted edge order, and the weights view of the
-    result runs in that order, so the result is a pure function of
+    Draws are assigned in edge order, so the result is a pure function of
     (graph, law, seed).  Ties under atomic laws are broken downstream by
-    canonical edge order.
+    edge order.
     """
     rng = seed.generator()
     w = array("d", law.sample(rng, g.m).tobytes() if g.m else b"")
-    return WeightedGraph(g.n, g.lo, g.hi, w, g.root, g.boundary, None, g.tree, g.links)
+    return WeightedGraph(g.n, g.lo, g.hi, w, g.root, g.boundary, g.tree, g.links)
 
 
 # ----------------------------------------------------------------------
@@ -611,13 +609,13 @@ def graph_from_text(text: str) -> WeightedGraph:
     """Parse the format `graph_to_text` writes.
 
     Edge lines are checked as they are parsed into typed buffers, and
-    repeated edges are merged by one sort, so the cost is O(m log m).  A
-    bad input raises GraphError for the first fault in this order: the
-    first bad edge line in file order (not three fields, an unparsable
-    number, a vertex id outside 0..n-1, then a non-finite weight), then an
-    `m=` count that differs from the number of distinct edges (an edge
-    listed as `u v` and as `v u` is one edge with the weight of its last
-    line), then a self-loop.
+    repeated edges are merged by one sort, so the cost is O(m log m).  The
+    header's n must be in 1.._MAX_VERTICES.  A bad input raises GraphError
+    for the first fault in this order: the first bad edge line in file
+    order (not three fields, an unparsable number, a vertex id outside
+    0..n-1, then a non-finite weight), then an `m=` count that differs from
+    the number of distinct edges (an edge listed as `u v` and as `v u` is
+    one edge with the weight of its last line), then a self-loop.
     """
     end = len(text)  # the lines of text.strip(): the last one ends before trailing whitespace
     while end and text[end - 1].isspace():
@@ -636,6 +634,7 @@ def graph_from_text(text: str) -> WeightedGraph:
         raise GraphError(f"malformed header: {head!r}") from exc
     if n < 1:
         raise GraphError(f"header claims n={n}; need at least one vertex")
+    check_vertices(n)
 
     us, vs, ws = array("q"), array("q"), array("d")
     for ln in lines:
@@ -651,15 +650,12 @@ def graph_from_text(text: str) -> WeightedGraph:
         us.append(u)
         vs.append(v)
         ws.append(w)
-    u, v, w = np.asarray(us), np.asarray(vs), np.asarray(ws)
-    # each distinct pair at its first line, with the weight of its last line
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    first, last = np.unique(key, return_index=True)[1], np.unique(key[::-1], return_index=True)[1]
-    by_first = np.argsort(first)
-    if len(first) != m:
-        raise GraphError(f"header claims m={m}, found {len(first)} edges")
+    u, v = np.asarray(us), np.asarray(vs)
+    # each distinct pair, sorted, with the weight of its last line: the first in reversed order
+    key, last = np.unique((np.minimum(u, v) * n + np.maximum(u, v))[::-1], return_index=True)
+    if len(key) != m:
+        raise GraphError(f"header claims m={m}, found {len(key)} edges")
     loops = np.flatnonzero(u == v)
     if loops.size:
         raise GraphError(f"self-loop on vertex {int(u[loops[0]])}")
-    first = first[by_first]
-    return WeightedGraph(n, u[first], v[first], w[len(key) - 1 - last[by_first]], root)
+    return WeightedGraph(n, *np.divmod(key, n), np.asarray(ws)[::-1][last], root)

@@ -299,6 +299,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
     subcritical (the upper end of its rho enclosure is below 1) and at
     least one replica certified.
     """
+    randgraph.check_vertices(cfg.n)
     law = cfg.offspring()
     base = cfg.base_seed()
     fractions = []

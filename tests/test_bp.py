@@ -410,7 +410,8 @@ def test_hot_paths_build_no_views(tmp_path, monkeypatch):
     argv = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "10", "--weights", "uniform:0:1"]
     assert cli(argv + ["--seed", "3", "--out", tree]) == 0
     assert cli(["match", "--graph", tree, "--k", "1", "--out", matched]) == 0
-    assert open(matched).readline().startswith("size=")
+    with open(matched) as fh:
+        assert fh.readline().startswith("size=")
     records = xharness.run_size(xharness.ExperimentConfig(experiment="size", n=2000, replicas=3, seed=4))
     assert records[0].estimate > 0
 

@@ -225,16 +225,57 @@ class TestLeafRemoval:
         Matching.from_edges(g, m.edges)  # raises if not vertex-disjoint
 
 
+def relabelled(g, perm):
+    """g with vertex v renamed perm[v]."""
+    lo, hi = perm[np.asarray(g.lo)], perm[np.asarray(g.hi)]
+    return randgraph.WeightedGraph(g.n, lo, hi, g.w, VertexRoot(int(perm[g.root_vertex()])))
+
+
+class TestLeafRemovalOrderFree:
+    """The Karp-Sipser core does not depend on the order leaves go in, so neither does the
+    certificate, nor the size of a certified run: both survive a random relabelling."""
+
+    def assert_order_free(self, g, rng, seed):
+        m, is_exact, core = leaf_removal(g, seed)
+        for _ in range(3):
+            h = relabelled(g, rng.permutation(g.n))
+            m2, is_exact2, core2 = leaf_removal(h, seed)
+            assert is_exact2 == is_exact
+            if is_exact:
+                assert (m2.size, core2) == (m.size, core)
+        return is_exact, core
+
+    def test_erdos_renyi(self):
+        rng = np.random.default_rng(81)
+        outcomes = set()
+        for c in (1.0, 2.0, math.e, 3.0, 4.0):
+            for i in range(8):
+                g = randgraph.erdos_renyi(60, c, RngSeed(82, 10 * i + int(c)))
+                is_exact, core = self.assert_order_free(g, rng, RngSeed(83, i))
+                outcomes.add((is_exact, core > 0))
+        assert outcomes == {(True, False), (True, True), (False, True)}  # including cycle cores
+
+    def test_three_regular(self):
+        rng = np.random.default_rng(84)
+        outcomes = set()
+        for n in (6, 8, 10, 40):
+            for i in range(10):
+                g = randgraph.configuration_model([3] * n, RngSeed(85, 100 * n + i))
+                is_exact, core = self.assert_order_free(g, rng, RngSeed(86, i))
+                outcomes.add((is_exact, core > 0))
+        assert {(True, True), (False, True)} <= outcomes
+
+
 def rebuild_leaf_removal(g, seed):
     """Reference Karp-Sipser run that lists every live edge before each random step.
 
     This is the quadratic formulation leaf_removal must reproduce draw for
     draw: the random edge is live_edges[rng.integers(0, len(live_edges))]
-    with live edges ordered by ascending u, then by the iteration order of
-    u's shrinking set of neighbours, keeping v > u.
+    with live edges in edge order, by ascending u, then ascending v > u in
+    u's shrinking list of neighbours.
     """
     rng = seed.generator()
-    adj = [set(nb) for nb in g.adjacency]
+    adj = [list(nb) for nb in g.adjacency]
     alive = [True] * g.n
     matched = []
     leaves = [v for v in range(g.n) if len(adj[v]) == 1]
@@ -244,18 +285,18 @@ def rebuild_leaf_removal(g, seed):
 
     def remove_vertex(v):
         alive[v] = False
-        for w in list(adj[v]):
-            adj[w].discard(v)
-            adj[v].discard(w)
+        for w in adj[v]:
+            adj[w].remove(v)
             if len(adj[w]) == 1:
                 leaves.append(w)
+        adj[v] = []
 
     while edges_left > 0:
         while leaves:
             v = leaves.pop()
             if not alive[v] or len(adj[v]) != 1:
                 continue
-            u = next(iter(adj[v]))
+            u = adj[v][0]
             matched.append((v, u))
             edges_left -= len(adj[u]) + len(adj[v]) - 1
             remove_vertex(v)
@@ -530,3 +571,13 @@ class TestPerf:
         g = path([1.0, 1.0])
         with pytest.raises(NotAMatchingError):
             perf_of(g, Matching(frozenset({(0, 1), (1, 2)}), 2.0))
+
+    def test_rejects_non_edge(self):
+        g = path([1.0, 1.0])
+        with pytest.raises(NotAMatchingError, match=r"^edge \(0, 2\) not in graph$"):
+            Matching.from_edges(g, [(2, 0)])
+        with pytest.raises(NotAMatchingError, match=r"^edge \(0, 2\) not in graph$"):
+            perf_of(g, Matching(frozenset({(0, 2)}), 1.0))
+        tree = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 3, RngSeed(3))  # edge ids read off the parents
+        with pytest.raises(NotAMatchingError, match=r"not in graph$"):
+            Matching.from_edges(tree, [(0, tree.n - 1)])

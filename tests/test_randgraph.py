@@ -356,7 +356,8 @@ def assert_same_graph(a, b):
     assert a.adjacency == b.adjacency
     assert a.root == b.root
     assert a.boundary == b.boundary
-    # insertion order too: consumers iterate weights directly
+    # edge order too, the one order a graph has: weights iterates in it
+    assert (a.lo, a.hi, a.w) == (b.lo, b.hi, b.w)
     assert list(a.weights.items()) == list(b.weights.items())
 
 
@@ -415,10 +416,10 @@ class TestUbgwTreeDifferential:
 
 
 class TestTreeSizeCap:
-    """ubgw_tree refuses a tree past randgraph._MAX_TREE_VERTICES before building its generation."""
+    """ubgw_tree refuses a tree past randgraph._MAX_VERTICES before building its generation."""
 
     def test_refused_before_the_generation_is_built(self, monkeypatch):
-        monkeypatch.setattr(randgraph, "_MAX_TREE_VERTICES", 1_000)
+        monkeypatch.setattr(randgraph, "_MAX_VERTICES", 1_000)
         with pytest.raises(GraphError) as exc:
             ubgw_tree(OffspringLaw.poisson(30.0), "vertex", 12, RngSeed(1))
         assert str(exc.value) == "tree passes the cap of 1000 vertices at depth 3 of 12: 23704 vertices"
@@ -437,6 +438,71 @@ class TestTreeSizeCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: tree passes the cap of 10000000 vertices at depth 5 of 12: \d+ vertices\n", captured.err)
+
+
+class TestVertexCap:
+    """Every graph is refused past randgraph._MAX_VERTICES before anything of size n is made."""
+
+    def test_graph_from_text_header(self):
+        with pytest.raises(GraphError, match=r"^n=4611686018427387904 passes the cap of 10000000 vertices$"):
+            graph_from_text(f"lexmatch-graph v1 n={2**62} m=1 root=vertex:0\n0 1 0.5\n")
+
+    def test_erdos_renyi(self, monkeypatch):
+        with pytest.raises(GraphError, match=r"^n=1000000000000 passes the cap of 10000000 vertices$"):
+            erdos_renyi(10**12, 1.0, RngSeed(1))
+        monkeypatch.setattr(randgraph, "_MAX_VERTICES", 50)
+        assert erdos_renyi(50, 1.0, RngSeed(1)).n == 50  # the cap itself is allowed
+        with pytest.raises(GraphError, match=r"^n=51 passes the cap of 50 vertices$"):
+            erdos_renyi(51, 1.0, RngSeed(1))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--model", "er"],
+            ["gen", "--model", "config", "--law", "poisson:3"],
+            ["size", "--law", "poisson:1"],
+            ["size", "--law", "binom:3:0.5"],
+        ],
+        ids=["gen-er", "gen-config", "size-er", "size-config"],
+    )
+    def test_cli_one_line_error(self, argv, capsys):
+        assert cli(argv + ["--n", str(10**12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=1000000000000 passes the cap of 10000000 vertices\n"
+
+    def test_match_header(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"lexmatch-graph v1 n={2**62} m=0 root=vertex:0\n")
+        assert cli(["match", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err == "error: n=4611686018427387904 passes the cap of 10000000 vertices\n"
+
+
+class TestOneEdgeOrder:
+    """Edge order is the only order a graph has: the order edges are given in is forgotten."""
+
+    def test_reversed_edges_compare_equal(self):
+        a = WeightedGraph(3, [1, 0], [2, 1], [0.75, 0.25], VertexRoot(0))
+        b = WeightedGraph(3, [0, 1], [1, 2], [0.25, 0.75], VertexRoot(0))
+        assert a == b
+        assert list(a.weights.items()) == list(b.weights.items()) == [((0, 1), 0.25), ((1, 2), 0.75)]
+
+    def test_any_order_and_orientation(self):
+        g = assign_weights(erdos_renyi(300, 3.0, RngSeed(71)), WeightLaw.uniform(), RngSeed(72))
+        rng = np.random.default_rng(73)
+        for _ in range(5):
+            perm, flip = rng.permutation(g.m), rng.random(g.m) < 0.5
+            lo, hi, w = np.asarray(g.lo)[perm], np.asarray(g.hi)[perm], np.asarray(g.w)[perm]
+            h = WeightedGraph(g.n, np.where(flip, hi, lo), np.where(flip, lo, hi), w, g.root)
+            assert h == g
+            assert list(h.weights.items()) == list(g.weights.items())
+            assert graph_to_text(h) == graph_to_text(g)
+
+    def test_differs_in_weight_root_or_boundary(self):
+        g = WeightedGraph(3, [0, 1], [1, 2], [0.25, 0.75], VertexRoot(0))
+        assert g != WeightedGraph(3, [1, 0], [2, 1], [0.25, 0.75], VertexRoot(0))
+        assert g != WeightedGraph(3, [0, 1], [1, 2], [0.25, 0.75], VertexRoot(1))
+        assert g != WeightedGraph(3, [0, 1], [1, 2], [0.25, 0.75], VertexRoot(0), frozenset({2}))
 
 
 def adjacency_of(n, edges):
@@ -682,7 +748,7 @@ class TestSerialization:
     def test_reversed_duplicate_keeps_last_weight(self):
         text = "lexmatch-graph v1 n=3 m=2 root=vertex:0\n1 2 0.5\n0 1 0.25\n2 1 0.75\n"
         g = graph_from_text(text)
-        assert list(g.weights.items()) == [((1, 2), 0.75), ((0, 1), 0.25)]
+        assert list(g.weights.items()) == [((0, 1), 0.25), ((1, 2), 0.75)]
         assert g.adjacency == ((1,), (0, 2), (1,))
 
     def test_matches_line_by_line_parser(self):
