@@ -237,7 +237,8 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     point of the recursion and raises FieldInconsistencyError.  Exact
     weight ties (possible only under atomic weight laws) can break the
     strict decision rule and are reported the same way: extraction
-    assumes atomless weights.
+    assumes atomless weights.  The matching is made from the ids of the
+    chosen edges, each the parent edge of its child endpoint.
     """
     k = field.k
     msgs = field.messages
@@ -255,11 +256,8 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
         if lv < k or (lv == k and z[v] + z[n + v] < weights[e]):
             if matched_of[p] is not None or matched_of[v] is not None:
                 raise FieldInconsistencyError("edge rule selected incident edges")
-            chosen.append((p, v) if p < v else (v, p))
+            chosen.append(e)
             matched_of[p], matched_of[v] = v, p
-    # ascending: Matching.from_edges sums the weight in the iteration order
-    # of the frozenset it builds, and that order follows the insertion order
-    chosen.sort()
 
     # vertex rule: u matched to argmax of (k, w(u,v)) - msg(u, v) when > (0,0).
     # Pinned boundary vertices are skipped: their exterior candidates are
@@ -284,7 +282,7 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
                 f"vertex rule ({u} -> {arg}) disagrees with edge rule "
                 f"({u} -> {matched_of[u]})"
             )
-    return Matching.from_edges(g, chosen)
+    return Matching(g, chosen)
 
 
 @dataclass
@@ -372,9 +370,5 @@ def scalar_sweep_eps(g: WeightedGraph, eps: float):
     weps = [1.0 + eps * w for w in g.w]
     msgs = _sweep(g, 0, {}, weights=weps)
     n, z = g.n, msgs.z
-    chosen = sorted(
-        (p, v) if p < v else (v, p)
-        for v, p, e in zip(range(n), msgs.parent, msgs.pe)
-        if p >= 0 and z[v] + z[n + v] < weps[e]
-    )
-    return _PairView(msgs, msgs, lambda a, b: a[1]), Matching.from_edges(g, chosen)
+    chosen = [e for v, p, e in zip(range(n), msgs.parent, msgs.pe) if p >= 0 and z[v] + z[n + v] < weps[e]]
+    return _PairView(msgs, msgs, lambda a, b: a[1]), Matching(g, chosen)

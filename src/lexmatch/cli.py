@@ -86,13 +86,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    if args.k < 0:
-        raise HarnessError(f"match needs k >= 0, got {args.k}")
+    if args.k < 1:
+        raise HarnessError(f"match needs k >= 1, got {args.k}")
     with open(args.graph) as fh:
         g = randgraph.graph_from_text(fh.read())
     field = bp.sweep_tree(g, args.k)
     matching = bp.extract_matching(g, field)
-    pv, pe = exact.perf_of(g, matching)
+    pv, pe = exact.perf_of(matching)
     _write(exact.matching_to_text(matching), args.out)
     sys.stdout.write(
         f"perf_vertex=({pv.match_prob:.12g},{pv.expected_weight:.12g}) "

@@ -5,7 +5,10 @@ total weight).  Enumeration-based oracles are capped at desk scale
 (26 edges for optima, 22 for maximum-matching structure); the forest
 dynamic program and certified leaf removal (cost in `leaf_removal`)
 scale further.  Graphs carry one order, their sorted edges: leaf removal
-visits neighbours ascending and numbers live edges in edge order.
+visits neighbours ascending and numbers live edges in edge order.  A
+`Matching` is made from edge ids of one graph and checked once, then:
+every producer passes the ids it holds, and the weight is summed in
+ascending id order.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import sub
 
@@ -44,28 +48,36 @@ class CycleError(ValueError):
     """Graph expected to be a forest contains a cycle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matching:
-    """Vertex-disjoint edge set with cached size and total weight."""
+    """Vertex-disjoint edge set of a graph, checked when it is made.
+
+    Matching(g, ids) takes edge ids of g: NotAMatchingError unless they lie
+    in range(g.m) and no two share a vertex.  edges holds their (lo, hi)
+    pairs, weight sums g.w over them in ascending id order, and n and m are
+    g's vertex and edge counts.
+    """
 
     edges: frozenset
     weight: float
+    n: int
+    m: int
+
+    def __init__(self, g: WeightedGraph, ids):
+        ids = sorted(ids)
+        if ids and (ids[0] < 0 or ids[-1] >= g.m):
+            raise NotAMatchingError(f"edge id {ids[0] if ids[0] < 0 else ids[-1]} not in range({g.m})")
+        us, vs = [g.lo[i] for i in ids], [g.hi[i] for i in ids]
+        ends = us + vs
+        if len(set(ends)) < len(ends):
+            v = next(x for x, c in Counter(ends).items() if c > 1)
+            raise NotAMatchingError(f"two matched edges share vertex {v}")
+        weight = sum(map(g.w.__getitem__, ids))
+        vars(self).update(edges=frozenset(zip(us, vs)), weight=weight, n=g.n, m=g.m)  # frozen: set once, here
 
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    @staticmethod
-    def from_edges(g: WeightedGraph, edges) -> "Matching":
-        """The matching of the given pairs of g, its weight summed in the frozenset's order."""
-        es = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
-        ids = [g.edge_id(u, v) for u, v in es]
-        if -1 in ids:
-            raise NotAMatchingError(f"edge {next(e for e, i in zip(es, ids) if i < 0)} not in graph")
-        ends = [x for e in es for x in e]
-        if len(set(ends)) < len(ends):
-            raise NotAMatchingError(f"vertex reused in {sorted(es)}")
-        return Matching(es, sum(map(g.w.__getitem__, ids)))
 
     def covers(self, v: int) -> bool:
         return any(v in e for e in self.edges)
@@ -147,8 +159,7 @@ def brute_force_opt(g: WeightedGraph) -> Matching:
         size = len(sel)
         if size > best_size or (size == best_size and weight > best_weight):
             best_size, best_weight, best_sel = size, weight, tuple(sel)
-    edges = g.edges()
-    return Matching.from_edges(g, [edges[i] for i in best_sel])
+    return Matching(g, best_sel)
 
 
 def _orient_forest(g: WeightedGraph, avoid=frozenset()):
@@ -211,7 +222,7 @@ def tree_opt_dp(g: WeightedGraph):
     allowing v to be matched inside the component of v seen from u, i.e.
     OPT(subtree at v away from u) - OPT(same subtree with v deleted).
     """
-    parent, order, _ = _orient_forest(g)
+    parent, order, pe = _orient_forest(g)
     zero = (0, 0.0)
 
     # upward pass: for v with parent p, opt_in[v] = OPT of subtree(v),
@@ -239,14 +250,14 @@ def tree_opt_dp(g: WeightedGraph):
 
     # extract the matching top-down: a vertex matched to its parent
     # contributes opt_out (all its children revert to their opt_in)
-    matched_edges = []
+    matched = []
     mode = ["in"] * g.n
     for v in order:
         if mode[v] == "used":
             continue
         w = choice[v]
         if w is not None:
-            matched_edges.append((v, w))
+            matched.append(pe[w])
             mode[w] = "used"
 
     # marginal gains on all directed edges: gains[(u,v)] refers to the
@@ -275,7 +286,7 @@ def tree_opt_dp(g: WeightedGraph):
                     best = cand
             down[w] = best
             gains[(w, v)] = best
-    matching = Matching.from_edges(g, matched_edges)
+    matching = Matching(g, matched)
     _assert_no_easy_improvement(g, matching)
     return matching, gains
 
@@ -322,7 +333,7 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
     """
     rng = seed.generator()
     n = g.n
-    indptr, nbr, _ = g.csr
+    indptr, nbr, eid = g.csr
     deg = list(map(sub, indptr[1:], indptr[:-1]))
     alive = [True] * n
     matched = []
@@ -355,10 +366,11 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
             v = leaves.pop()
             if not alive[v] or deg[v] != 1:
                 continue
-            for u in nbr[indptr[v] : indptr[v + 1]]:
-                if alive[u]:
-                    break
-            matched.append((v, u))
+            j = indptr[v]
+            while not alive[nbr[j]]:
+                j += 1
+            u = nbr[j]
+            matched.append(eid[j])
             # deleting u and v removes deg(u) + deg(v) - 1 edges
             edges_left -= deg[u] + deg[v] - 1
             remove_vertex(v)
@@ -384,26 +396,22 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
             k -= up[u]
             u += 1
         a, b = indptr[u], indptr[u + 1]
-        for v in nbr[bisect_right(nbr, u, a, b) : b]:
-            if alive[v]:
+        for j in range(bisect_right(nbr, u, a, b), b):
+            if alive[nbr[j]]:
                 if k == 0:
                     break
                 k -= 1
-        matched.append((u, v))
+        v = nbr[j]
+        matched.append(eid[j])
         edges_left -= deg[u] + deg[v] - 1
         remove_vertex(u)
         remove_vertex(v)
         removed_core += 2
-    return Matching.from_edges(g, matched), exact, removed_core
+    return Matching(g, matched), exact, removed_core
 
 
-def _enumerate_max_matchings(g: WeightedGraph):
-    """Statistics of all maximum-cardinality matchings.
-
-    Returns (max_size, count, intersection, union, samples) where samples
-    is the list of all maximum matchings as frozensets of edges, in
-    enumeration order.
-    """
+def _max_matchings(g: WeightedGraph) -> list:
+    """Every maximum-cardinality matching of g as a tuple of edge ids, in enumeration order."""
     _check_cap(g, _ENUM_EDGE_CAP)
     best, sels = 0, []
     for sel, _ in _matchings(g):
@@ -411,9 +419,7 @@ def _enumerate_max_matchings(g: WeightedGraph):
             best, sels = len(sel), [tuple(sel)]
         elif len(sel) == best:
             sels.append(tuple(sel))
-    edges = g.edges()
-    sets = [frozenset(edges[i] for i in sel) for sel in sels]
-    return best, len(sets), frozenset.intersection(*sets), frozenset.union(*sets), sets
+    return sels
 
 
 def mandatory_blocking(g: WeightedGraph) -> dict:
@@ -421,38 +427,33 @@ def mandatory_blocking(g: WeightedGraph) -> dict:
 
     mandatory: in all of them; blocking: in none; free: otherwise.
     """
-    _, _, inter, union, _ = _enumerate_max_matchings(g)
-    out = {}
-    for e in g.edges():
-        if e in inter:
-            out[e] = MANDATORY
-        elif e not in union:
-            out[e] = BLOCKING
-        else:
-            out[e] = FREE
-    return out
+    sels = _max_matchings(g)
+    hits = [0] * g.m
+    for sel in sels:
+        for i in sel:
+            hits[i] += 1
+    return {
+        e: MANDATORY if h == len(sels) else BLOCKING if h == 0 else FREE for e, h in zip(g.edges(), hits)
+    }
 
 
 def uniform_max_matching(g: WeightedGraph, seed: RngSeed) -> Matching:
     """Exact uniform sample from the maximum-cardinality matchings."""
-    _, count, _, _, sets = _enumerate_max_matchings(g)
+    sels = _max_matchings(g)
     rng = seed.generator()
-    pick = sets[int(rng.integers(0, count))]
-    return Matching.from_edges(g, pick)
+    return Matching(g, sels[int(rng.integers(0, len(sels)))])
 
 
-def perf_of(g: WeightedGraph, matching: Matching) -> tuple[Perf, Perf]:
-    """(vertex-rooted, edge-rooted) performance of a matching.
+def perf_of(matching: Matching) -> tuple[Perf, Perf]:
+    """(vertex-rooted, edge-rooted) performance of a matching, on its graph's n and m.
 
     The identity perf_V = (2|E|/n) * perf_E holds exactly on finite graphs.
     """
-    Matching.from_edges(g, matching.edges)  # raises unless a matching of g
-    n = max(g.n, 1)
+    n, m = max(matching.n, 1), matching.m
     perf_v = Perf(2.0 * matching.size / n, 2.0 * matching.weight / n)
-    if g.m == 0:
+    if m == 0:
         return perf_v, Perf(0.0, 0.0)
-    perf_e = Perf(matching.size / g.m, matching.weight / g.m)
-    return perf_v, perf_e
+    return perf_v, Perf(matching.size / m, matching.weight / m)
 
 
 def matching_to_text(matching: Matching) -> str:

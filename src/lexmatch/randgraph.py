@@ -475,8 +475,7 @@ def configuration_model(degrees, seed: RngSeed) -> WeightedGraph:
     if any(d < 0 for d in degs):
         raise GraphError("degrees must be non-negative")
     n = len(degs)
-    if n == 0:
-        raise GraphError("need at least one vertex")
+    check_vertices(n)
     if sum(degs) % 2 == 1:
         degs[-1] += 1
     rng = seed.generator()
@@ -632,8 +631,6 @@ def graph_from_text(text: str) -> WeightedGraph:
         root = {"vertex": VertexRoot, "edge": EdgeRoot}[kind](*map(int, ids.split(",")))
     except (KeyError, ValueError, TypeError) as exc:
         raise GraphError(f"malformed header: {head!r}") from exc
-    if n < 1:
-        raise GraphError(f"header claims n={n}; need at least one vertex")
     check_vertices(n)
 
     us, vs, ws = array("q"), array("q"), array("d")

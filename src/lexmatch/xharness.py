@@ -71,9 +71,7 @@ class ExperimentConfig:
     field, whatever the experiment: `fmt`, the seeds, the least values in
     _LEAST, h_min <= h_max, eps_min_exp <= eps_max_exp <= 30, p within the
     enumeration cap and grid_t.  A value out of range raises HarnessError,
-    so the runners refuse only what needs the parsed law.  `tolerance` is
-    the absolute pass band against the reference value, None for the
-    experiment's default (0.01 for size, 0.02 for mandatory and separation).
+    so the runners refuse only what needs the parsed law.
     """
 
     experiment: str = "check"
@@ -95,7 +93,6 @@ class ExperimentConfig:
     grid_t: float | None = None
     k: int | None = None
     cross_forests: int = 1000
-    tolerance: float | None = None
     seed: int = 7
     stream: int = 0
     out: str | None = None
@@ -248,9 +245,9 @@ def _binom_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / max(n, 1))
 
 
-def _assert_perf_identity(g, matching) -> None:
-    pv, pe = exact.perf_of(g, matching)
-    ratio = 2.0 * g.m / max(g.n, 1)
+def _assert_perf_identity(matching: exact.Matching) -> None:
+    pv, pe = exact.perf_of(matching)
+    ratio = 2.0 * matching.m / max(matching.n, 1)
     if abs(pv.match_prob - ratio * pe.match_prob) > 1e-9 or abs(
         pv.expected_weight - ratio * pe.expected_weight
     ) > 1e-9:
@@ -315,7 +312,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
         if is_exact:
             certified += 1
             fractions.append(2.0 * matching.size / g.n)
-            _assert_perf_identity(g, matching)
+            _assert_perf_identity(matching)
     frac_certified = certified / cfg.replicas
     if frac_certified < 0.9:
         regime = genfn.macroscopic_law(law)
@@ -335,7 +332,7 @@ def run_size(cfg: ExperimentConfig) -> list[ResultRecord]:
         se=se,
         reference=ref,
         provenance="2 - max F_pi (genfn.matching_vertex_density)",
-        tolerance=0.01 if cfg.tolerance is None else cfg.tolerance,
+        tolerance=0.01,
         notes=f"certified {certified}/{cfg.replicas}",
     )
     return [rec]
@@ -429,7 +426,6 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
             "in (0,1); rerun with conjecture_probe for unjudged estimates"
         )
     gamma = genfn.single_fixed_point(law)
-    tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     base = cfg.base_seed()
     counts = {"mandatory": 0, "blocking": 0, "free": 0, "unknown": 0}
     for g in itertools.islice(_trees(base.child(0), law, "edge", cfg.depth), cfg.samples):
@@ -466,7 +462,7 @@ def run_mandatory(cfg: ExperimentConfig) -> list[ResultRecord]:
             se=_binom_se(p_hat, total),
             reference=None if probe else ref,
             provenance="square of the fixed point of t -> hphi(1-t) (genfn)",
-            tolerance=tol,
+            tolerance=0.02,
             notes=("conjecture probe; " if probe else "")
             + f"certified {total}/{cfg.samples}",
         )
@@ -518,7 +514,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
         for s in itertools.islice(_seeds(seed), cfg.samples):
             g = assign_weights(g0, wlaw, s)
             m = bp.extract_matching(g, bp.sweep_tree(g, 1))
-            _assert_perf_identity(g, m)
+            _assert_perf_identity(m)
             hits += m.covers(0)
         p_hat = hits / cfg.samples
         return p_hat, _binom_se(p_hat, cfg.samples)
@@ -530,7 +526,6 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     ref_w = 1.0 - (1.0 - 1.0 / (p + 1)) ** (p + 1)
     ref_u = 1.0 / (1.0 + p / (p + 1.0))
-    tol = 0.02 if cfg.tolerance is None else cfg.tolerance
     return [
         ResultRecord(
             "separation",
@@ -540,7 +535,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
             se_a,
             ref_w,
             "1 - (1 - 1/(p+1))^(p+1), direct conditioned construction",
-            tol,
+            0.02,
             notes=pa_note,
         ),
         ResultRecord(
@@ -551,7 +546,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
             _binom_se(est_u, cfg.samples),
             ref_u,
             "1 / (1 + p/(p+1)), uniform maximum-matching enumeration",
-            tol,
+            0.02,
         ),
         ResultRecord(
             "separation",
@@ -561,7 +556,7 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
             math.hypot(se_a, se_b),
             0.0,
             "weighted probability is weight-law independent",
-            tol,
+            0.02,
         ),
     ]
 
@@ -690,7 +685,7 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
         g = assign_weights(randgraph.erdos_renyi(500, 1.0, er), wlaw, er.child(0))
         m, _, _ = exact.leaf_removal(g, er.child(1))
         try:
-            _assert_perf_identity(g, m)
+            _assert_perf_identity(m)
         except HarnessError:
             perf_ok = False
     results["perf_vertex_edge_proportionality"] = perf_ok
@@ -831,12 +826,10 @@ RUNNERS = {
 # The ExperimentConfig fields each experiment reads.  The CLI registers one
 # flag per field and config_from rejects every other key.
 READS = {
-    "size": ("law", "n", "replicas", "tolerance", "seed", "stream"),
+    "size": ("law", "n", "replicas", "seed", "stream"),
     "decay": ("law", "weights", "samples", "h_min", "h_max", "h_step", "seed", "stream"),
-    "mandatory": (
-        "law", "depth", "samples", "tolerance", "conjecture_probe", "cross_forests", "seed", "stream"
-    ),
-    "separation": ("law", "weights", "weights_b", "p", "samples", "tolerance", "seed", "stream"),
+    "mandatory": ("law", "depth", "samples", "conjecture_probe", "cross_forests", "seed", "stream"),
+    "separation": ("law", "weights", "weights_b", "p", "samples", "seed", "stream"),
     "eps-sweep": ("weights", "trees", "eps_min_exp", "eps_max_exp", "seed", "stream"),
     "check": ("weights", "seed", "stream"),
     "solve": ("law", "weights", "k", "grid_points", "grid_t"),

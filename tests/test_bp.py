@@ -400,12 +400,14 @@ def test_generators_and_text_allocate_per_vertex():
 
 
 def test_hot_paths_build_no_views(tmp_path, monkeypatch):
-    # gen and match through the CLI and a small run_size read the arrays only
-    def refuse(g):
-        raise AssertionError("a hot path built the adjacency or weights view")
+    # gen and match through the CLI, a small run_size and leaf removal through its
+    # 2-core phase read the arrays only, and look no edge up by its ends
+    def refuse(g, *ends):
+        raise AssertionError("a hot path built the adjacency or weights view or called edge_id")
 
     monkeypatch.setattr(randgraph.WeightedGraph, "adjacency", property(refuse))
     monkeypatch.setattr(randgraph.WeightedGraph, "weights", property(refuse))
+    monkeypatch.setattr(randgraph.WeightedGraph, "edge_id", refuse)
     tree, matched = str(tmp_path / "tree.txt"), str(tmp_path / "matching.txt")
     argv = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "10", "--weights", "uniform:0:1"]
     assert cli(argv + ["--seed", "3", "--out", tree]) == 0
@@ -414,6 +416,8 @@ def test_hot_paths_build_no_views(tmp_path, monkeypatch):
         assert fh.readline().startswith("size=")
     records = xharness.run_size(xharness.ExperimentConfig(experiment="size", n=2000, replicas=3, seed=4))
     assert records[0].estimate > 0
+    _, _, core = exact.leaf_removal(erdos_renyi(2000, 3.0, RngSeed(5)), RngSeed(6))
+    assert core > 0
 
 
 class TestSweepTree:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from lexmatch import exact, randgraph
+from lexmatch import bp, exact, randgraph
 from lexmatch.exact import (
     BLOCKING,
     FREE,
@@ -69,7 +69,7 @@ class TestBruteForce:
         g = graph_of(2, {(0, 1): 0.7})
         m = brute_force_opt(g)
         assert m.edges == frozenset({(0, 1)}) and m.weight == pytest.approx(0.7)
-        pv, _ = perf_of(g, m)
+        pv, _ = perf_of(m)
         assert pv.as_tuple() == pytest.approx((1.0, 0.7))
 
     def test_two_edge_path_takes_heavier(self):
@@ -222,7 +222,7 @@ class TestLeafRemoval:
     def test_matching_valid(self):
         g = randgraph.erdos_renyi(500, 2.5, RngSeed(5))
         m, _, _ = leaf_removal(g, RngSeed(6))
-        Matching.from_edges(g, m.edges)  # raises if not vertex-disjoint
+        Matching(g, [g.edge_id(u, v) for u, v in m.edges])  # raises if not vertex-disjoint
 
 
 def relabelled(g, perm):
@@ -315,7 +315,7 @@ def rebuild_leaf_removal(g, seed):
         remove_vertex(u)
         remove_vertex(v)
         removed_core += 2
-    return Matching.from_edges(g, matched), is_exact, removed_core
+    return Matching(g, [g.edge_id(u, v) for u, v in matched]), is_exact, removed_core
 
 
 def assert_same_removal(g, seed):
@@ -508,7 +508,10 @@ class TestMandatoryBlocking:
             if g.m > 14:
                 continue
             cls = mandatory_blocking(g)
-            size, _, inter, union, sets = exact._enumerate_max_matchings(g)
+            edges = g.edges()
+            sels = [tuple(sel) for sel, _ in exact._matchings(g)]
+            best = max(map(len, sels))
+            sets = [{edges[i] for i in sel} for sel in sels if len(sel) == best]
             for e, label in cls.items():
                 if label == MANDATORY:
                     assert all(e in s for s in sets)
@@ -547,13 +550,13 @@ class TestUniformMaxMatching:
 class TestPerf:
     def test_empty(self):
         g = path([1.0])
-        pv, pe = perf_of(g, Matching(frozenset(), 0.0))
+        pv, pe = perf_of(Matching(g, []))
         assert pv.as_tuple() == (0.0, 0.0) and pe.as_tuple() == (0.0, 0.0)
 
     def test_perfect(self):
         g = path([0.8])
         m = brute_force_opt(g)
-        pv, _ = perf_of(g, m)
+        pv, _ = perf_of(m)
         assert pv.as_tuple() == pytest.approx((1.0, 0.8))
 
     def test_proportionality_identity(self):
@@ -562,22 +565,65 @@ class TestPerf:
             if g.m == 0 or g.m > 26:
                 continue
             m = brute_force_opt(g)
-            pv, pe = perf_of(g, m)
+            pv, pe = perf_of(m)
             ratio = 2.0 * g.m / g.n
             assert pv.match_prob == pytest.approx(ratio * pe.match_prob, abs=1e-12)
             assert pv.expected_weight == pytest.approx(ratio * pe.expected_weight, abs=1e-12)
 
+    # perf_of reads only a Matching, which its constructor checked: these
+    # are the constructor's refusals
+
     def test_rejects_non_matching(self):
-        g = path([1.0, 1.0])
-        with pytest.raises(NotAMatchingError):
-            perf_of(g, Matching(frozenset({(0, 1), (1, 2)}), 2.0))
+        g = path([1.0, 1.0, 1.0])
+        with pytest.raises(NotAMatchingError, match=r"^two matched edges share vertex 1$"):
+            Matching(g, [1, 0])
+        with pytest.raises(NotAMatchingError, match=r"^two matched edges share vertex 2$"):
+            Matching(g, [2, 1])
+        with pytest.raises(NotAMatchingError, match=r"^two matched edges share vertex 1$"):
+            Matching(g, [1, 1])  # a repeated id
+        assert Matching(g, [2, 0]) == Matching(g, (0, 2))
 
     def test_rejects_non_edge(self):
         g = path([1.0, 1.0])
-        with pytest.raises(NotAMatchingError, match=r"^edge \(0, 2\) not in graph$"):
-            Matching.from_edges(g, [(2, 0)])
-        with pytest.raises(NotAMatchingError, match=r"^edge \(0, 2\) not in graph$"):
-            perf_of(g, Matching(frozenset({(0, 2)}), 1.0))
-        tree = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 3, RngSeed(3))  # edge ids read off the parents
-        with pytest.raises(NotAMatchingError, match=r"not in graph$"):
-            Matching.from_edges(tree, [(0, tree.n - 1)])
+        for i in (2, -1, 10**12):
+            with pytest.raises(NotAMatchingError, match=rf"^edge id {i} not in range\(2\)$"):
+                Matching(g, [0, i])
+        tree = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 3, RngSeed(3))  # edge c - 1 ends at vertex c
+        with pytest.raises(NotAMatchingError, match=rf"^edge id {tree.m} not in range\({tree.m}\)$"):
+            Matching(tree, [tree.m])
+        m = Matching(tree, [tree.m - 1])
+        assert (m.edges, m.weight, m.n, m.m) == ({(tree.lo[-1], tree.n - 1)}, tree.w[-1], tree.n, tree.m)
+
+
+class TestMatchingWeight:
+    """Every producer's weight is g.w summed over its edge ids in ascending order, exactly."""
+
+    @staticmethod
+    def assert_id_order_weight(g, m):
+        ids = sorted(g.edge_id(u, v) for u, v in m.edges)
+        assert m.weight == sum(g.w[i] for i in ids)
+
+    def test_small_trees(self):
+        for i in range(60):
+            g = random_small_tree(i)
+            made = [
+                bp.extract_matching(g, bp.sweep_tree(g, 1)),
+                bp.scalar_sweep_eps(g, 2.0**-8)[1],
+                tree_opt_dp(g)[0],
+                leaf_removal(g, RngSeed(5, i))[0],
+            ]
+            if g.m <= 20:
+                made += [brute_force_opt(g), uniform_max_matching(g, RngSeed(6, i))]
+            for m in made:
+                self.assert_id_order_weight(g, m)
+
+    def test_large_graphs(self):
+        tree = random_small_tree(8, max_depth=9)  # depth 9
+        assert tree.n > 300
+        for m in (bp.extract_matching(tree, bp.sweep_tree(tree, 1)), tree_opt_dp(tree)[0]):
+            self.assert_id_order_weight(tree, m)
+        for c in (1.0, 3.0):  # the 3/n graph has a 2-core: random steps too
+            g = assign_weights(randgraph.erdos_renyi(2000, c, RngSeed(7)), WeightLaw.uniform(0, 1), RngSeed(8))
+            m, _, core = leaf_removal(g, RngSeed(9))
+            assert core > 0 or c < 2
+            self.assert_id_order_weight(g, m)

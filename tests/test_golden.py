@@ -17,6 +17,7 @@ values that moved.
 """
 
 import io
+import itertools
 import pathlib
 import shlex
 import sys
@@ -99,6 +100,15 @@ def run_case(commands, out: pathlib.Path) -> dict[str, bytes]:
     return files
 
 
+def first_line_difference(want: bytes, got: bytes) -> str:
+    """The first line (numbered from 1) where got differs from want, expected against actual."""
+    lines = itertools.zip_longest(want.splitlines(keepends=True), got.splitlines(keepends=True))
+    for i, (a, b) in enumerate(lines, 1):
+        if a != b:
+            return f"line {i}: expected {a!r}, got {b!r}"
+    return "no line differs"
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_golden(name, tmp_path):
     got = run_case(CASES[name], tmp_path)
@@ -106,7 +116,9 @@ def test_outputs_match_golden(name, tmp_path):
     want = {p.relative_to(case_dir).as_posix(): p.read_bytes() for p in case_dir.rglob("*") if p.is_file()}
     assert sorted(got) == sorted(want)
     for fname in want:
-        assert got[fname] == want[fname], f"{name}/{fname} differs from the golden copy"
+        assert got[fname] == want[fname], (
+            f"{name}/{fname} differs from the golden copy at {first_line_difference(want[fname], got[fname])}"
+        )
 
 
 if __name__ == "__main__":

@@ -477,6 +477,19 @@ class TestVertexCap:
         assert cli(["match", "--graph", str(path)]) == 1
         assert capsys.readouterr().err == "error: n=4611686018427387904 passes the cap of 10000000 vertices\n"
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_header_without_vertices(self, n, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text(f"lexmatch-graph v1 n={n} m=0 root=vertex:0\n")
+        with pytest.raises(GraphError, match=r"^n must be >= 1$"):
+            graph_from_text(path.read_text())
+        assert cli(["match", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+    def test_configuration_model_without_vertices(self):
+        with pytest.raises(GraphError, match=r"^n must be >= 1$"):
+            configuration_model([], RngSeed(1))
+
 
 class TestOneEdgeOrder:
     """Edge order is the only order a graph has: the order edges are given in is forgotten."""

@@ -5,7 +5,6 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -110,14 +109,6 @@ class TestRunMandatory:
         assert cross.estimate == 0.0 and cross.passed
 
 
-    def test_explicit_tolerance_used_as_given(self):
-        cfg = ExperimentConfig(experiment="mandatory", samples=200, depth=6, seed=11, cross_forests=20)
-        default = run_mandatory(cfg)
-        explicit = run_mandatory(replace(cfg, tolerance=0.01))
-        assert [r.tolerance for r in default[:2]] == [0.02, 0.02]
-        assert [r.tolerance for r in explicit[:2]] == [0.01, 0.01]
-
-
 class TestRunSeparation:
     def test_p2_references(self):
         recs = run_separation(ExperimentConfig(experiment="separation", p=2, samples=900, seed=12))
@@ -140,11 +131,6 @@ class TestRunSeparation:
         for p in (4, 5, 9):
             with pytest.raises(xharness.HarnessError, match="needs p <= 3"):
                 run_separation(ExperimentConfig(experiment="separation", p=p, samples=5, seed=13))
-
-    def test_explicit_tolerance_used_as_given(self):
-        cfg = ExperimentConfig(experiment="separation", p=1, samples=200, seed=13)
-        assert {r.tolerance for r in run_separation(cfg)} == {0.02}
-        assert {r.tolerance for r in run_separation(replace(cfg, tolerance=0.005))} == {0.005}
 
 
 class TestRunEpsSweep:
@@ -204,8 +190,8 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize(
         "experiment, key, value",
-        [("decay", "samples", "abc"), ("size", "tolerance", "tight"), ("solve", "k", "two")],
-        ids=["samples-abc", "tolerance-tight", "k-two"],
+        [("decay", "samples", "abc"), ("solve", "grid_t", "tight"), ("solve", "k", "two")],
+        ids=["samples-abc", "grid-t-tight", "k-two"],
     )
     def test_malformed_value_names_key_and_value(self, experiment, key, value):
         with pytest.raises(xharness.HarnessError) as exc:
@@ -670,7 +656,9 @@ class TestCli:
                 "constant weight must be finite, got nan",
             ),
             (["gen", "--model", "ubgw", "--weights", "uniform:1:0"], "uniform law needs finite a < b, got 1, 0"),
-            (["match", "--graph", "tree.txt", "--k", "-1"], "match needs k >= 0, got -1"),
+            (["match", "--graph", "tree.txt", "--k", "-1"], "match needs k >= 1, got -1"),
+            # k = 0 is the maximum-weight recursion, not the (size, weight) optimum
+            (["match", "--graph", "tree.txt", "--k", "0"], "match needs k >= 1, got 0"),
             (["gen", "--model", "config", "--n", "-3"], "n must be >= 1"),
             (["mandatory", "--cross-forests", "-1"], "mandatory experiment needs cross_forests >= 0, got -1"),
             (
@@ -717,6 +705,7 @@ class TestCli:
             "gen-const-nan",
             "gen-uniform-reversed",
             "match-k",
+            "match-k-zero",
             "gen-config-n",
             "mandatory-cross-forests",
             "eps-sweep-min-exp",
