@@ -158,7 +158,10 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     boundaries of tree balls).  `oriented` is a precomputed
     _orient_forest(g, avoid=pinned) and `weights`, indexed by edge id,
     replaces g.w.  Messages (level, z) are compared lexicographically.
+    Every sweep of this module runs here, so k >= 0 is checked here once.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     parent, order, pe = oriented or _orient_forest(g, avoid=frozenset(pinned))
     if weights is None:
         weights = g.w
@@ -213,8 +216,6 @@ def sweep_tree(g: WeightedGraph, k: int) -> MessageField:
     inside its subtree, so extraction reproduces the lexicographic
     optimum for any k >= 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return MessageField(k=k, messages=_sweep(g, k, {}), boundary_spec={})
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 on success, 2 when a tolerance/invariant check fails,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bp, exact, randgraph, rde, xharness
@@ -140,6 +141,8 @@ def cli(argv=None) -> int:
         if args.command == "match":
             return _cmd_match(args)
         return _cmd_experiment(args)
+    except BrokenPipeError:
+        raise  # the reader of the output is gone: main ends quietly
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -151,7 +154,14 @@ def cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli())
+    try:
+        code = cli()
+        sys.stdout.flush()  # output still buffered meets a closed reader here
+    except BrokenPipeError:
+        # point stdout at devnull, so that its flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -166,7 +166,8 @@ def _orient_forest(g: WeightedGraph, avoid=frozenset()):
     """(parent, bfs_order, parent_edge) as int64 arrays or ranges; CycleError on cycles.
 
     parent is -1 at component roots and parent_edge[v] is the id of the
-    edge (parent(v), v), -1 at roots.  Components are rooted at a vertex
+    edge (parent(v), v), -1 at roots.  Each vertex's children are
+    consecutive in bfs_order, ascending.  Components are rooted at a vertex
     outside `avoid` whenever one exists, so that pinned boundary vertices
     are BFS leaves.
     """
@@ -221,93 +222,78 @@ def tree_opt_dp(g: WeightedGraph):
     Returns (matching, gains) where gains[(u, v)] is the marginal value of
     allowing v to be matched inside the component of v seen from u, i.e.
     OPT(subtree at v away from u) - OPT(same subtree with v deleted).
+
+    The forest is read through _orient_forest: children are taken from
+    one pass over the BFS order, where each vertex's children are
+    consecutive and ascending, and edge (parent(v), v) weighs w[pe[v]].
     """
     parent, order, pe = _orient_forest(g)
-    zero = (0, 0.0)
+    n, wt = g.n, g.w
+    kids = [[] for _ in range(n)]
+    for v in order:
+        if parent[v] >= 0:
+            kids[parent[v]].append(v)
 
-    # upward pass: for v with parent p, opt_in[v] = OPT of subtree(v),
-    # opt_out[v] = OPT of subtree(v) with v unmatchable
-    opt_in = [zero] * g.n
-    opt_out = [zero] * g.n
-    choice = [None] * g.n  # child matched to v in opt_in, or None
+    # upward pass: opt_in[v] = OPT of subtree(v), opt_out[v] = OPT of
+    # subtree(v) with v unmatchable; choice[v] is the child matched to v
+    # in opt_in, or -1
+    opt_in, opt_out, choice = [(0, 0.0)] * n, [(0, 0.0)] * n, [-1] * n
     for v in reversed(order):
-        kids = [w for w in g.neighbors(v) if parent[w] == v]
-        base = zero
-        for w in kids:
-            base = _vadd(base, opt_in[w])
-        opt_out[v] = base
-        best = base
-        best_child = None
-        for w in kids:
-            cand = _vadd(
-                _vadd(base, _vneg(opt_in[w])),
-                _vadd(opt_out[w], (1, g.weight(v, w))),
-            )
+        bs, bw = 0, 0.0
+        for c in kids[v]:
+            s, x = opt_in[c]
+            bs, bw = bs + s, bw + x
+        opt_out[v] = best = (bs, bw)
+        for c in kids[v]:
+            (s, x), (t, y) = opt_in[c], opt_out[c]
+            cand = (bs - s + (t + 1), bw - x + (y + wt[pe[c]]))
             if cand > best:
-                best, best_child = cand, w
+                best, choice[v] = cand, c
         opt_in[v] = best
-        choice[v] = best_child
 
     # extract the matching top-down: a vertex matched to its parent
     # contributes opt_out (all its children revert to their opt_in)
     matched = []
-    mode = ["in"] * g.n
+    taken = [False] * n  # matched to its parent
     for v in order:
-        if mode[v] == "used":
-            continue
-        w = choice[v]
-        if w is not None:
-            matched.append(pe[w])
-            mode[w] = "used"
+        c = choice[v]
+        if c >= 0 and not taken[v]:
+            matched.append(pe[c])
+            taken[c] = True
 
-    # marginal gains on all directed edges: gains[(u,v)] refers to the
-    # subtree at v away from u; needs a rerooting (second) pass
+    # marginal gains on all directed edges: gains[(v, c)] towards a child
+    # from the upward pass, then gains[(c, v)] by rerooting, in BFS order:
+    # the best of zero and the candidates (1, w(v, u)) - gains[(v, u)] over
+    # the neighbours u != c of v, read off the two best candidates
     gains = {}
-    down = [zero] * g.n  # gain of the complement component seen from v
     for v in order:
-        kids = [w for w in g.neighbors(v) if parent[w] == v]
-        for w in kids:
-            gains[(v, w)] = _vsub(opt_in[w], opt_out[w])
+        for c in kids[v]:
+            (s, x), (t, y) = opt_in[c], opt_out[c]
+            gains[(v, c)] = (s - t, x - y)
     for v in order:
         p = parent[v]
-        candidates = []
-        for w in g.neighbors(v):
-            if parent[w] == v:
-                candidates.append((w, _vsub((1, g.weight(v, w)), gains[(v, w)])))
-            elif w == p:
-                candidates.append((w, _vsub((1, g.weight(v, w)), down[v])))
-        # down[w] for children w: gain of matching w upward into v's side
-        for w in g.neighbors(v):
-            if parent[w] != v:
-                continue
-            best = zero
-            for x, cand in candidates:
-                if x != w and cand > best:
-                    best = cand
-            down[w] = best
-            gains[(w, v)] = best
+        top1 = top2 = (0, 0.0)
+        arg = -1
+        for u, e in ([(p, pe[v])] if p >= 0 else []) + [(c, pe[c]) for c in kids[v]]:
+            s, x = gains[(v, u)]
+            cand = (1 - s, wt[e] - x)
+            if cand > top1:
+                top1, top2, arg = cand, top1, u
+            elif cand > top2:
+                top2 = cand
+        for c in kids[v]:
+            gains[(c, v)] = top2 if c == arg else top1
     matching = Matching(g, matched)
-    _assert_no_easy_improvement(g, matching)
+    _assert_no_easy_improvement(g, matched)
     return matching, gains
 
 
-def _vadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _vneg(a):
-    return (-a[0], -a[1])
-
-
-def _vsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _assert_no_easy_improvement(g: WeightedGraph, matching: Matching) -> None:
-    covered = {v for e in matching.edges for v in e}
-    for u, v in g.edges():
-        if u not in covered and v not in covered and (u, v) not in matching.edges:
-            raise AssertionError("tree DP left an augmentable edge exposed")
+def _assert_no_easy_improvement(g: WeightedGraph, ids) -> None:
+    covered = [False] * g.n
+    for e in ids:
+        covered[g.lo[e]] = covered[g.hi[e]] = True
+    if any(not (covered[u] or covered[v]) for u, v in zip(g.lo, g.hi)):
+        raise AssertionError("tree DP left an augmentable edge exposed")
 
 
 def leaf_removal(g: WeightedGraph, seed: RngSeed):

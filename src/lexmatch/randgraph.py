@@ -172,15 +172,18 @@ class WeightedGraph:
 
     Edge i joins lo[i] < hi[i], weighs w[i], and the edges are sorted.
     csr = (indptr, nbr, eid): v's neighbours nbr[indptr[v]:indptr[v + 1]],
-    ascending, joined to v by the edges eid[...].  The edge order is the only
-    order a graph has: graphs with the same edges, weights, root and boundary
-    are equal.  `tree`: edge c - 1 is (lo[c - 1], c), a tree numbered
-    breadth first from 0 with consecutive children; from ubgw_tree it has
-    no csr until one is read.  Other graphs are checked (no self-loop,
-    repeat or id outside range(n)), sorted and indexed when made.
-    `adjacency` (sorted neighbour tuples) and `weights` (sorted pair ->
-    weight, in edge order) are read-only views built on first use, which
-    this package's algorithms never read.  `boundary`
+    ascending, joined to v by the edges eid[...].  incident(v) gives the
+    same two runs, on a tree without building the csr: it is the one
+    neighbourhood read, and edge_id(u, v), which checks an EdgeRoot, the
+    one lookup by ends.  The edge order is the only order a graph has:
+    graphs with the same edges, weights, root and boundary are equal.
+    `tree`: edge c - 1 is (lo[c - 1], c), a tree numbered breadth first
+    from 0 with consecutive children; from ubgw_tree it has no csr until
+    one is read.  Other graphs are checked (no self-loop, repeat or id
+    outside range(n)), sorted and indexed when made.  `adjacency` (sorted
+    neighbour tuples) and `weights` (sorted pair -> weight, in edge order)
+    are read-only views built on first use, which this package's
+    algorithms never read.  `boundary`
     is the truncation frontier of depth-limited constructions.  No code
     changes a graph once made (not frozen: that costs a setattr call per
     field per tree); dataclasses.replace makes copies that share the csr.
@@ -232,12 +235,6 @@ class WeightedGraph:
         j = bisect_left(nbr, v, indptr[u], end)
         return eid[j] if j < end and nbr[j] == v else -1
 
-    def weight(self, u: int, v: int) -> float:
-        i = self.edge_id(u, v)
-        if i < 0:
-            raise KeyError((u, v))
-        return self.w[i]
-
     def incident(self, v: int) -> tuple:
         """(the neighbours of v, ascending; the ids of the edges to them)."""
         if self.links is None:  # a tree: the parent, then the children a + 1..b on edges a..b - 1
@@ -249,12 +246,6 @@ class WeightedGraph:
         indptr, nbr, eid = self.links
         a, b = indptr[v], indptr[v + 1]
         return nbr[a:b], eid[a:b]
-
-    def neighbors(self, v: int):
-        return self.incident(v)[0]
-
-    def degree(self, v: int) -> int:
-        return len(self.incident(v)[0])
 
     def root_vertex(self) -> int:
         return self.root.vertex if isinstance(self.root, VertexRoot) else self.root.u
@@ -553,7 +544,7 @@ def _bfs_depths(g: WeightedGraph, center: int, H: int):
     depth, order = {center: 0}, [center]
     for v in order:  # breadth first: order grows as it is read
         if depth[v] < H:
-            for w in g.neighbors(v):
+            for w in g.incident(v)[0]:
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     order.append(w)

@@ -363,7 +363,7 @@ def run_decay(cfg: ExperimentConfig) -> list[ResultRecord]:
         for g in itertools.islice(_trees(base.child(hi), law, "vertex", H, wlaw), cfg.samples):
             sq = bp.squeeze(g, 1)
             root = g.root_vertex()
-            if any(not sq.certified[(root, v)] for v in g.neighbors(root)):
+            if any(not sq.certified[(root, v)] for v in g.incident(root)[0]):
                 uncert += 1
         frac = uncert / cfg.samples
         curve.append({"H": H, "rounds": H / 2.0, "uncertified_fraction": frac, "n": cfg.samples})
@@ -637,10 +637,10 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
         msgs = f.messages
         for (u, v), val in msgs.items():
             best = bp.ZERO
-            for w in g.neighbors(v):
+            for w, e in zip(*g.incident(v)):
                 if w != u:
                     level, z = msgs[(v, w)]
-                    best = max(best, (f.k - level, g.weight(v, w) - z))
+                    best = max(best, (f.k - level, g.w[e] - z))
             residuals += best != val
         try:
             bp.extract_matching(g, f)

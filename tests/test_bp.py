@@ -88,7 +88,7 @@ def one_step_violations(g, msgs, pins, step, zero):
         best = zero
         for x in g.adjacency[v]:
             if x != u:
-                cand = step(g.weight(v, x), msgs[(v, x)])
+                cand = step(g.w[g.edge_id(v, x)], msgs[(v, x)])
                 if cand > best:
                     best = cand
         bad += val != best
@@ -399,9 +399,16 @@ def test_generators_and_text_allocate_per_vertex():
     assert peaks["tree"] < 239 and peaks["graph_from_text"] < 225 and peaks["erdos_renyi"] < 145, peaks
 
 
+def comb(spine, seed):
+    """A spine 0..spine - 1 with a pendant leaf on every third vertex, uniform weights."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + j) for j, i in enumerate(range(0, spine, 3))]
+    g = randgraph.WeightedGraph(spine + len(range(0, spine, 3)), *zip(*edges), [0.0] * len(edges), VertexRoot(0))
+    return assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(seed))
+
+
 def test_hot_paths_build_no_views(tmp_path, monkeypatch):
-    # gen and match through the CLI, a small run_size and leaf removal through its
-    # 2-core phase read the arrays only, and look no edge up by its ends
+    # gen and match through the CLI, a small run_size, leaf removal through its
+    # 2-core phase and the forest DP read the arrays only, and look no edge up by its ends
     def refuse(g, *ends):
         raise AssertionError("a hot path built the adjacency or weights view or called edge_id")
 
@@ -418,6 +425,10 @@ def test_hot_paths_build_no_views(tmp_path, monkeypatch):
     assert records[0].estimate > 0
     _, _, core = exact.leaf_removal(erdos_renyi(2000, 3.0, RngSeed(5)), RngSeed(6))
     assert core > 0
+    forests = [random_tree(7, depth=8), comb(3000, 8)]
+    assert [g.tree for g in forests] == [True, False]  # both ways of _orient_forest
+    for g in forests:
+        assert exact.tree_opt_dp(g)[0].size > 0
 
 
 class TestSweepTree:
@@ -445,6 +456,33 @@ class TestSweepTree:
         g = graph_of(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
         with pytest.raises(CycleError):
             sweep_tree(g, 1)
+
+
+@pytest.mark.parametrize(
+    "run, takes_k",
+    [
+        (lambda g, k: sweep_tree(g, k), True),
+        (lambda g, k: sweep_bounded(g, k, "top"), True),
+        (lambda g, k: squeeze(g, k), True),
+        (lambda g, k: macroscopic_squeeze(g), False),
+    ],
+    ids=["sweep_tree", "sweep_bounded", "squeeze", "macroscopic_squeeze"],
+)
+def test_every_sweep_refuses_negative_k(run, takes_k, monkeypatch):
+    # the one k check is in bp._sweep, which every sweep runs: a k < 0 given is
+    # refused, and so is a k that reaches _sweep shifted below 0
+    # (macroscopic_squeeze takes no k: it sweeps at k = 1)
+    g = ball(random_tree(3, depth=6), 0, 3)
+    assert g.boundary
+    run(g, 0)
+    if takes_k:
+        for k in (-1, -2):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                run(g, k)
+    sweep = bp._sweep
+    monkeypatch.setattr(bp, "_sweep", lambda g, k, *rest, **kw: sweep(g, k - 2, *rest, **kw))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        run(g, 1)
 
 
 class TestExtractMatching:

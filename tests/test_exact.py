@@ -64,6 +64,17 @@ def random_small_tree(i, max_depth=4):
     return assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(4321, i))
 
 
+def random_small_forest(i):
+    """Two to four small trees and up to three isolated vertices, relabelled at random."""
+    lo, hi, w, n = [], [], [], 0
+    for j in range(2 + i % 3):
+        t = random_small_tree(4 * i + j, max_depth=2)
+        lo, hi, w, n = lo + [u + n for u in t.lo], hi + [v + n for v in t.hi], w + list(t.w), n + t.n
+    n += i % 4
+    perm = RngSeed(4567, i).generator().permutation(n).tolist()
+    return randgraph.WeightedGraph(n, [perm[u] for u in lo], [perm[v] for v in hi], w, VertexRoot(perm[0]))
+
+
 class TestBruteForce:
     def test_single_edge(self):
         g = graph_of(2, {(0, 1): 0.7})
@@ -125,8 +136,9 @@ class TestTreeDp:
         assert m.size == 0 and gains == {}
 
     def test_matches_brute_force(self):
-        for i in range(300):
-            g = random_small_tree(i)
+        # single BFS-numbered trees, then relabelled forests, which _orient_forest walks by csr
+        forests = [random_small_tree(i) for i in range(300)] + [random_small_forest(i) for i in range(150)]
+        for g in forests:
             if g.m > 26:
                 continue
             dp, _ = tree_opt_dp(g)

@@ -4,12 +4,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexmatch
 from lexmatch import genfn, rde, xharness
 from lexmatch.cli import cli
 from lexmatch.randgraph import GraphError, WeightedGraph, graph_from_text, graph_to_text
@@ -452,6 +455,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "perf_vertex=" in out and "perf_edge=" in out
         assert mpath.read_text().startswith("size=")
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # the reader of stdout is gone before the first write: exit 1 and nothing
+        # on stderr, neither an error line nor an ignored exception at shutdown
+        gpath = str(tmp_path / "g.txt")
+        assert cli(["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "6", "--out", gpath]) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lexmatch.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lexmatch", "match", "--graph", gpath],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_match_rejects_cyclic(self, tmp_path):
         gpath = tmp_path / "cyc.txt"
