@@ -24,14 +24,22 @@ is certified independent of everything outside the ball.
 
 A forest's directed edge is fixed by its child endpoint v and its
 direction, so a sweep keeps each message as an int level and a float z
-in two lists indexed by vertex, no tuple per message; every
+in two sequences indexed by vertex, no tuple per message; every
 directed-edge mapping returned here is a view keyed (u, v) over them.
+Forests of fewer than _ARRAY_MIN vertices are swept and read one vertex
+at a time, in lists; larger ones a BFS depth at a time, in numpy arrays
+whose results land in typed arrays.  The array sweep takes its upward
+maxima with _lex_reduce, the segment reduction of rde's population
+dynamics.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exact import BLOCKING, FREE, MANDATORY, Matching, _orient_forest
 from .randgraph import WeightedGraph
@@ -44,6 +52,11 @@ __all__ = [
 
 ZERO = (0, 0.0)
 UNKNOWN = "unknown"
+# forests of this many vertices or more are swept and extracted in arrays, unless
+# they have more than one BFS depth per _ARRAY_MIN // 8 vertices: on Poisson(2)
+# trees the two forms cross near 1 300 vertices for the sweep and 650 for sweep and
+# extraction, and on caterpillars near 120 vertices per depth (timings in CHANGES.md)
+_ARRAY_MIN = 1000
 
 
 def top_msg(k: int):
@@ -61,13 +74,14 @@ class EdgeMap(MutableMapping):
     With n = len(parent), msg(parent(v), v) is (level[v], z[v]) and
     msg(v, parent(v)) is (level[n + v], z[n + v]); parent, order and pe
     (the edge to the parent) come from _orient_forest.  Keys run in BFS
-    order, (p, v) then (v, p) for each non-root v.  A write is allowed
-    only on an existing edge key and lands in the lists.
+    order, (p, v) then (v, p) for each non-root v.  level and z are lists
+    or typed arrays ('q', 'd'), so reads give int and float either way.  A
+    write is allowed only on an existing edge key and lands in them.
     """
 
     __slots__ = ("parent", "order", "pe", "level", "z")
 
-    def __init__(self, parent, order, pe, level: list, z: list):
+    def __init__(self, parent, order, pe, level, z):
         self.parent, self.order, self.pe, self.level, self.z = parent, order, pe, level, z
 
     def _locate(self, key) -> int:
@@ -150,6 +164,77 @@ def _resolve_boundary(g: WeightedGraph, k: int, spec):
     return out
 
 
+def _lex_reduce(k, N, in_lvl, in_z, w):
+    """maxlex((0,0), max over each group of (k, w) - (lvl, z)).
+
+    The flat inputs come in consecutive groups of N[i] entries, one group
+    per output; an empty group gives (0, 0).  numpy orders complex numbers
+    lexicographically, real part first, so with each candidate encoded as
+    level + i z one segment maximum over the non-empty groups is the
+    lexicographic maximum, exactly.  Returns (levels as int64, z).
+    """
+    full = N > 0
+    counts = N[full]
+    cand = np.empty(len(w), dtype=complex)
+    cand.real = k - in_lvl
+    cand.imag = w - in_z
+    out = np.zeros(len(N), dtype=complex)
+    out[full] = np.maximum(np.maximum.reduceat(cand, np.cumsum(counts) - counts), 0.0)
+    return out.real.astype(np.int64), out.imag
+
+
+def _ints(seq) -> np.ndarray:
+    """An int64 view of a typed array, or the values of a range."""
+    return np.arange(seq.start, seq.stop) if isinstance(seq, range) else np.frombuffer(seq, dtype=np.int64)
+
+
+def _levels(parent: np.ndarray, order: np.ndarray, most: int):
+    """An oriented forest's vertices by depth, or None past `most` depths.
+
+    Returns (vert, up, bounds): vert lists the vertices by depth, each
+    depth in BFS order, so each vertex's children stay consecutive and
+    every depth lists its children in the order of their parents; up[r]
+    is the rank in vert of vert[r]'s parent, -1 at roots; depth d holds
+    the ranks bounds[d]:bounds[d + 1].
+    """
+    n = len(order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    isroot = parent[order] < 0
+    ppos = pos[parent[order]]  # the parent's BFS position, -1 at roots
+    ppos[isroot] = -1
+    del pos
+    roots, kids = np.flatnonzero(isroot), np.flatnonzero(~isroot)
+    # BFS lists children by their parents' positions, so first[i], the first child of
+    # a vertex at position i or later, starts the depth after the one that holds i
+    first = np.append(kids, n)[np.searchsorted(ppos[kids], np.arange(n + 1))]
+    del kids
+    # each component's depths, all components at once: the next depth starts at
+    # the first child of this one, and is empty when that lies past the component
+    start, end = roots, np.append(roots[1:], n)
+    depth = np.zeros(n, dtype=np.int64)
+    for _ in range(most):
+        start = np.minimum(first[start], end)
+        live = start < end
+        start, end = start[live], end[live]
+        if not start.size:
+            break
+        depth[start] = 1
+    else:
+        return None
+    del first
+    np.cumsum(depth, out=depth)
+    depth -= depth[roots][np.cumsum(isroot) - 1]
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
+    del depth
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_depth] = np.arange(n)
+    up = rank[ppos[by_depth]]
+    up[isroot[by_depth]] = -1
+    return order[by_depth], up, bounds
+
+
 def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) -> EdgeMap:
     """Two-pass computation of all directed-edge messages, as an EdgeMap.
 
@@ -159,12 +244,18 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     _orient_forest(g, avoid=pinned) and `weights`, indexed by edge id,
     replaces g.w.  Messages (level, z) are compared lexicographically.
     Every sweep of this module runs here, so k >= 0 is checked here once.
+    A forest of _ARRAY_MIN vertices or more is swept in arrays unless it
+    is too deep for them; both forms give the same messages.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     parent, order, pe = oriented or _orient_forest(g, avoid=frozenset(pinned))
     if weights is None:
         weights = g.w
+    if g.n >= _ARRAY_MIN:
+        swept = _array_sweep(parent, order, pe, k, pinned, weights)
+        if swept is not None:
+            return EdgeMap(parent, order, pe, *swept)
     n = g.n
     # upward pass: the running maxima top1 >= top2 of the candidates at
     # each vertex (arg = the child giving top1) start at (0, 0); once v's
@@ -208,6 +299,86 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     return EdgeMap(parent, order, pe, level, z)
 
 
+def _array_sweep(parent, order, pe, k: int, pinned: dict, weights):
+    """_sweep's messages (level, z) as typed arrays ('q', 'd'), a BFS depth at a time.
+
+    None when the forest has more than one depth per _ARRAY_MIN // 8
+    vertices, where the loop is faster.  The arrays are indexed by rank in
+    _levels' order.  Going up, each depth's candidates (k, w) - msg are
+    reduced per parent by _lex_reduce into top1, which is msg(parent(v), v)
+    at v, and again with the candidates equal to top1 masked out (level
+    k + 1 makes them negative) into top2, or top1 where two of them tie:
+    the second largest with two (0, 0) added.  Going down, each vertex
+    merges the candidate from its parent into those two, and each child v
+    reads msg(v, parent(v)) from its parent's pair by one gather: top2 if
+    v's candidate equals top1, else top1.  Ties give equal values either
+    way, so the messages are the loop's.
+    """
+    parent, order = _ints(parent), _ints(order)
+    n = len(parent)
+    pins = {b: pin for b, pin in pinned.items() if 0 <= b < n}
+    if pins:
+        held = np.zeros(n, dtype=bool)
+        held[list(pins)] = True
+        # the loop meets the last such child in BFS order first
+        bad = np.flatnonzero(held[parent[order]] & (parent[order] >= 0))
+        if bad.size:
+            p = int(parent[order[bad[-1]]])
+            raise FieldInconsistencyError(f"pinned boundary vertex {p} has interior children")
+    levels = _levels(parent, order, max(1, 8 * n // _ARRAY_MIN))
+    if levels is None:
+        return None
+    vert, up, bounds = levels
+    kid = up >= 0
+    we = np.zeros(n)  # the weight of each vertex's edge to its parent
+    we[kid] = np.asarray(weights, dtype=float)[_ints(pe)[vert[kid]]]
+    kids = np.bincount(up[kid], minlength=n)  # children per rank
+    del kid
+    l1, z1 = np.zeros(n, dtype=np.int64), np.zeros(n)
+    if pins:
+        rank = np.empty(n, dtype=np.int64)
+        rank[vert] = np.arange(n)
+        at = rank[list(pins)]
+        l1[at], z1[at] = zip(*pins.values())
+        del rank, at
+    l2, z2 = np.zeros(n, dtype=np.int64), np.zeros(n)
+    depths = len(bounds) - 1
+    for d in range(depths - 1, 0, -1):
+        s, q = slice(bounds[d], bounds[d + 1]), slice(bounds[d - 1], bounds[d])
+        N, ls, zs, ws = kids[q], l1[s], z1[s], we[s]
+        t1l, t1z = _lex_reduce(k, N, ls, zs, ws)
+        top = (k - ls == np.repeat(t1l, N)) & (ws - zs == np.repeat(t1z, N))
+        t2l, t2z = _lex_reduce(k, N, np.where(top, k + 1, ls), zs, ws)
+        tied = np.bincount(up[s][top] - bounds[d - 1], minlength=len(N)) > 1
+        has = N > 0  # leaves keep (0, 0) and pins their pin
+        np.copyto(l1[q], t1l, where=has)
+        np.copyto(z1[q], t1z, where=has)
+        np.copyto(l2[q], np.where(tied, t1l, t2l), where=has)
+        np.copyto(z2[q], np.where(tied, t1z, t2z), where=has)
+    del kids
+    # msg(v, parent(v)) by rank; at roots it stays top1, as in the loop's lists
+    ld, zd = l1.copy(), z1.copy()
+    for d in range(1, depths):
+        s, q = slice(bounds[d], bounds[d + 1]), slice(bounds[d - 1], bounds[d])
+        a1l, a1z, a2l, a2z = l1[q], z1[q], l2[q], z2[q]
+        if d > 1:  # merge each parent's candidate from its own parent
+            cl, cz = k - ld[q], we[q] - zd[q]
+            gt1 = (cl > a1l) | (cl == a1l) & (cz > a1z)
+            gt2 = (cl > a2l) | (cl == a2l) & (cz > a2z)
+            a2l, a2z = np.where(gt1, a1l, np.where(gt2, cl, a2l)), np.where(gt1, a1z, np.where(gt2, cz, a2z))
+            a1l, a1z = np.where(gt1, cl, a1l), np.where(gt1, cz, a1z)
+        j = up[s] - bounds[d - 1]
+        t1l, t1z = a1l[j], a1z[j]
+        mine = (k - l1[s] == t1l) & (we[s] - z1[s] == t1z)
+        ld[s], zd[s] = np.where(mine, a2l[j], t1l), np.where(mine, a2z[j], t1z)
+    del l2, z2, we, up
+    level, z = array("q", [0]) * (2 * n), array("d", [0.0]) * (2 * n)
+    for out, by_rank, dtype in ((level, (l1, ld), np.int64), (z, (z1, zd), np.float64)):
+        view = np.frombuffer(out, dtype=dtype)
+        view[vert], view[n + vert] = by_rank
+    return level, z
+
+
 def sweep_tree(g: WeightedGraph, k: int) -> MessageField:
     """Exact messages on a finite forest (no boundary conditions).
 
@@ -223,8 +394,8 @@ def sweep_bounded(g: WeightedGraph, k: int, boundary_spec) -> MessageField:
     """Messages on a truncated tree with pinned boundary conditions.
 
     boundary_spec is "zero", "top", or a dict {boundary vertex: "zero" |
-    "top" | (level, z)}; sampled conditions come from a pluggable source
-    (e.g. rde.ZetaSampler draws).
+    "top" | (level, z)}; a sampled condition is such a dict of drawn pairs,
+    made by the caller.
     """
     pinned = _resolve_boundary(g, k, boundary_spec)
     return MessageField(k=k, messages=_sweep(g, k, pinned), boundary_spec=pinned)
@@ -239,8 +410,12 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     weight ties (possible only under atomic weight laws) can break the
     strict decision rule and are reported the same way: extraction
     assumes atomless weights.  The matching is made from the ids of the
-    chosen edges, each the parent edge of its child endpoint.
+    chosen edges, each the parent edge of its child endpoint.  A forest
+    of _ARRAY_MIN vertices or more is read in arrays, with the same
+    result and the same error text.
     """
+    if g.n >= _ARRAY_MIN:
+        return _array_extract(g, field)
     k = field.k
     msgs = field.messages
     parent, level, z = msgs.parent, msgs.level, msgs.z
@@ -260,30 +435,95 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
             chosen.append(e)
             matched_of[p], matched_of[v] = v, p
 
-    # vertex rule: u matched to argmax of (k, w(u,v)) - msg(u, v) when > (0,0).
-    # Pinned boundary vertices are skipped: their exterior candidates are
-    # invisible here, and the edge rule already accounts for them through
-    # the pinned message.
-    pinned = field.boundary_spec
-    for u in range(n):
-        if u in pinned:
+    # vertex rule: u matched to the argmax over its neighbours x of
+    # (k, w(u,x)) - msg(u, x) when that exceeds (0,0), the smallest such x
+    # on ties.  The edge to a child v gives its parent p the candidate
+    # toward v and v the candidate toward p.  Pinned boundary vertices are
+    # skipped: their exterior candidates are invisible here, and the edge
+    # rule already accounts for them through the pinned message.
+    best_level, best_z, arg = [0] * n, [0.0] * n, [None] * n
+    for v, p, e in zip(range(n), parent, msgs.pe):
+        if p < 0:
             continue
-        p = parent[u]
-        best_level, best_z, arg = 0, 0.0, None
-        for v, e in zip(*g.incident(u)):
-            i = n + u if v == p else v  # msg(u, v)
-            lv = k - level[i]
-            if lv < best_level:
-                continue
-            zv = weights[e] - z[i]
-            if lv > best_level or zv > best_z:
-                best_level, best_z, arg = lv, zv, v
-        if matched_of[u] != arg:
-            raise FieldInconsistencyError(
-                f"vertex rule ({u} -> {arg}) disagrees with edge rule "
-                f"({u} -> {matched_of[u]})"
-            )
+        for u, x, i in ((p, v, v), (v, p, n + v)):  # msg(u, x) is at i
+            lv, zv = k - level[i], weights[e] - z[i]
+            if lv > best_level[u] or lv == best_level[u] and (
+                zv > best_z[u] or zv == best_z[u] and arg[u] is not None and x < arg[u]
+            ):
+                best_level[u], best_z[u], arg[u] = lv, zv, x
+    pinned = field.boundary_spec
+    for u, (rule, edge_rule) in enumerate(zip(arg, matched_of)):
+        if rule != edge_rule and u not in pinned:
+            _disagree(u, rule, edge_rule)
     return Matching(g, chosen)
+
+
+def _disagree(u: int, rule, edge_rule):
+    raise FieldInconsistencyError(f"vertex rule ({u} -> {rule}) disagrees with edge rule ({u} -> {edge_rule})")
+
+
+def _array_extract(g: WeightedGraph, field: MessageField) -> Matching:
+    """extract_matching's two rules on arrays, for the same matching or error."""
+    k, msgs, n = field.k, field.messages, g.n
+    parent, order, pe = _ints(msgs.parent), _ints(msgs.order), _ints(msgs.pe)
+    level, z = np.asarray(msgs.level), np.asarray(msgs.z, dtype=float)
+    w = np.asarray(g.w, dtype=float)
+    # edge rule, on the parent edge of each child vertex, in vertex order as the loop
+    kid = np.flatnonzero(parent >= 0)
+    ls = level[kid] + level[n + kid]
+    with np.errstate(invalid="ignore"):  # inf + -inf under exotic pins: nan, never < w
+        chosen = kid[(ls < k) | (ls == k) & (z[kid] + z[n + kid] < w[pe[kid]])]
+    del kid, ls
+    ends = np.concatenate((parent[chosen], chosen))
+    if np.bincount(ends, minlength=n).max(initial=0) > 1:
+        raise FieldInconsistencyError("edge rule selected incident edges")
+    matched = np.full(n, -1)
+    matched[ends] = np.concatenate((chosen, parent[chosen]))
+    ids = pe[chosen].tolist()
+    del ends, chosen
+    arg = _vertex_rule(k, parent, order, pe, level, z, w)
+    held = [b for b in field.boundary_spec if 0 <= b < n]
+    arg[held] = matched[held]  # pinned vertices are skipped, as in the loop
+    wrong = np.flatnonzero(arg != matched)
+    if wrong.size:
+        u = int(wrong[0])
+        _disagree(u, None if arg[u] < 0 else int(arg[u]), None if matched[u] < 0 else int(matched[u]))
+    del arg, matched
+    return Matching(g, ids)
+
+
+def _vertex_rule(k: int, parent, order, pe, level, z, w) -> np.ndarray:
+    """The neighbour each vertex is matched to by the vertex rule, -1 for none.
+
+    The candidates toward the children are reduced per parent in BFS
+    order, where each vertex's children are consecutive and ascending, so
+    the first maximum is the smallest neighbour id, as in the loop; the
+    candidate toward the parent wins when larger, or when equal and the
+    parent's id is smaller.
+    """
+    n = len(parent)
+    best = np.full(n, complex(-np.inf, 0.0))
+    arg = parent.copy()
+    v = order[parent[order] >= 0]
+    if v.size:
+        pv, wv = parent[v], w[pe[v]]
+        cand = np.empty(len(v), dtype=complex)
+        cand.real, cand.imag = k - level[n + v], wv - z[n + v]
+        best[v] = cand
+        cand.real, cand.imag = k - level[v], wv - z[v]  # toward v, at its parent
+        del wv
+        first = np.flatnonzero(np.concatenate(([True], pv[1:] != pv[:-1])))
+        owner = pv[first]
+        del pv
+        top = np.maximum.reduceat(cand, first)
+        hits = np.flatnonzero(cand == np.repeat(top, np.diff(first, append=len(v))))
+        child = v[hits[np.searchsorted(hits, first)]]  # the first maximum of each group
+        del cand, hits, v, first
+        mine = best[owner]
+        take = (top > mine) | (top == mine) & (child < arg[owner])
+        best[owner[take]], arg[owner[take]] = top[take], child[take]
+    arg[~(best > 0)] = -1
+    return arg
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -132,8 +133,8 @@ def _typed(code: str, values) -> array:
 
 
 def _index(n: int, lo, hi, w) -> tuple:
-    """The checked, sorted (lo, hi, w) of edges lo[i] -- hi[i] given in any order, their
-    csr and tree (see WeightedGraph); each array is typed once final."""
+    """The checked, sorted (lo, hi, w) of edges lo[i] -- hi[i] given in any order, each
+    typed once final, and whether they form a `tree` (see WeightedGraph)."""
     a, b = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     lo, hi = (a, b) if np.all(a < b) else (np.minimum(a, b), np.maximum(a, b))  # no copy if oriented
     if len(lo) and (lo.min() < 0 or hi.max() >= n):
@@ -152,6 +153,13 @@ def _index(n: int, lo, hi, w) -> tuple:
     m = len(perm)
     lo, hi, w = _typed("q", lo[perm]), _typed("q", hi[perm]), _typed("d", np.asarray(w, dtype=float)[perm])
     del a, b, perm
+    tree = m == n - 1 and bool(np.all(np.frombuffer(hi, dtype=np.int64) == np.arange(1, n)))
+    return lo, hi, w, tree
+
+
+def _csr(n: int, lo: array, hi: array) -> tuple:
+    """(indptr, nbr, eid) of the sorted edges lo, hi: see WeightedGraph."""
+    m = len(lo)
     lows, highs = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
     # with the edges sorted, a stable sort by tail of (hi, lo) then (lo, hi)
     # lists each vertex's smaller neighbours, then its larger ones, ascending
@@ -162,8 +170,7 @@ def _index(n: int, lo, hi, w) -> tuple:
     del tails
     nbr = _typed("q", np.concatenate((lows, highs))[j])
     j[j >= m] -= m
-    tree = m == n - 1 and bool(np.all(highs == np.arange(1, n)))
-    return lo, hi, w, (indptr, nbr, _typed("q", j)), tree
+    return indptr, nbr, _typed("q", j)
 
 
 @dataclass
@@ -178,9 +185,10 @@ class WeightedGraph:
     one lookup by ends.  The edge order is the only order a graph has:
     graphs with the same edges, weights, root and boundary are equal.
     `tree`: edge c - 1 is (lo[c - 1], c), a tree numbered breadth first
-    from 0 with consecutive children; from ubgw_tree it has no csr until
-    one is read.  Other graphs are checked (no self-loop, repeat or id
-    outside range(n)), sorted and indexed when made.  `adjacency` (sorted
+    from 0 with consecutive children; it has no csr until one is read.
+    Graphs not made as trees are checked (no self-loop, repeat or id
+    outside range(n)) and sorted when made, and indexed unless they turn
+    out to be such a tree.  `adjacency` (sorted
     neighbour tuples) and `weights` (sorted pair -> weight, in edge order)
     are read-only views built on first use, which this package's
     algorithms never read.  `boundary`
@@ -200,8 +208,9 @@ class WeightedGraph:
 
     def __post_init__(self):
         if self.links is None and not self.tree:
-            made = _index(self.n, self.lo, self.hi, self.w)
-            self.lo, self.hi, self.w, self.links, self.tree = made
+            self.lo, self.hi, self.w, self.tree = _index(self.n, self.lo, self.hi, self.w)
+            if not self.tree:
+                self.links = _csr(self.n, self.lo, self.hi)
         root = self.root
         if not isinstance(root, (VertexRoot, EdgeRoot)):
             raise GraphError(f"unsupported root {root!r}")
@@ -213,7 +222,7 @@ class WeightedGraph:
     @property
     def csr(self) -> tuple:
         if self.links is None:
-            self.links = _index(self.n, self.lo, self.hi, self.w)[3]
+            self.links = _csr(self.n, self.lo, self.hi)
         return self.links
 
     @property
@@ -585,47 +594,25 @@ def graph_to_text(g: WeightedGraph) -> str:
     return f"lexmatch-graph v1 n={g.n} m={g.m} root={root_txt}\n" + "".join(blocks)
 
 
-def _lines(text: str, end: int):
-    """text[:end].splitlines(), split a block at a time without copying the text: each
-    block ends just after a newline, where splitlines splits anyway."""
-    start = 0
+# the line breaks of str.splitlines
+_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _blocks(text: str, start: int, end: int):
+    """text[start:end] in blocks that each end just after a newline, where splitlines
+    splits anyway, or at end; no block copies more than 32 * _TEXT_BLOCK characters."""
     while start < end:
         stop = text.find("\n", start + 32 * _TEXT_BLOCK, end) + 1 or end
-        yield from text[start:stop].splitlines()
+        yield text[start:stop]
         start = stop
 
 
-def graph_from_text(text: str) -> WeightedGraph:
-    """Parse the format `graph_to_text` writes.
-
-    Edge lines are checked as they are parsed into typed buffers, and
-    repeated edges are merged by one sort, so the cost is O(m log m).  The
-    header's n must be in 1.._MAX_VERTICES.  A bad input raises GraphError
-    for the first fault in this order: the first bad edge line in file
-    order (not three fields, an unparsable number, a vertex id outside
-    0..n-1, then a non-finite weight), then an `m=` count that differs from
-    the number of distinct edges (an edge listed as `u v` and as `v u` is
-    one edge with the weight of its last line), then a self-loop.
-    """
-    end = len(text)  # the lines of text.strip(): the last one ends before trailing whitespace
-    while end and text[end - 1].isspace():
-        end -= 1
-    lines = (ln for ln in _lines(text, end) if ln.strip())
-    head = next(lines, "").lstrip()
-    if not head.startswith("lexmatch-graph v1 "):
-        raise GraphError("missing lexmatch-graph v1 header")
-    try:
-        header = dict(tok.split("=", 1) for tok in head.split()[2:])
-        n = int(header["n"])
-        m = int(header["m"])
-        kind, ids = header["root"].split(":", 1)
-        root = {"vertex": VertexRoot, "edge": EdgeRoot}[kind](*map(int, ids.split(",")))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise GraphError(f"malformed header: {head!r}") from exc
-    check_vertices(n)
-
+def _edge_lines(lines, n: int) -> tuple:
+    """(u, v, w) arrays of edge lines, checked a line at a time; blank lines are skipped."""
     us, vs, ws = array("q"), array("q"), array("d")
     for ln in lines:
+        if not ln.strip():
+            continue
         try:
             a, b, x = ln.split()
             u, v, w = int(a), int(b), float(x)
@@ -638,7 +625,81 @@ def graph_from_text(text: str) -> WeightedGraph:
         us.append(u)
         vs.append(v)
         ws.append(w)
-    u, v = np.asarray(us), np.asarray(vs)
+    return np.asarray(us), np.asarray(vs), np.asarray(ws)
+
+
+def _cast_block(block: str, n: int):
+    """_edge_lines(block.splitlines(), n) by numpy, or None where numpy does not take it.
+
+    numpy takes a block of ASCII lines of three tokens split by single
+    spaces, and its casts of str to int and float (which call int() and
+    float()) must pass and give ids in range and finite weights.  The
+    line loop reads any other block again: it accepts it, or names its
+    first bad line.
+    """
+    if not block.isascii():
+        return None
+    b = np.frombuffer(block.encode(), dtype=np.uint8)
+    if np.any((b < 32) & (b != 10)):  # a tab, CR or other control character
+        return None
+    nl = np.flatnonzero(b == 10)
+    if b[-1] != 10:
+        nl = np.append(nl, len(b))
+    sp = np.flatnonzero(b == 32)
+    if len(sp) != 2 * len(nl):
+        return None
+    # each line is token, space, token, space, token: no empty token or blank line
+    seps = np.stack((np.append(-1, nl[:-1]), sp[0::2], sp[1::2], nl))
+    if not np.all(np.diff(seps, axis=0) > 1):
+        return None
+    tokens = block.split()
+    try:
+        u, v = np.array(tokens[0::3], dtype=np.int64), np.array(tokens[1::3], dtype=np.int64)
+        w = np.array(tokens[2::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if not (np.all((u >= 0) & (u < n) & (v >= 0) & (v < n)) and np.all(np.isfinite(w))):
+        return None
+    return u, v, w
+
+
+def graph_from_text(text: str) -> WeightedGraph:
+    """Parse the format `graph_to_text` writes.
+
+    Edge lines are converted and checked a block at a time (_cast_block),
+    and repeated edges are merged by one sort, so the cost is O(m log m).
+    The header's n must be in 1.._MAX_VERTICES.  A bad input raises
+    GraphError for the first fault in this order: the first bad edge line
+    in file order (not three fields, an unparsable number, a vertex id
+    outside 0..n-1, then a non-finite weight), then an `m=` count that
+    differs from the number of distinct edges (an edge listed as `u v` and
+    as `v u` is one edge with the weight of its last line), then a
+    self-loop.
+    """
+    # the header is the first line that is not blank, stripped; the edge lines follow
+    # it, up to the trailing whitespace
+    start, end = 0, len(text)
+    while end and text[end - 1].isspace():
+        end -= 1
+    while start < end and text[start].isspace():
+        start += 1
+    brk = _BREAK.search(text, start, end)
+    head, body = (text[start : brk.start()], brk.end()) if brk else (text[start:end], end)
+    if not head.startswith("lexmatch-graph v1 "):
+        raise GraphError("missing lexmatch-graph v1 header")
+    try:
+        header = dict(tok.split("=", 1) for tok in head.split()[2:])
+        n = int(header["n"])
+        m = int(header["m"])
+        kind, ids = header["root"].split(":", 1)
+        root = {"vertex": VertexRoot, "edge": EdgeRoot}[kind](*map(int, ids.split(",")))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise GraphError(f"malformed header: {head!r}") from exc
+    check_vertices(n)
+
+    parts = [_cast_block(block, n) or _edge_lines(block.splitlines(), n) for block in _blocks(text, body, end)]
+    u, v, w = map(np.concatenate, zip(*parts)) if parts else _edge_lines((), n)
+    del parts
     # each distinct pair, sorted, with the weight of its last line: the first in reversed order
     key, last = np.unique((np.minimum(u, v) * n + np.maximum(u, v))[::-1], return_index=True)
     if len(key) != m:
@@ -646,4 +707,4 @@ def graph_from_text(text: str) -> WeightedGraph:
     loops = np.flatnonzero(u == v)
     if loops.size:
         raise GraphError(f"self-loop on vertex {int(u[loops[0]])}")
-    return WeightedGraph(n, *np.divmod(key, n), np.asarray(ws)[::-1][last], root)
+    return WeightedGraph(n, *np.divmod(key, n), w[::-1][last], root)

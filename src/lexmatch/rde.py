@@ -33,6 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .bp import _lex_reduce
 from .genfn import OffspringLaw, size_biased_pgf_inverse, F_pi
 from .randgraph import RngSeed, WeightLaw
 
@@ -453,25 +454,6 @@ def rde_step(
     in_lvl, in_z = sampler.sample(rng, total)
     w = np.asarray(wlaw.sample(rng, total), dtype=float)
     return _lex_reduce(sampler.k, N, in_lvl, in_z, w)
-
-
-def _lex_reduce(k, N, in_lvl, in_z, w):
-    """maxlex((0,0), max over each group of (k, w) - (lvl, z)).
-
-    The flat inputs come in consecutive groups of N[i] entries, one group
-    per output; an empty group gives (0, 0).  numpy orders complex numbers
-    lexicographically, real part first, so with each candidate encoded as
-    level + i z one segment maximum over the non-empty groups is the
-    lexicographic maximum, exactly.
-    """
-    full = N > 0
-    counts = N[full]
-    cand = np.empty(len(w), dtype=complex)
-    cand.real = k - in_lvl
-    cand.imag = w - in_z
-    out = np.zeros(len(N), dtype=complex)
-    out[full] = np.maximum(np.maximum.reduceat(cand, np.cumsum(counts) - counts), 0.0)
-    return out.real.astype(np.int64), out.imag
 
 
 def population_dynamics(

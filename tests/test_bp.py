@@ -1,6 +1,7 @@
 """Lexicographic sweeps against the brute-force oracle and hand propagation."""
 
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from lexmatch.cli import cli
 from lexmatch.exact import BLOCKING, FREE, MANDATORY, CycleError, brute_force_opt
 from lexmatch.genfn import OffspringLaw
 from lexmatch.randgraph import (
+    EdgeRoot,
     RngSeed,
     VertexRoot,
     WeightLaw,
@@ -267,6 +269,121 @@ class TestKernelDifferential:
                 assert list(sq.certified) == list(lo)
 
 
+# _ARRAY_MIN values that send every forest to the loops, or to the array forms
+LOOPS, ARRAYS = 10**9, 1
+
+
+def in_form(monkeypatch, cut, run):
+    """run() with bp._ARRAY_MIN set to cut: its result, or the text of the error it raised."""
+    monkeypatch.setattr(bp, "_ARRAY_MIN", cut)
+    try:
+        return run()
+    except FieldInconsistencyError as exc:
+        return f"FieldInconsistencyError: {exc}"
+
+
+def relabelled(g, seed):
+    """g with its vertices renamed at random: no longer numbered breadth first, so
+    _orient_forest walks its csr."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    root = g.root
+    if isinstance(root, VertexRoot):
+        root = VertexRoot(int(perm[root.vertex]))
+    else:
+        root = EdgeRoot(int(perm[root.u]), int(perm[root.v]))
+    lo, hi = perm[np.asarray(g.lo, dtype=np.int64)], perm[np.asarray(g.hi, dtype=np.int64)]
+    return randgraph.WeightedGraph(g.n, lo, hi, np.asarray(g.w), root, frozenset(perm[list(g.boundary)].tolist()))
+
+
+class TestArrayForms:
+    """The array sweep and extraction against the loops, on the same oriented forests."""
+
+    @staticmethod
+    def forests():
+        for i, g in enumerate(TestKernelDifferential.instances()):
+            yield g
+            if i % 3 == 0 and g.n > 2:
+                yield relabelled(g, i)
+        # a forest of many components, most of them isolated vertices
+        g = erdos_renyi(3000, 0.5, RngSeed(91))
+        yield assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(92))
+
+    def test_messages_equal(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        kinds = set()
+        for g in self.forests():
+            kinds.add("edge-root" if isinstance(g.root, EdgeRoot) else "pinned" if g.boundary else "free")
+            kinds.add("csr" if not g.tree else "tree")
+            runs = []
+            for k in (0, 1, 2):
+                sampled = {b: (int(rng.integers(0, k + 1)), float(rng.random())) for b in g.boundary}
+                runs += [(k, spec, None) for spec in ("zero", "top", sampled)]
+            runs += [(1, "zero", [0.0] * g.m), (1, "top", [0.0] * g.m), (0, {}, [1.0 + 0.25 * w for w in g.w])]
+            for k, spec, weights in runs:
+                pinned = bp._resolve_boundary(g, k, spec)
+                oriented = exact._orient_forest(g, avoid=frozenset(pinned))
+                sweep = lambda: bp._sweep(g, k, pinned, oriented, weights)
+                loop, arrays = in_form(monkeypatch, LOOPS, sweep), in_form(monkeypatch, ARRAYS, sweep)
+                assert type(loop.level) is list and type(arrays.level) is array
+                assert list(arrays.level) == loop.level and list(arrays.z) == loop.z
+        assert kinds == {"edge-root", "pinned", "free", "csr", "tree"}
+
+    def test_reads_give_int_and_float(self, monkeypatch):
+        g = random_tree(3, depth=4)
+        for cut in (LOOPS, ARRAYS):
+            field = in_form(monkeypatch, cut, lambda: sweep_bounded(g, 1, "top"))
+            assert {(type(lv), type(z)) for lv, z in field.messages.values()} == {(int, float)}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pinned_vertex_with_children_names_the_same_vertex(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        g = random_tree(seed, depth=4)
+        g = relabelled(g, seed) if seed % 2 else g
+        pins = {int(b): ZERO for b in rng.choice(g.n, size=max(1, g.n // 4), replace=False)}
+        oriented = exact._orient_forest(g, avoid=frozenset(pins))
+        sweep = lambda: bp._sweep(g, 1, pins, oriented)
+        loop, arrays = in_form(monkeypatch, LOOPS, sweep), in_form(monkeypatch, ARRAYS, sweep)
+        assert isinstance(loop, str) and "has interior children" in loop
+        assert arrays == loop
+
+    def test_extraction_equal(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for g in self.forests():
+            fields = [sweep_tree(g, 1), sweep_tree(g, 2)]
+            fields += [sweep_bounded(g, 1, spec) for spec in ("zero", "top") if g.boundary]
+            sampled = {b: (int(rng.integers(0, 2)), float(rng.random())) for b in g.boundary}
+            fields += [sweep_bounded(g, 1, sampled), replace(sweep_bounded(g, 1, "top"), boundary_spec={})]
+            for f in fields:
+                extract = lambda: extract_matching(g, f)
+                loop, arrays = in_form(monkeypatch, LOOPS, extract), in_form(monkeypatch, ARRAYS, extract)
+                if isinstance(loop, str):
+                    assert arrays == loop
+                    outcomes.add(loop.split(" (")[0])
+                else:
+                    assert (arrays.edges, arrays.weight) == (loop.edges, loop.weight)
+                    outcomes.add("matching")
+        assert outcomes == {"matching", "FieldInconsistencyError: vertex rule"}
+
+    def test_constant_weight_tie_gives_the_same_error(self, monkeypatch):
+        # lexmatch gen --model ubgw --law poisson:2.0 --depth 4 --weights const:1.0 --seed 1, then match
+        seed = RngSeed(1)
+        g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 4, seed)
+        g = assign_weights(g, WeightLaw.constant(1.0), seed.child(1))
+        f = sweep_tree(g, 1)
+        extract = lambda: extract_matching(g, f)
+        loop, arrays = in_form(monkeypatch, LOOPS, extract), in_form(monkeypatch, ARRAYS, extract)
+        assert loop == arrays == "FieldInconsistencyError: vertex rule (1 -> 0) disagrees with edge rule (1 -> None)"
+
+    def test_deep_forests_stay_in_the_loop(self, monkeypatch):
+        # a path has one vertex per depth: the array sweep declines it, with the same messages
+        g = path(list(np.random.default_rng(5).random(3 * bp._ARRAY_MIN)))
+        assert bp._array_sweep(*exact._orient_forest(g), 1, {}, g.w) is None
+        loop = in_form(monkeypatch, LOOPS, lambda: sweep_tree(g, 1))
+        monkeypatch.undo()
+        assert list(sweep_tree(g, 1).messages.items()) == list(loop.messages.items())
+
+
 class TestEdgeMap:
     """The per-vertex message lists behind every sweep, read as a mapping keyed (u, v)."""
 
@@ -397,6 +514,46 @@ def test_generators_and_text_allocate_per_vertex():
     er, er_peak = traced_peak(lambda: erdos_renyi(10**5, 2.0, RngSeed(3)))
     peaks = {"tree": tree_peak / g.n, "graph_from_text": text_peak / parsed.n, "erdos_renyi": er_peak / er.n}
     assert peaks["tree"] < 239 and peaks["graph_from_text"] < 225 and peaks["erdos_renyi"] < 145, peaks
+
+
+@pytest.mark.parametrize("cut", [LOOPS, None], ids=["loops", "arrays"])
+def test_each_form_allocates_per_vertex(cut, monkeypatch):
+    # the 12 135-vertex ball above, over _ARRAY_MIN: each form is held to the bounds of
+    # test_sweep_and_squeeze_allocate_per_vertex, and extraction to sweep_tree's
+    if cut is not None:
+        monkeypatch.setattr(bp, "_ARRAY_MIN", cut)
+    seed = RngSeed(1166)
+    g = assign_weights(ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 12, seed), WeightLaw.uniform(0, 1), seed.child(1))
+    assert g.n == 12_135
+    field, sweep_peak = traced_peak(lambda: sweep_tree(g, 1))
+    assert (type(field.messages.level) is list) == (cut is not None)  # the form asked for ran
+    _, squeeze_peak = traced_peak(lambda: squeeze(g, 1))
+    _, extract_peak = traced_peak(lambda: extract_matching(g, field))
+    peaks = {"sweep_tree": sweep_peak / g.n, "squeeze": squeeze_peak / g.n, "extract_matching": extract_peak / g.n}
+    assert peaks["sweep_tree"] < 200 and peaks["squeeze"] < 400 and peaks["extract_matching"] < 200, peaks
+
+
+def test_parsed_tree_builds_no_csr(tmp_path, monkeypatch):
+    # match reads a breadth-first tree through its edge arrays; the csr would
+    # only cost memory, and its reads must agree with the tree's
+    parsed = []
+    parse = randgraph.graph_from_text
+    monkeypatch.setattr(randgraph, "graph_from_text", lambda text: parsed.append(parse(text)) or parsed[-1])
+    for depth in (5, 11):  # below and above _ARRAY_MIN
+        tree = str(tmp_path / f"tree{depth}.txt")
+        argv = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", str(depth), "--weights", "uniform:0:1"]
+        assert cli(argv + ["--seed", "4", "--out", tree]) == 0
+        assert cli(["match", "--graph", tree, "--out", str(tmp_path / "matching.txt")]) == 0
+        g = parsed[-1]
+        assert g.tree and g.links is None
+        assert (g.n >= bp._ARRAY_MIN) == (depth == 11)
+        h = replace(g)
+        assert h.csr is not None and g.links is None
+        for v in range(g.n):
+            (nbrs, ids), (csr_nbrs, csr_ids) = g.incident(v), h.incident(v)
+            assert list(nbrs) == list(csr_nbrs) and list(ids) == list(csr_ids)
+            for u in [*nbrs, v, (v + 7) % g.n]:
+                assert g.edge_id(u, v) == h.edge_id(u, v)
 
 
 def comb(spine, seed):
@@ -580,6 +737,14 @@ class TestExtractMatching:
             if checked == 4:
                 break
         assert checked == 4
+
+
+class TestExtractMatchingInArrays(TestExtractMatching):
+    """TestExtractMatching with every forest swept and read by the array forms."""
+
+    @pytest.fixture(autouse=True)
+    def arrays(self, monkeypatch):
+        monkeypatch.setattr(bp, "_ARRAY_MIN", ARRAYS)
 
 
 class TestSweepBounded:

@@ -26,6 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from lexmatch import bp
 from lexmatch.cli import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -119,6 +120,13 @@ def test_outputs_match_golden(name, tmp_path):
         assert got[fname] == want[fname], (
             f"{name}/{fname} differs from the golden copy at {first_line_difference(want[fname], got[fname])}"
         )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_array_forms_match_golden(name, tmp_path, monkeypatch):
+    # every forest, however small, swept and extracted in arrays: the same bytes
+    monkeypatch.setattr(bp, "_ARRAY_MIN", 1)
+    test_outputs_match_golden(name, tmp_path)
 
 
 if __name__ == "__main__":

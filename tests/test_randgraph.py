@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -751,6 +752,56 @@ class TestSerialization:
         with pytest.raises(GraphError) as exc:
             graph_from_text(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("later", [False, True], ids=["alone", "then-range"])
+    @pytest.mark.parametrize("where", ["block-2-first", "block-2-last", "block-3"])
+    @pytest.mark.parametrize(
+        "line",
+        ["\u0661\u0662 70 0.5", "1_0 70 0.5", "3 70 1_0.5", "3 70 \u0661\u0662", "0x10 70 0.5", "3 70 1d5",
+         "3 70 0x10", "1d5 70 0.5", "3 70 inf", "3 70 nan", "3 70 -inf", "3 70 0.5 1", "3 70", "3\t70 0.5",
+         "3  70", " 3 70", "  3 70 0.5", ""],
+        ids=["arabic-id", "underscore-id", "underscore-w", "arabic-w", "hex-id", "d-exponent-w", "hex-w",
+             "d-exponent-id", "inf", "nan", "minus-inf", "four-fields", "two-fields", "tab",
+             "two-fields-double-space", "two-fields-leading-space", "leading-spaces", "blank"],
+    )
+    def test_blocks_keep_the_first_fault(self, monkeypatch, line, where, later):
+        # edge lines are converted a block at a time: whether a line sits first or
+        # last in a block, or the block falls back to the line loop, the result is
+        # the line-by-line parser's graph or its first error
+        lines = [f"{i} {i + 1} 0.{i % 9 + 1}" for i in range(60)]
+        monkeypatch.setattr(randgraph, "_TEXT_BLOCK", 1)  # blocks of 32 characters and more
+        body = "".join(ln + "\n" for ln in lines)
+        starts = np.cumsum([0] + [b.count("\n") for b in randgraph._blocks(body, 0, len(body))])
+        assert len(starts) > 4 and min(np.diff(starts)) >= 2
+        lines[{"block-2-first": starts[1], "block-2-last": starts[2] - 1, "block-3": starts[2] + 1}[where]] = line
+        if later:
+            lines[-1] = "0 99 0.5"
+        text = "lexmatch-graph v1 n=80 m=60 root=vertex:0\n" + "\n".join(lines) + "\n"
+        try:
+            expected = reference_graph_from_text(text)
+        except GraphError as exc:
+            for block in (1, 1 << 11):
+                monkeypatch.setattr(randgraph, "_TEXT_BLOCK", block)
+                with pytest.raises(GraphError) as got:
+                    graph_from_text(text)
+                assert str(got.value) == str(exc)
+            return
+        for block in (1, 1 << 11):
+            monkeypatch.setattr(randgraph, "_TEXT_BLOCK", block)
+            assert_same_graph(graph_from_text(text), expected)
+
+    def test_plain_blocks_skip_the_line_loop(self, monkeypatch):
+        # a file as graph_to_text writes it is converted by numpy alone
+        seed = RngSeed(1166)
+        g = assign_weights(ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 12, seed), WeightLaw.uniform(), seed.child(1))
+        text = graph_to_text(g)
+        assert len(text) > 4 * 32 * randgraph._TEXT_BLOCK
+        loops = []
+        edge_lines = randgraph._edge_lines
+        monkeypatch.setattr(randgraph, "_edge_lines", lambda lines, n: loops.append(lines) or edge_lines(lines, n))
+        h = graph_from_text(text)
+        assert h == replace(g, boundary=frozenset()) and h.tree and h.links is None
+        assert loops == []
 
     def test_edge_count_before_self_loop(self):
         body = "0 1 0.5\n2 2 0.25\n1 0 0.75\n"

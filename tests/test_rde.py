@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lexmatch import genfn, rde
+from lexmatch import bp, genfn, rde
 from lexmatch.genfn import OffspringLaw
 from lexmatch.randgraph import RngSeed, WeightLaw
 from lexmatch.rde import (
@@ -241,7 +241,7 @@ class TestLexReduce:
             in_lvl = rng.integers(0, k + 2, total)
             in_z = rng.choice([-0.5, 0.0, 0.25, 0.5], total)
             w = rng.choice([0.0, 0.25, 0.5], total)
-            lvl, z = rde._lex_reduce(k, N, in_lvl, in_z, w)
+            lvl, z = bp._lex_reduce(k, N, in_lvl, in_z, w)
             assert lvl.dtype == np.int64 and len(lvl) == len(z) == len(N)
             assert list(zip(lvl.tolist(), z.tolist())) == self.loop(k, N, in_lvl, in_z, w)
 
