@@ -10,7 +10,7 @@ against brute-force oracles.
 Modules
 -------
 genfn      offspring laws, generating functions, fixed points, regimes
-randgraph  random graph/tree generation, weights, balls, serialization
+randgraph  random graph/tree generation, weights, serialization
 exact      brute-force and dynamic-programming ground-truth oracles
 bp         lexicographic message passing on trees and truncated balls
 rde        grid and population solvers for the message distribution

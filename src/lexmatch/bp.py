@@ -36,7 +36,7 @@ dynamics.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +68,14 @@ class FieldInconsistencyError(AssertionError):
     """Edge rule and vertex rule disagreed on a supposedly valid field."""
 
 
-class EdgeMap(MutableMapping):
-    """Messages on the directed edges of an oriented forest, keyed (u, v).
+class EdgeMap(Mapping):
+    """Messages on the directed edges of an oriented forest, keyed (u, v), read-only.
 
     With n = len(parent), msg(parent(v), v) is (level[v], z[v]) and
     msg(v, parent(v)) is (level[n + v], z[n + v]); parent, order and pe
     (the edge to the parent) come from _orient_forest.  Keys run in BFS
     order, (p, v) then (v, p) for each non-root v.  level and z are lists
-    or typed arrays ('q', 'd'), so reads give int and float either way.  A
-    write is allowed only on an existing edge key and lands in them.
+    or typed arrays ('q', 'd'), so reads give int and float either way.
     """
 
     __slots__ = ("parent", "order", "pe", "level", "z")
@@ -99,13 +98,6 @@ class EdgeMap(MutableMapping):
     def __getitem__(self, key):
         i = self._locate(key)
         return (self.level[i], self.z[i])
-
-    def __setitem__(self, key, value):
-        i = self._locate(key)
-        self.level[i], self.z[i] = value
-
-    def __delitem__(self, key):
-        raise TypeError("directed-edge messages cannot be deleted")
 
     def __iter__(self):
         parent = self.parent
@@ -141,7 +133,7 @@ class _PairView(Mapping):
 
 @dataclass
 class MessageField:
-    """Messages of a forest (an EdgeMap, writable on edge keys) plus boundary bookkeeping."""
+    """Messages of a forest (a read-only EdgeMap) plus boundary bookkeeping."""
 
     k: int
     messages: EdgeMap
@@ -188,8 +180,8 @@ def _ints(seq) -> np.ndarray:
     return np.arange(seq.start, seq.stop) if isinstance(seq, range) else np.frombuffer(seq, dtype=np.int64)
 
 
-def _levels(parent: np.ndarray, order: np.ndarray, most: int):
-    """An oriented forest's vertices by depth, or None past `most` depths.
+def _levels(parent, order):
+    """An oriented forest's vertices by depth, or None past one depth per _ARRAY_MIN // 8 vertices.
 
     Returns (vert, up, bounds): vert lists the vertices by depth, each
     depth in BFS order, so each vertex's children stay consecutive and
@@ -197,6 +189,7 @@ def _levels(parent: np.ndarray, order: np.ndarray, most: int):
     is the rank in vert of vert[r]'s parent, -1 at roots; depth d holds
     the ranks bounds[d]:bounds[d + 1].
     """
+    parent, order = _ints(parent), _ints(order)
     n = len(order)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
@@ -213,7 +206,7 @@ def _levels(parent: np.ndarray, order: np.ndarray, most: int):
     # the first child of this one, and is empty when that lies past the component
     start, end = roots, np.append(roots[1:], n)
     depth = np.zeros(n, dtype=np.int64)
-    for _ in range(most):
+    for _ in range(max(1, 8 * n // _ARRAY_MIN)):
         start = np.minimum(first[start], end)
         live = start < end
         start, end = start[live], end[live]
@@ -241,19 +234,22 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     pinned maps a boundary vertex b to the exogenous message (parent(b), b);
     pinned vertices must not have children inside g (true for radius
     boundaries of tree balls).  `oriented` is a precomputed
-    _orient_forest(g, avoid=pinned) and `weights`, indexed by edge id,
-    replaces g.w.  Messages (level, z) are compared lexicographically.
+    _orient_forest(g, avoid=pinned), with the orientation's _levels as a
+    fourth entry where two sweeps share them, and `weights`, indexed by
+    edge id, replaces g.w.  Messages (level, z) are compared
+    lexicographically.
     Every sweep of this module runs here, so k >= 0 is checked here once.
     A forest of _ARRAY_MIN vertices or more is swept in arrays unless it
     is too deep for them; both forms give the same messages.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    parent, order, pe = oriented or _orient_forest(g, avoid=frozenset(pinned))
+    oriented = oriented or _orient_forest(g, avoid=frozenset(pinned))
+    parent, order, pe = oriented[:3]  # the whole tuple, not a copy, when it has three entries
     if weights is None:
         weights = g.w
     if g.n >= _ARRAY_MIN:
-        swept = _array_sweep(parent, order, pe, k, pinned, weights)
+        swept = _array_sweep(parent, order, pe, k, pinned, weights, *oriented[3:])
         if swept is not None:
             return EdgeMap(parent, order, pe, *swept)
     n = g.n
@@ -299,21 +295,23 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     return EdgeMap(parent, order, pe, level, z)
 
 
-def _array_sweep(parent, order, pe, k: int, pinned: dict, weights):
+def _array_sweep(parent, order, pe, k: int, pinned: dict, weights, *levels):
     """_sweep's messages (level, z) as typed arrays ('q', 'd'), a BFS depth at a time.
 
     None when the forest has more than one depth per _ARRAY_MIN // 8
-    vertices, where the loop is faster.  The arrays are indexed by rank in
-    _levels' order.  Going up, each depth's candidates (k, w) - msg are
-    reduced per parent by _lex_reduce into top1, which is msg(parent(v), v)
-    at v, and again with the candidates equal to top1 masked out (level
-    k + 1 makes them negative) into top2, or top1 where two of them tie:
-    the second largest with two (0, 0) added.  Going down, each vertex
+    vertices, where the loop is faster.  `levels`, when given, holds the
+    forest's _levels.  The arrays are indexed by rank in _levels' order.
+    Going up, each depth's candidates (k, w) - msg are reduced per parent
+    by _lex_reduce into top1, which is msg(parent(v), v) at v, and again
+    with the candidates equal to top1 masked out (level k + 1 makes them
+    negative) into top2, or top1 where two of them tie: the second
+    largest with two (0, 0) added.  Going down, each vertex
     merges the candidate from its parent into those two, and each child v
     reads msg(v, parent(v)) from its parent's pair by one gather: top2 if
     v's candidate equals top1, else top1.  Ties give equal values either
     way, so the messages are the loop's.
     """
+    levels = levels[0] if levels else _levels(parent, order)
     parent, order = _ints(parent), _ints(order)
     n = len(parent)
     pins = {b: pin for b, pin in pinned.items() if 0 <= b < n}
@@ -325,7 +323,6 @@ def _array_sweep(parent, order, pe, k: int, pinned: dict, weights):
         if bad.size:
             p = int(parent[order[bad[-1]]])
             raise FieldInconsistencyError(f"pinned boundary vertex {p} has interior children")
-    levels = _levels(parent, order, max(1, 8 * n // _ARRAY_MIN))
     if levels is None:
         return None
     vert, up, bounds = levels
@@ -537,11 +534,13 @@ class SqueezeResult:
 
 
 def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[EdgeMap, EdgeMap]:
-    """Messages under the all-zero and the all-top boundary, oriented once.
+    """Messages under the all-zero and the all-top boundary, oriented and ordered by depth once.
 
     Without boundary vertices the two sweeps are the same sweep, run once.
     """
     oriented = _orient_forest(g, avoid=g.boundary)
+    if g.n >= _ARRAY_MIN:
+        oriented += (_levels(*oriented[:2]),)
     lo = _sweep(g, k, dict.fromkeys(g.boundary, ZERO), oriented, weights)
     if not g.boundary:
         return lo, lo

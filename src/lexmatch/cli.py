@@ -89,7 +89,7 @@ def _cmd_gen(args) -> int:
 def _cmd_match(args) -> int:
     if args.k < 1:
         raise HarnessError(f"match needs k >= 1, got {args.k}")
-    with open(args.graph) as fh:
+    with open(args.graph, encoding="utf-8") as fh:
         g = randgraph.graph_from_text(fh.read())
     field = bp.sweep_tree(g, args.k)
     matching = bp.extract_matching(g, field)
@@ -148,7 +148,7 @@ def cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     except (HarnessError, LawError, GraphError, CycleError, bp.FieldInconsistencyError,
-            exact.EnumerationLimitError, rde.ConvergenceError, OSError) as exc:
+            exact.EnumerationLimitError, rde.ConvergenceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

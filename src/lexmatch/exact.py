@@ -94,9 +94,6 @@ class Perf:
     match_prob: float
     expected_weight: float
 
-    def as_tuple(self):
-        return (self.match_prob, self.expected_weight)
-
 
 def _check_cap(g: WeightedGraph, cap: int) -> None:
     if g.m > cap:

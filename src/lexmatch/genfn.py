@@ -12,11 +12,11 @@ unimodular branching tree (equivalently, the excess-degree law
 k -> (k+1) pi(k+1) / m).  This module computes phi and hphi in closed form
 per family, locates the fixed points of the doubled map D(t) = S(S(t)),
 S(t) = hphi(1 - t), evaluates the matching functional F_pi whose maximum
-gives the asymptotic matched-vertex density, recovers the Karp-Sipser
-constants for Poisson laws, and encloses the subcriticality coefficient rho
-(the contraction rate of the two-step message operator) in an interval
-[lo, hi].  A two-point law attains lo, so lo is a lower bound; hi is an
-upper bound, and only hi < 1 certifies the contracting regime.
+gives the asymptotic matched-vertex density, and encloses the
+subcriticality coefficient rho (the contraction rate of the two-step
+message operator) in an interval [lo, hi].  A two-point law attains lo,
+so lo is a lower bound; hi is an upper bound, and only hi < 1 certifies
+the contracting regime.
 
 The regime is read off the structure of D.  S is decreasing, so D fixes
 the one fixed point gamma of S and pairs each other fixed point t < gamma
@@ -41,14 +41,12 @@ __all__ = [
     "DegenerateFamilyError",
     "OffspringLaw",
     "RegimeReport",
-    "KarpSipserConstants",
     "size_biased_pgf_inverse",
     "double_map",
     "single_fixed_point",
     "double_fixed_points",
     "F_pi",
     "matching_vertex_density",
-    "karp_sipser_poisson",
     "rho_subcritical",
     "macroscopic_law",
     "parse_law",
@@ -144,10 +142,6 @@ class OffspringLaw:
         if abs(sum(probs) - 1.0) > 1e-12:
             raise LawError(f"pmf sums to {sum(probs)!r}, expected 1 within 1e-12")
         return OffspringLaw("finite", (), probs)
-
-    @staticmethod
-    def delta(k: int) -> "OffspringLaw":
-        return OffspringLaw.finite_support([0.0] * k + [1.0])
 
     # -- basic quantities ---------------------------------------------
 
@@ -462,33 +456,6 @@ def matching_vertex_density(law: OffspringLaw) -> float:
         return 1.0
     candidates = np.concatenate([fps, np.linspace(0.0, 1.0, 2001)])
     return 2.0 - float(np.max(F_pi(law, candidates)))
-
-
-@dataclass(frozen=True)
-class KarpSipserConstants:
-    """Closed-form asymptotics for Poisson(c) maximum matchings."""
-
-    gamma_low: float
-    gamma_high: float
-    beta: float
-    edge_density: float
-    vertex_density: float
-
-
-def karp_sipser_poisson(c: float) -> KarpSipserConstants:
-    """Extreme conjugate pair and matching densities for Poisson(c).
-
-    gamma_low/gamma_high solve gamma_high = exp(-c gamma_low) and
-    gamma_low = exp(-c gamma_high); beta = c gl gh + gl + gh - 1 is the
-    atom of the level-0 message CDF at zero; the matched-vertex density is
-    2 - gh - gl - c gl gh.
-    """
-    law = OffspringLaw.poisson(c)
-    fps = double_fixed_points(law)
-    gl, gh = fps[0], math.exp(-c * fps[0])
-    beta = c * gl * gh + gl + gh - 1.0
-    edge = (2.0 - gh - gl - c * gl * gh) / c
-    return KarpSipserConstants(gl, gh, beta, edge, c * edge)
 
 
 # rho enclosure: curve samples, first s-grid points, sub-pieces per kept s-piece,

@@ -1,11 +1,11 @@
-"""Random graph and tree generation, weights, balls and serialization.
+"""Random graph and tree generation, weights and serialization.
 
 Graphs are finite, simple and undirected, stored in typed arrays: the
 sorted edges with one weight each, and a CSR index of the directed edges
 (a breadth-first tree needs none), with either a vertex root or a
-directed-edge root.  Truncated objects (depth-limited branching trees,
-radius-H balls) carry their boundary vertex set so that downstream
-message passing can apply boundary conditions there.
+directed-edge root.  Depth-limited branching trees carry their boundary
+vertex set so that downstream message passing can apply boundary
+conditions there.
 
 All generators are pure functions of (parameters, seed).  A seed is
 (seed, stream, path): Philox keyed by SeedSequence(seed, spawn key
@@ -32,7 +32,7 @@ from .genfn import OffspringLaw
 __all__ = [
     "GraphError", "RngSeed", "VertexRoot", "EdgeRoot", "WeightedGraph", "WeightLaw",
     "parse_weight_law", "check_vertices", "erdos_renyi", "configuration_model", "ubgw_tree",
-    "assign_weights", "ball", "graph_to_text", "graph_from_text",
+    "assign_weights", "graph_to_text", "graph_from_text",
 ]
 
 
@@ -542,41 +542,6 @@ def assign_weights(g: WeightedGraph, law: WeightLaw, seed: RngSeed) -> WeightedG
     rng = seed.generator()
     w = array("d", law.sample(rng, g.m).tobytes() if g.m else b"")
     return WeightedGraph(g.n, g.lo, g.hi, w, g.root, g.boundary, g.tree, g.links)
-
-
-# ----------------------------------------------------------------------
-# balls
-# ----------------------------------------------------------------------
-
-
-def _bfs_depths(g: WeightedGraph, center: int, H: int):
-    depth, order = {center: 0}, [center]
-    for v in order:  # breadth first: order grows as it is read
-        if depth[v] < H:
-            for w in g.incident(v)[0]:
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    order.append(w)
-    return depth, order
-
-
-def ball(g: WeightedGraph, center: int, H: int) -> WeightedGraph:
-    """Induced subgraph on vertices within distance H, rerooted at `center`.
-
-    Vertices are relabelled in BFS discovery order (center becomes 0), so
-    taking the ball twice is the identity.  The vertices at distance
-    exactly H are recorded as the boundary.
-    """
-    if not (0 <= center < g.n):
-        raise GraphError(f"center {center} not in graph")
-    if H < 0:
-        raise GraphError("H must be >= 0")
-    depth, order = _bfs_depths(g, center, H)
-    relabel = {old: new for new, old in enumerate(order)}
-    kept = [(relabel[u], relabel[v], w) for u, v, w in zip(g.lo, g.hi, g.w) if u in relabel and v in relabel]
-    lo, hi, w = zip(*kept) if kept else ((), (), ())
-    boundary = frozenset(relabel[v] for v in order if depth[v] == H)
-    return WeightedGraph(len(order), lo, hi, w, VertexRoot(0), boundary)
 
 
 # ----------------------------------------------------------------------

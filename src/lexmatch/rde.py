@@ -132,9 +132,6 @@ class CdfSystem:
     def level_masses(self) -> np.ndarray:
         return self.h[:, -1] - self.h[:, 0]
 
-    def stitching_gap(self) -> float:
-        return float(np.max(np.abs(self.h[:-1, -1] - self.h[1:, 0]), initial=0.0))
-
 
 class _Quadrature:
     """E[h(W - t)] on an aligned lattice, exact for piecewise-linear h.

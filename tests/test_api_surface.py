@@ -4,6 +4,7 @@ A deletion that leaves a stale `__all__` entry or a stale tracer target
 fails here rather than inside a traced benchmark round.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ import pytest
 import lexmatch
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lexmatch.__path__) if m.name != "__main__")
+SRC = pathlib.Path(lexmatch.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 SPANS = BENCH / "spans.py"
 
@@ -37,6 +39,54 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"lexmatch.{name}")
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _reads(node) -> set:
+    """What node reads: each name, and each attribute as ".attr"."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else "." + sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def _units(name: str):
+    """(qualified name, node) for each top-level statement of a lexmatch module; a
+    class gives its bases and decorators, then each statement of its body."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield stmt.name, ast.Module(stmt.bases + stmt.decorator_list, [])
+            for sub in stmt.body:
+                yield f"{stmt.name}.{getattr(sub, 'name', '')}", sub
+        else:
+            yield getattr(stmt, "name", ""), stmt
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    # each name in a module's __all__, and each public method or property of an
+    # exported class, is read somewhere in src/ outside its own def or class, or
+    # in bench/ (the tracer's targets included); a name that only tests read
+    # belongs in the tests
+    reads = [(f"{name}.{qual}", _reads(node)) for name in MODULES for qual, node in _units(name)]
+    bench = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in BENCH.glob("*.py")))
+    bench.update("." + part for _, attr, _ in _load(SPANS).TARGETS for part in attr.split("."))
+    unread = []
+    for name in MODULES:
+        exported = getattr(importlib.import_module(f"lexmatch.{name}"), "__all__", [])
+        members = []
+        for qual, node in _units(name):
+            owner, _, member = qual.partition(".")
+            if owner in exported and member[:1] not in ("", "_") and isinstance(node, ast.FunctionDef):
+                members.append(qual)
+        for qual in exported + members:
+            own, last = f"{name}.{qual}", qual.rpartition(".")[2]
+            # a member is read as an attribute, a module's name either way
+            wanted = {"." + last} if "." in qual else {last, "." + last}
+            elsewhere = (names for where, names in reads if where != own and not where.startswith(own + "."))
+            if not wanted & bench and not any(wanted & names for names in elsewhere):
+                unread.append(own)
+    assert unread == [], "\n".join(unread)
 
 
 def test_tracer_targets_resolve():

@@ -29,7 +29,6 @@ from lexmatch.randgraph import (
     VertexRoot,
     WeightLaw,
     assign_weights,
-    ball,
     erdos_renyi,
     ubgw_tree,
 )
@@ -45,6 +44,26 @@ def path(weights, boundary=()):
     return graph_of(
         len(weights) + 1, {(i, i + 1): w for i, w in enumerate(weights)}, boundary=boundary
     )
+
+
+def ball(g, center, H):
+    """The subgraph induced on the vertices within distance H of center, and their old names.
+
+    Its vertices are numbered in BFS order from center, which becomes 0, and
+    those at distance exactly H are its boundary; order[new] is the old name.
+    """
+    depth, order = {center: 0}, [center]
+    for v in order:  # breadth first: order grows as it is read
+        if depth[v] < H:
+            for x in g.incident(v)[0]:
+                if x not in depth:
+                    depth[x] = depth[v] + 1
+                    order.append(x)
+    new = {old: i for i, old in enumerate(order)}
+    kept = [(new[u], new[v], w) for u, v, w in zip(g.lo, g.hi, g.w) if u in new and v in new]
+    lo, hi, w = zip(*kept) if kept else ((), (), ())
+    boundary = frozenset(new[v] for v in order if depth[v] == H)
+    return randgraph.WeightedGraph(len(order), lo, hi, w, VertexRoot(0), boundary), order
 
 
 def random_tree(i, depth=None, law_mean=2.0):
@@ -384,6 +403,28 @@ class TestArrayForms:
         assert list(sweep_tree(g, 1).messages.items()) == list(loop.messages.items())
 
 
+def test_extremal_sweeps_order_depths_once(monkeypatch):
+    # squeeze and macroscopic_squeeze sweep one orientation twice, in arrays at
+    # this size: _levels runs once for both, and the views read as the loops' do
+    g = random_tree(0, depth=10)
+    assert g.n >= bp._ARRAY_MIN and g.boundary
+
+    def squeezed():
+        sq = squeeze(g, 1)
+        return [dict(sq.lower), dict(sq.upper), dict(sq.certified)]
+
+    def macroscopic():
+        return [dict(view) for view in macroscopic_squeeze(g)]
+
+    loops = [in_form(monkeypatch, LOOPS, run) for run in (squeezed, macroscopic)]
+    monkeypatch.undo()
+    levels, calls = bp._levels, []
+    monkeypatch.setattr(bp, "_levels", lambda *args: calls.append(args) or levels(*args))
+    for run, loop in zip((squeezed, macroscopic), loops):
+        calls.clear()
+        assert run() == loop and len(calls) == 1
+
+
 class TestEdgeMap:
     """The per-vertex message lists behind every sweep, read as a mapping keyed (u, v)."""
 
@@ -427,29 +468,12 @@ class TestEdgeMap:
         checked = 0
         for g, f in self.fields():
             m = f.messages
-            before = dict(m)
             for key in self.off_forest_keys(g, m.parent):
                 assert key not in m and m.get(key) is None
                 with pytest.raises(KeyError):
                     m[key]
-                with pytest.raises(KeyError):
-                    m[key] = ZERO
                 checked += 1
-            assert dict(m) == before and len(m) == 2 * g.m
         assert checked > 10_000
-
-    def test_write_changes_only_its_direction(self):
-        for g, f in self.fields():
-            m = f.messages
-            for key in list(m)[:6]:
-                before = dict(m)
-                m[key] = (7, -1.5)
-                assert m[key] == (7, -1.5)
-                assert {e: val for e, val in m.items() if e != key} == {
-                    e: val for e, val in before.items() if e != key
-                }
-                m[key] = before[key]
-                assert dict(m) == before
 
     def test_delete_raises_and_length_holds(self):
         for g, f in self.fields():
@@ -470,8 +494,9 @@ class TestEdgeMap:
             for key in self.off_forest_keys(g, f.messages.parent)[:20]:
                 assert key not in sq.certified and sq.lower.get(key) is None
             if g.m:
-                with pytest.raises(TypeError):
-                    sq.lower[next(iter(sq.lower))] = ZERO
+                for view in (f.messages, sq.lower):
+                    with pytest.raises(TypeError):
+                        view[next(iter(view))] = ZERO
 
 
 def traced_peak(run) -> tuple:
@@ -629,7 +654,7 @@ def test_every_sweep_refuses_negative_k(run, takes_k, monkeypatch):
     # the one k check is in bp._sweep, which every sweep runs: a k < 0 given is
     # refused, and so is a k that reaches _sweep shifted below 0
     # (macroscopic_squeeze takes no k: it sweeps at k = 1)
-    g = ball(random_tree(3, depth=6), 0, 3)
+    g, _ = ball(random_tree(3, depth=6), 0, 3)
     assert g.boundary
     run(g, 0)
     if takes_k:
@@ -670,7 +695,9 @@ class TestExtractMatching:
     def test_inconsistent_field_detected(self):
         g = path([0.5, 0.9])
         f = sweep_tree(g, 1)
-        f.messages[(0, 1)] = (0, 0.0)  # corrupt: claims b-side offers nothing
+        m = f.messages
+        i = m._locate((0, 1))
+        m.level[i], m.z[i] = 0, 0.0  # corrupt: claims b-side offers nothing
         with pytest.raises(FieldInconsistencyError):
             extract_matching(g, f)
 
@@ -685,7 +712,9 @@ class TestExtractMatching:
             # forbid one optimal edge from one side only: the edge rule then
             # drops just that edge, which still leaves a matching
             u, v = min(optimum.edges)
-            f.messages[(u, v)] = top_msg(1)
+            m = f.messages
+            i = m._locate((u, v))
+            m.level[i], m.z[i] = top_msg(1)
             edge_rule = [
                 (a, b)
                 for a, b in g.edges()
@@ -774,10 +803,10 @@ class TestSweepBounded:
             i += 1
             g = erdos_renyi(200, 1.0, RngSeed(70, i))
             g = assign_weights(g, WeightLaw.uniform(0, 1), RngSeed(71, i))
-            comp = ball(g, g.root_vertex(), g.n)  # root component, relabelled
+            comp, _ = ball(g, g.root_vertex(), g.n)  # root component, relabelled
             if comp.m > 24 or comp.m < 2:
                 continue
-            b = ball(comp, 0, 3)
+            b, order = ball(comp, 0, 3)
             if b.m >= comp.m:
                 continue  # need a proper exterior
             try:
@@ -786,7 +815,6 @@ class TestSweepBounded:
                 continue
             ambient = brute_force_opt(comp)
             # boundary spec from the ambient optimum: matched outward -> top
-            depth3, order = randgraph._bfs_depths(comp, 0, 3)
             relabel = {old: new for new, old in enumerate(order)}
             spec = {}
             outward = set()

@@ -17,6 +17,8 @@ from lexmatch.genfn import (
     parse_law,
 )
 
+from karp_sipser import karp_sipser_poisson
+
 
 def bisect_fixed_point(f, lo=0.0, hi=1.0, iters=200):
     """Independent oracle: bisection for the root of f(t) - t on [lo, hi]."""
@@ -234,8 +236,8 @@ _CLOSED_FORM_LAWS = [
 _FINITE_LAWS = [
     OffspringLaw.finite_support([0.2, 0.5, 0.3]),
     OffspringLaw.finite_support([0.1, 0.0, 0.6, 0.3]),
-    OffspringLaw.delta(0),
-    OffspringLaw.delta(3),
+    OffspringLaw.finite_support([1.0]),
+    OffspringLaw.finite_support([0.0, 0.0, 0.0, 1.0]),
 ]
 _LAW_IDS = [law.spec_string() for law in _CLOSED_FORM_LAWS + _FINITE_LAWS]
 
@@ -311,7 +313,7 @@ class TestDoubleFixedPoints:
 
     def test_deterministic_two_degenerate(self):
         with pytest.raises(DegenerateFamilyError):
-            genfn.double_fixed_points(OffspringLaw.delta(2))
+            genfn.double_fixed_points(OffspringLaw.finite_support([0.0, 0.0, 1.0]))
 
 
 # laws whose residual bound is checked, spelled so that parse_law and the
@@ -399,14 +401,14 @@ class TestMatchingVertexDensity:
         assert genfn.matching_vertex_density(OffspringLaw.geometric(0.4)) == 1.0
 
     def test_deterministic_one_perfect_pairing(self):
-        assert genfn.matching_vertex_density(OffspringLaw.delta(1)) == pytest.approx(
+        assert genfn.matching_vertex_density(OffspringLaw.finite_support([0.0, 1.0])) == pytest.approx(
             1.0, abs=1e-9
         )
 
 
 class TestKarpSipser:
     def test_c1_unique(self):
-        ks = genfn.karp_sipser_poisson(1.0)
+        ks = karp_sipser_poisson(1.0)
         assert ks.gamma_low == pytest.approx(GAMMA_1, abs=1e-9)
         assert ks.gamma_high == pytest.approx(GAMMA_1, abs=1e-9)
         assert ks.vertex_density == pytest.approx(
@@ -414,13 +416,13 @@ class TestKarpSipser:
         )
 
     def test_c3_identities(self):
-        ks = genfn.karp_sipser_poisson(3.0)
+        ks = karp_sipser_poisson(3.0)
         assert abs(ks.gamma_high - math.exp(-3.0 * ks.gamma_low)) < 1e-10
         assert abs(ks.beta - (3.0 * ks.gamma_low * ks.gamma_high + ks.gamma_low + ks.gamma_high - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 5.0])
     def test_vertex_is_c_times_edge(self, c):
-        ks = genfn.karp_sipser_poisson(c)
+        ks = karp_sipser_poisson(c)
         assert ks.vertex_density == pytest.approx(c * ks.edge_density, abs=0.0)
 
 
@@ -513,7 +515,7 @@ class TestRhoInterval:
 
     def test_point_mass_excess_law(self):
         # pi = delta(1): every non-root vertex is a leaf, so rho = 0
-        assert genfn._rho_interval(OffspringLaw.delta(1)) == (0.0, 0.0)
+        assert genfn._rho_interval(OffspringLaw.finite_support([0.0, 1.0])) == (0.0, 0.0)
 
 
 class TestMacroscopicLaw:
@@ -532,12 +534,12 @@ class TestMacroscopicLaw:
         assert not rep.unique_double_fp
 
     def test_deterministic_two_degenerate(self):
-        rep = genfn.macroscopic_law(OffspringLaw.delta(2))
+        rep = genfn.macroscopic_law(OffspringLaw.finite_support([0.0, 0.0, 1.0]))
         assert rep.degenerate_family
 
     def test_leafless_delta3_level_zero(self):
         # every vertex has >= 2 children: argmax of F_pi sits at {0, 1}
-        rep = genfn.macroscopic_law(OffspringLaw.delta(3))
+        rep = genfn.macroscopic_law(OffspringLaw.finite_support([0.0, 0.0, 0.0, 1.0]))
         assert rep.k == 0
         assert rep.unique_double_fp  # interior doubled fixed point exists
 

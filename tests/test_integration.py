@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from lexmatch import bp, exact, randgraph, rde
-from lexmatch.genfn import OffspringLaw, karp_sipser_poisson
+from lexmatch.genfn import OffspringLaw
 from lexmatch.randgraph import RngSeed, WeightLaw, assign_weights, erdos_renyi, ubgw_tree
+
+from karp_sipser import karp_sipser_poisson
 
 LAW = OffspringLaw.poisson(1.0)
 UNIF = WeightLaw.uniform(0, 1)

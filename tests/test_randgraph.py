@@ -1,4 +1,4 @@
-"""Generators, balls and serialization: determinism and distributional checks."""
+"""Generators and serialization: determinism and distributional checks."""
 
 import math
 import re
@@ -21,7 +21,6 @@ from lexmatch.randgraph import (
     WeightedGraph,
     WeightLaw,
     assign_weights,
-    ball,
     configuration_model,
     erdos_renyi,
     graph_from_text,
@@ -228,6 +227,15 @@ class TestConfigurationModel:
         assert graph_to_text(g1) == graph_to_text(g2)
 
 
+def tree_depths(g):
+    """The depth of each vertex of a vertex-rooted ubgw_tree: its vertices are
+    numbered breadth first, and edge c - 1 joins vertex c to its parent."""
+    depth = [0] * g.n
+    for c in range(1, g.n):
+        depth[c] = depth[g.lo[c - 1]] + 1
+    return depth
+
+
 class TestUbgwTree:
     def test_depth_zero_vertex(self):
         g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 0, RngSeed(1))
@@ -238,17 +246,17 @@ class TestUbgwTree:
         # excess law is delta_2: pmf proportional to delta_3 gives excess
         # (k+1)pi(k+1)/m = delta_2. Each endpoint then grows a binary tree:
         # 2 + 2*(2 + 4) = 14 vertices at depth 2.
-        law = OffspringLaw.delta(3)
+        law = OffspringLaw.finite_support([0.0, 0.0, 0.0, 1.0])
         g = ubgw_tree(law, "edge", 2, RngSeed(2))
         assert g.n == 14
         assert isinstance(g.root, EdgeRoot)
 
     def test_is_tree_with_boundary_at_depth(self):
         g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 3, RngSeed(3))
-        assert g.m == g.n - 1
-        depth, order = randgraph._bfs_depths(g, 0, 10**9)
-        assert len(order) == g.n
-        assert g.boundary == frozenset(v for v, d in depth.items() if d == 3)
+        assert g.m == g.n - 1 and list(g.hi) == list(range(1, g.n))
+        assert all(p < c for c, p in enumerate(g.lo, 1))  # numbered breadth first
+        depth = tree_depths(g)
+        assert g.boundary == frozenset(v for v, d in enumerate(depth) if d == 3)
 
     def test_root_degree_histogram(self):
         law = OffspringLaw.poisson(1.5)
@@ -265,9 +273,9 @@ class TestUbgwTree:
         emp = {}
         for i in range(8_000):
             g = ubgw_tree(law, "vertex", 2, RngSeed(200, i))
-            depth, _ = randgraph._bfs_depths(g, 0, 10)
+            depth = tree_depths(g)
             for v in range(g.n):
-                if depth.get(v) == 1:  # interior non-root generation
+                if depth[v] == 1:  # interior non-root generation
                     k = len(g.incident(v)[0]) - 1
                     emp[k] = emp.get(k, 0) + 1
         excess = OffspringLaw.poisson(1.2).excess_pmf()
@@ -675,32 +683,6 @@ class TestAssignWeights:
         t1 = graph_to_text(assign_weights(g, WeightLaw.exponential(1.0), RngSeed(6)))
         t2 = graph_to_text(assign_weights(g, WeightLaw.exponential(1.0), RngSeed(6)))
         assert t1 == t2
-
-
-class TestBall:
-    def test_radius_zero(self):
-        g = path_graph([0.1, 0.2])
-        b = ball(g, 1, 0)
-        assert b.n == 1 and b.m == 0 and b.boundary == frozenset({0})
-
-    def test_path_center(self):
-        g = path_graph([0.1, 0.2])
-        b = ball(g, 1, 1)
-        assert b.n == 3 and b.m == 2
-
-    def test_component_exhaustion(self):
-        g = erdos_renyi(100, 1.0, RngSeed(8))
-        b = ball(g, g.root_vertex(), g.n)
-        # b is the whole connected component of the root
-        assert b.boundary == frozenset()
-        assert b.m <= g.m
-
-    def test_idempotent(self):
-        g = assign_weights(erdos_renyi(60, 2.0, RngSeed(9)), WeightLaw.uniform(), RngSeed(10))
-        b1 = ball(g, g.root_vertex(), 2)
-        b2 = ball(b1, 0, 2)
-        assert graph_to_text(b1) == graph_to_text(b2)
-        assert b1.boundary == b2.boundary
 
 
 class TestSerialization:

@@ -22,10 +22,12 @@ from lexmatch.rde import (
     zeta_prime,
 )
 
+from karp_sipser import karp_sipser_poisson
+
 LAW1 = OffspringLaw.poisson(1.0)
 LAW3 = OffspringLaw.poisson(3.0)
 UNIF = WeightLaw.uniform(0.0, 1.0)
-KS1 = genfn.karp_sipser_poisson(1.0)
+KS1 = karp_sipser_poisson(1.0)
 GAMMA = KS1.gamma_low
 
 
@@ -58,7 +60,7 @@ class TestSolveSystem:
 
     def test_stitching(self, sys1):
         # h_0(+inf) = h_1(-inf) = gamma
-        assert sys1.stitching_gap() < 1e-6
+        assert np.max(np.abs(sys1.h[:-1, -1] - sys1.h[1:, 0])) < 1e-6
         assert sys1.h[1, 0] == pytest.approx(GAMMA, abs=1e-4)
 
     def test_beta_matches_conservation_value(self, sys1):
@@ -77,7 +79,7 @@ class TestSolveSystem:
         assert np.all(tail <= rho + 0.05)
 
     def test_k2_poisson3(self, sys2):
-        ks3 = genfn.karp_sipser_poisson(3.0)
+        ks3 = karp_sipser_poisson(3.0)
         assert sys2.plateau[0] == pytest.approx(ks3.gamma_low, abs=1e-4)
         assert sys2.plateau[1] == pytest.approx(ks3.gamma_high, abs=1e-4)
         assert sys2.beta == pytest.approx(ks3.beta, abs=2e-3)
@@ -85,7 +87,7 @@ class TestSolveSystem:
         assert cons["bords"] < 5e-3
 
     def test_leafless_delta3(self):
-        sys0 = solve_system(OffspringLaw.delta(3), UNIF, 0)
+        sys0 = solve_system(OffspringLaw.finite_support([0.0, 0.0, 0.0, 1.0]), UNIF, 0)
         assert sys0.leafless and sys0.beta == 0.0
         # perfect-matching regime: edge density 1/m, vertex density 1
         assert size_from_system(sys0) == pytest.approx(1.0 / 3.0, abs=2e-3)
@@ -152,7 +154,7 @@ class TestConservation:
         assert abs(size_from_system(s) - size_from_functional(s)) < 2e-3
 
     def test_k0_vacuous(self):
-        sys0 = solve_system(OffspringLaw.delta(3), UNIF, 0)
+        sys0 = solve_system(OffspringLaw.finite_support([0.0, 0.0, 0.0, 1.0]), UNIF, 0)
         cons = conservation_check(sys0)
         assert cons == {"bords": 0.0}
 
@@ -188,7 +190,7 @@ class TestSize:
 
     def test_two_formulas_agree(self, sys1, sys2):
         assert size_from_system(sys1) == pytest.approx(size_from_functional(sys1), abs=2e-3)
-        ks3 = genfn.karp_sipser_poisson(3.0)
+        ks3 = karp_sipser_poisson(3.0)
         assert size_from_system(sys2) == pytest.approx(size_from_functional(sys2), abs=2e-3)
         assert size_from_system(sys2) == pytest.approx(ks3.edge_density, abs=2e-3)
 
@@ -258,14 +260,14 @@ class TestLexReduce:
         probs = np.ones(k + 1) / (k + 1)
         pool = np.arange(10) % (k + 1)
         sampler = Recorder("pool", k, probs, pool_levels=pool, pool_z=np.ones(10))
-        lvl, z = rde_step(sampler, OffspringLaw.delta(1), UNIF, np.random.default_rng(1), 1000)
+        lvl, z = rde_step(sampler, OffspringLaw.finite_support([0.0, 1.0]), UNIF, np.random.default_rng(1), 1000)
         assert drawn == [0]
         assert np.all(lvl == 0) and np.all(z == 0.0)
 
     def test_k2_pool_of_leaves_collapses(self):
         # the pool starts at level 1; 30 sweeps replace every slot but with probability about 1e-9
         pool = population_dynamics(
-            OffspringLaw.delta(1), UNIF, 2, pool_size=10_000, iters=30, seed=RngSeed(13)
+            OffspringLaw.finite_support([0.0, 1.0]), UNIF, 2, pool_size=10_000, iters=30, seed=RngSeed(13)
         )
         assert np.all(pool.pool_levels == 0) and np.all(pool.pool_z == 0.0)
 
@@ -274,7 +276,7 @@ class TestPopulationDynamics:
     def test_all_leaves_collapse(self):
         # law = delta_1 has excess law delta_0: every update is (0, 0)
         pool = population_dynamics(
-            OffspringLaw.delta(1), UNIF, 1, pool_size=10_000, iters=3, seed=RngSeed(4)
+            OffspringLaw.finite_support([0.0, 1.0]), UNIF, 1, pool_size=10_000, iters=3, seed=RngSeed(4)
         )
         assert pool.level_probs[0] == 1.0
         assert np.all(pool.pool_z == 0.0)

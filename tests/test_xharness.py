@@ -581,6 +581,13 @@ class TestCli:
     def test_check_cli_exit_zero(self):
         assert cli(["check", "--seed", "4"]) == 0
 
+    @pytest.mark.parametrize("experiment", ["check", "separation"])
+    def test_large_weights_pass(self, capsys, experiment):
+        # the optimal matching does not depend on the weight scale, and the
+        # vertex/edge proportionality holds up to rounding at any scale
+        assert cli([experiment, "--weights", "uniform:0:1e12"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
     def test_deterministic_outputs(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -679,6 +686,12 @@ class TestCli:
             (["match", "--graph", "tree.txt", "--k", "-1"], "match needs k >= 1, got -1"),
             # k = 0 is the maximum-weight recursion, not the (size, weight) optimum
             (["match", "--graph", "tree.txt", "--k", "0"], "match needs k >= 1, got 0"),
+            # input files are UTF-8 whatever the locale; bad.* hold a 0xff byte
+            (["match", "--graph", "bad.txt"], "'utf-8' codec can't decode byte 0xff in position 47: invalid start byte"),
+            (
+                ["separation", "--config", "bad.cfg"],
+                "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+            ),
             (["gen", "--model", "config", "--n", "-3"], "n must be >= 1"),
             (["mandatory", "--cross-forests", "-1"], "mandatory experiment needs cross_forests >= 0, got -1"),
             (
@@ -726,6 +739,8 @@ class TestCli:
             "gen-uniform-reversed",
             "match-k",
             "match-k-zero",
+            "match-not-utf8",
+            "config-not-utf8",
             "gen-config-n",
             "mandatory-cross-forests",
             "eps-sweep-min-exp",
@@ -739,7 +754,10 @@ class TestCli:
             "solve-degenerate",
         ],
     )
-    def test_out_of_range_one_line_error(self, capsys, argv, message):
+    def test_out_of_range_one_line_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_bytes(b"lexmatch-graph v1 n=2 m=1 root=vertex:0\n0 1 0.5\xff\n")
+        (tmp_path / "bad.cfg").write_bytes(b"samples = 30\xff\n")
         assert cli(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
