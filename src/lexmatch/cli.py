@@ -32,11 +32,12 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a graph file")
     p_gen.add_argument("--model", choices=["er", "config", "ubgw"], required=True)
-    p_gen.add_argument("--n", type=int, default=100)
-    p_gen.add_argument("--c", type=float, default=1.0)
-    p_gen.add_argument("--law", default="poisson:1.0")
-    p_gen.add_argument("--depth", type=int, default=4)
-    p_gen.add_argument("--rooting", choices=["vertex", "edge"], default="vertex")
+    # the model flags default to None, so that _cmd_gen sees which were given
+    p_gen.add_argument("--n", type=int)
+    p_gen.add_argument("--c", type=float)
+    p_gen.add_argument("--law")
+    p_gen.add_argument("--depth", type=int)
+    p_gen.add_argument("--rooting", choices=["vertex", "edge"])
     p_gen.add_argument("--weights", default="uniform:0:1")
     p_gen.add_argument("--seed", type=int, default=7)
     p_gen.add_argument("--out", default=None, help="output file (default stdout)")
@@ -69,7 +70,18 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the model flags of gen with their defaults, and the ones each model reads;
+# --weights, --seed and --out are read by every model
+_GEN_DEFAULTS = {"n": 100, "c": 1.0, "law": "poisson:1.0", "depth": 4, "rooting": "vertex"}
+_GEN_READS = {"er": ("n", "c"), "config": ("n", "law"), "ubgw": ("law", "depth", "rooting")}
+
+
 def _cmd_gen(args) -> int:
+    for key, default in _GEN_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif key not in _GEN_READS[args.model]:
+            raise HarnessError(f"gen --model {args.model} does not read --{key}")
     check_seed(args.seed)
     seed = RngSeed(args.seed)
     if args.model == "er":

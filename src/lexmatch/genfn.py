@@ -290,24 +290,8 @@ class OffspringLaw:
         if self.family in ("geometric", "geometric1"):
             p = self.params[0]
             return max(4, int(2 + math.log(1e-14) / math.log(1.0 - p)))
-        if self.family == "poisson":
-            c = self.params[0]
-            return int(c + 12 * math.sqrt(c) + 30)
         n, _ = self.params
         return n
-
-    # -- spec-string round trip ---------------------------------------
-
-    def spec_string(self) -> str:
-        if self.family == "poisson":
-            return f"poisson:{self.params[0]:g}"
-        if self.family == "geometric":
-            return f"geom:{self.params[0]:g}"
-        if self.family == "binomial":
-            return f"binom:{self.params[0]}:{self.params[1]:g}"
-        if self.family == "geometric1":
-            raise LawError("no spec string names geometric1")
-        return "pmf:" + ",".join(f"{v:g}" for v in self.pmf)
 
 
 def parse_law(text: str) -> OffspringLaw:

@@ -593,46 +593,31 @@ def _edge_lines(lines, n: int) -> tuple:
     return np.asarray(us), np.asarray(vs), np.asarray(ws)
 
 
-def _cast_block(block: str, n: int):
-    """_edge_lines(block.splitlines(), n) by numpy, or None where numpy does not take it.
+def _cast_block(lines: list, n: int):
+    """_edge_lines(lines, n) by numpy's text reader, or None where numpy does not take them.
 
-    numpy takes a block of ASCII lines of three tokens split by single
-    spaces, and its casts of str to int and float (which call int() and
-    float()) must pass and give ids in range and finite weights.  The
-    line loop reads any other block again: it accepts it, or names its
-    first bad line.
+    numpy reads lines of three fields split by single spaces, each field as
+    int() or float() reads it or not at all; its ids must be in range and its
+    weights finite.  The line loop reads any other block again: it accepts
+    it, or names its first bad line.
     """
-    if not block.isascii():
+    if not any(lines):  # no data, which numpy warns of
         return None
-    b = np.frombuffer(block.encode(), dtype=np.uint8)
-    if np.any((b < 32) & (b != 10)):  # a tab, CR or other control character
-        return None
-    nl = np.flatnonzero(b == 10)
-    if b[-1] != 10:
-        nl = np.append(nl, len(b))
-    sp = np.flatnonzero(b == 32)
-    if len(sp) != 2 * len(nl):
-        return None
-    # each line is token, space, token, space, token: no empty token or blank line
-    seps = np.stack((np.append(-1, nl[:-1]), sp[0::2], sp[1::2], nl))
-    if not np.all(np.diff(seps, axis=0) > 1):
-        return None
-    tokens = block.split()
     try:
-        u, v = np.array(tokens[0::3], dtype=np.int64), np.array(tokens[1::3], dtype=np.int64)
-        w = np.array(tokens[2::3], dtype=np.float64)
+        e = np.loadtxt(lines, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8")], delimiter=" ", comments=None, ndmin=1)
     except (ValueError, OverflowError):
         return None
-    if not (np.all((u >= 0) & (u < n) & (v >= 0) & (v < n)) and np.all(np.isfinite(w))):
-        return None
-    return u, v, w
+    u, v, w = e["u"], e["v"], e["w"]
+    ok = np.all((u >= 0) & (u < n) & (v >= 0) & (v < n)) and np.all(np.isfinite(w))
+    return (u, v, w) if ok else None
 
 
 def graph_from_text(text: str) -> WeightedGraph:
     """Parse the format `graph_to_text` writes.
 
-    Edge lines are converted and checked a block at a time (_cast_block),
-    and repeated edges are merged by one sort, so the cost is O(m log m).
+    Edge lines are read a block at a time: numpy's text reader converts a
+    block (_cast_block), and the line loop reads it again when numpy refuses
+    it.  Repeated edges are merged by one sort, so the cost is O(m log m).
     The header's n must be in 1.._MAX_VERTICES.  A bad input raises
     GraphError for the first fault in this order: the first bad edge line
     in file order (not three fields, an unparsable number, a vertex id
@@ -662,7 +647,7 @@ def graph_from_text(text: str) -> WeightedGraph:
         raise GraphError(f"malformed header: {head!r}") from exc
     check_vertices(n)
 
-    parts = [_cast_block(block, n) or _edge_lines(block.splitlines(), n) for block in _blocks(text, body, end)]
+    parts = [_cast_block(ls, n) or _edge_lines(ls, n) for ls in map(str.splitlines, _blocks(text, body, end))]
     u, v, w = map(np.concatenate, zip(*parts)) if parts else _edge_lines((), n)
     del parts
     # each distinct pair, sorted, with the weight of its last line: the first in reversed order

@@ -159,20 +159,21 @@ _CONVERT = {f.name: _converter(f) for f in fields(ExperimentConfig)}
 
 def load_config_file(path: str) -> dict:
     """Flat key=value text; '#' starts a comment; each key at most once."""
-    out = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise HarnessError(f"malformed config line {raw!r}")
-            key, val = (tok.strip() for tok in line.split("=", 1))
-            if key not in _CONVERT:
-                raise HarnessError(f"unknown config key {key!r}")
-            if key in out:
-                raise HarnessError(f"config key {key!r} given twice")
-            out[key] = val
+        text = fh.read()  # whole, so that a decode error names its offset in the file
+    out = {}
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise HarnessError(f"malformed config line {raw!r}")
+        key, val = (tok.strip() for tok in line.split("=", 1))
+        if key not in _CONVERT:
+            raise HarnessError(f"unknown config key {key!r}")
+        if key in out:
+            raise HarnessError(f"config key {key!r} given twice")
+        out[key] = val
     return out
 
 

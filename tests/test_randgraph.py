@@ -226,6 +226,13 @@ class TestConfigurationModel:
         g2 = configuration_model([2, 3, 1, 2], RngSeed(9))
         assert graph_to_text(g1) == graph_to_text(g2)
 
+    def test_cli_gen(self, capsys):
+        # the degrees and the pairing come from the seeds that run_size uses
+        assert cli(["gen", "--model", "config", "--law", "binom:3:0.5", "--n", "200", "--seed", "3"]) == 0
+        seed = RngSeed(3)
+        g = configuration_model(parse_law("binom:3:0.5").sample(seed.generator(), 200), seed.child(0))
+        assert capsys.readouterr().out == graph_to_text(assign_weights(g, WeightLaw.uniform(), seed.child(1)))
+
 
 def tree_depths(g):
     """The depth of each vertex of a vertex-rooted ubgw_tree: its vertices are
@@ -685,6 +692,28 @@ class TestAssignWeights:
         assert t1 == t2
 
 
+# tokens and separators of edge lines that int(), float() and str.split() take
+# or refuse in their own ways
+_TOKENS = ["0", "1", "7", "-1", "+3", "007", "1_0", "\u0661", "1e5", "1.", "0.5", "-0.0", "4.9e-324", "1e400",
+           "nan", "inf", "infinity", "0x10", "1d5", "nan(1)"]
+_SEPARATORS = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000", "\x00", ""]
+
+
+@st.composite
+def _edge_line(draw):
+    """Three of four lines are two ids and a weight split by one space, the shape
+    numpy reads, with any separator or none before and after; the others are up
+    to four tokens with any separators."""
+    sep, token = st.sampled_from(_SEPARATORS), st.sampled_from(_TOKENS)
+    if draw(st.integers(0, 3)):
+        ident = st.sampled_from(_TOKENS[:6]) | token  # half of them the integers
+        ends = st.just("") | sep
+        return draw(ends) + " ".join((draw(ident), draw(ident), draw(token))) + draw(ends)
+    toks = draw(st.lists(token, max_size=4))
+    seps = draw(st.lists(sep, min_size=len(toks) + 1, max_size=len(toks) + 1))
+    return "".join(map(str.__add__, seps, toks + [""]))
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         g = assign_weights(erdos_renyi(80, 2.0, RngSeed(13)), WeightLaw.uniform(), RngSeed(14))
@@ -784,6 +813,17 @@ class TestSerialization:
         h = graph_from_text(text)
         assert h == replace(g, boundary=frozenset()) and h.tree and h.links is None
         assert loops == []
+
+    @given(st.sampled_from([5, 20]), st.lists(_edge_line(), min_size=1, max_size=6))
+    @settings(max_examples=1000, deadline=None)
+    def test_numpy_takes_only_what_the_line_loop_takes(self, n, lines):
+        # numpy's reader is a fast path: whatever it accepts, the line loop accepts
+        # too, with bitwise-equal arrays; everything else goes to the loop
+        got = randgraph._cast_block(lines, n)
+        if got is not None:
+            want = randgraph._edge_lines(lines, n)
+            for a, b in zip(got, want, strict=True):
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
     def test_edge_count_before_self_loop(self):
         body = "0 1 0.5\n2 2 0.25\n1 0 0.75\n"

@@ -692,6 +692,15 @@ class TestCli:
                 ["separation", "--config", "bad.cfg"],
                 "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
             ),
+            # the offset is in the file, not in a chunk of the decoder
+            (
+                ["separation", "--config", "late.cfg"],
+                "'utf-8' codec can't decode byte 0xff in position 9015: invalid start byte",
+            ),
+            (["separation", "--config", "nokey.cfg"], "malformed config line 'samples 30'"),
+            (["gen", "--model", "er", "--depth", "9"], "gen --model er does not read --depth"),
+            (["gen", "--model", "ubgw", "--n", "5", "--c", "3.0"], "gen --model ubgw does not read --n"),
+            (["gen", "--model", "config", "--rooting", "edge"], "gen --model config does not read --rooting"),
             (["gen", "--model", "config", "--n", "-3"], "n must be >= 1"),
             (["mandatory", "--cross-forests", "-1"], "mandatory experiment needs cross_forests >= 0, got -1"),
             (
@@ -741,6 +750,11 @@ class TestCli:
             "match-k-zero",
             "match-not-utf8",
             "config-not-utf8",
+            "config-not-utf8-late",
+            "config-malformed-line",
+            "gen-er-depth",
+            "gen-ubgw-n",
+            "gen-config-rooting",
             "gen-config-n",
             "mandatory-cross-forests",
             "eps-sweep-min-exp",
@@ -758,6 +772,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.txt").write_bytes(b"lexmatch-graph v1 n=2 m=1 root=vertex:0\n0 1 0.5\xff\n")
         (tmp_path / "bad.cfg").write_bytes(b"samples = 30\xff\n")
+        (tmp_path / "late.cfg").write_bytes(b"# " + b"x" * 9000 + b"\nsamples = 30\xff\n")
+        (tmp_path / "nokey.cfg").write_bytes(b"seed = 3\nsamples 30\n")
         assert cli(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
