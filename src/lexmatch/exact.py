@@ -4,11 +4,14 @@
 total weight).  Enumeration-based oracles are capped at desk scale
 (26 edges for optima, 22 for maximum-matching structure); the forest
 dynamic program and certified leaf removal (cost in `leaf_removal`)
-scale further.  Graphs carry one order, their sorted edges: leaf removal
-visits neighbours ascending and numbers live edges in edge order.  A
-`Matching` is made from edge ids of one graph and checked once, then:
-every producer passes the ids it holds, and the weight is summed in
-ascending id order.
+scale further.  The enumerators walk every matching: by a backtracking
+search (`_matchings`) below _ARRAY_EDGES edges, and from _ARRAY_EDGES up
+as a numpy table of bitmasks (`_matching_table`) built edge by edge,
+with the same weights bit for bit and the same choices.  Graphs carry
+one order, their sorted edges: leaf removal visits neighbours ascending
+and numbers live edges in edge order.  A `Matching` is made from edge
+ids of one graph and checked once, then: every producer passes the ids
+it holds, and the weight is summed in ascending id order.
 """
 
 from __future__ import annotations
@@ -20,16 +23,22 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import sub
 
+import numpy as np
+
 from .randgraph import RngSeed, WeightedGraph
 
 __all__ = [
     "EnumerationLimitError", "NotAMatchingError", "CycleError", "Matching", "Perf", "MANDATORY",
     "BLOCKING", "FREE", "brute_force_opt", "tree_opt_dp", "leaf_removal", "mandatory_blocking",
-    "uniform_max_matching", "perf_of", "matching_to_text",
+    "uniform_max_matching", "eps_threshold", "perf_of", "matching_to_text",
 ]
 
 _OPT_EDGE_CAP = 26
 _ENUM_EDGE_CAP = 22
+# graphs of this many edges or more are enumerated as a bitmask table: per call on
+# depth 1..4 Poisson(2) trees, each enumerator's search and table cross between 12
+# and 13 edges (timings in CHANGES.md)
+_ARRAY_EDGES = 13
 
 MANDATORY = "mandatory"
 BLOCKING = "blocking"
@@ -141,16 +150,52 @@ def _matchings(g: WeightedGraph):
         i += 1
 
 
+def _matching_table(g: WeightedGraph):
+    """(masks, sizes, weights): every matching of g, one entry per matching.
+
+    masks holds each matching's edge ids as int32 bits, edge i at bit
+    m - 1 - i, so among matchings of one size a larger mask is a
+    lexicographically smaller id tuple, and among the maximum-size ones
+    descending masks are _matchings' order.  sizes (int8) counts the bits
+    and weights (float64) sums the edges' weights in ascending id order,
+    as _matchings does.  The table is built edge by edge, in ascending id
+    order: the matchings with no edge that meets edge i are extended by it.
+    """
+    m = g.m
+    masks, weights = np.zeros(1, np.int32), np.zeros(1)
+    at: dict[int, int] = {}  # vertex -> bits of the edges so far that meet it
+    for i, (u, v, w) in enumerate(zip(g.lo, g.hi, g.w.tolist())):
+        bit = 1 << (m - 1 - i)
+        free = (masks & (at.get(u, 0) | at.get(v, 0))) == 0
+        at[u], at[v] = at.get(u, 0) | bit, at.get(v, 0) | bit
+        grown, heavier = masks[free], weights[free]
+        grown |= bit
+        heavier += w
+        masks = np.concatenate((masks, grown))
+        weights = np.concatenate((weights, heavier))
+    return masks, np.bitwise_count(masks).view(np.int8), weights
+
+
+def _ids(m: int, mask: int) -> list[int]:
+    """The edge ids of a _matching_table mask, ascending."""
+    return [i for i in range(m) if mask >> (m - 1 - i) & 1]
+
+
 def brute_force_opt(g: WeightedGraph) -> Matching:
     """Lexicographic (size, weight) optimum by exhaustive matching enumeration.
 
     Work is proportional to the number of matchings.  Ties (possible only
     under atomic weights) are broken toward the lexicographically smallest
-    sorted edge-index sequence, which the enumeration order delivers for
-    free: earlier-index selections are explored first and strict
-    improvement is required to replace the incumbent.
+    sorted edge-index sequence: the search explores earlier-index
+    selections first and requires strict improvement to replace the
+    incumbent, and the table takes the largest mask among the ties.
     """
     _check_cap(g, _OPT_EDGE_CAP)
+    if g.m >= _ARRAY_EDGES:
+        masks, sizes, weights = _matching_table(g)
+        top = sizes == sizes.max()
+        top &= weights == weights[top].max()
+        return Matching(g, _ids(g.m, int(masks[top].max())))
     best_size, best_weight, best_sel = 0, 0.0, ()
     for sel, weight in _matchings(g):
         size = len(sel)
@@ -395,7 +440,6 @@ def leaf_removal(g: WeightedGraph, seed: RngSeed):
 
 def _max_matchings(g: WeightedGraph) -> list:
     """Every maximum-cardinality matching of g as a tuple of edge ids, in enumeration order."""
-    _check_cap(g, _ENUM_EDGE_CAP)
     best, sels = 0, []
     for sel, _ in _matchings(g):
         if len(sel) > best:
@@ -405,26 +449,65 @@ def _max_matchings(g: WeightedGraph) -> list:
     return sels
 
 
+def _max_masks(g: WeightedGraph):
+    """The _matching_table masks of every maximum-cardinality matching of g, in table order."""
+    masks, sizes, _ = _matching_table(g)
+    return masks[sizes == sizes.max()]
+
+
 def mandatory_blocking(g: WeightedGraph) -> dict:
     """Classify each edge against the set of maximum-cardinality matchings.
 
     mandatory: in all of them; blocking: in none; free: otherwise.
     """
-    sels = _max_matchings(g)
-    hits = [0] * g.m
-    for sel in sels:
-        for i in sel:
-            hits[i] += 1
-    return {
-        e: MANDATORY if h == len(sels) else BLOCKING if h == 0 else FREE for e, h in zip(g.edges(), hits)
-    }
+    _check_cap(g, _ENUM_EDGE_CAP)
+    if g.m >= _ARRAY_EDGES:
+        masks = _max_masks(g)
+        count = len(masks)
+        hits = [np.count_nonzero(masks & (1 << (g.m - 1 - i))) for i in range(g.m)]
+    else:
+        sels = _max_matchings(g)
+        count = len(sels)
+        hits = [0] * g.m
+        for sel in sels:
+            for i in sel:
+                hits[i] += 1
+    return {e: MANDATORY if h == count else BLOCKING if h == 0 else FREE for e, h in zip(g.edges(), hits)}
 
 
 def uniform_max_matching(g: WeightedGraph, seed: RngSeed) -> Matching:
-    """Exact uniform sample from the maximum-cardinality matchings."""
-    sels = _max_matchings(g)
+    """Exact uniform sample from the maximum-cardinality matchings.
+
+    The k-th maximum matching in enumeration order is taken, for k =
+    rng.integers(0, their number).
+    """
+    _check_cap(g, _ENUM_EDGE_CAP)
     rng = seed.generator()
+    if g.m >= _ARRAY_EDGES:
+        masks = np.sort(_max_masks(g))[::-1]
+        return Matching(g, _ids(g.m, int(masks[rng.integers(0, len(masks))])))
+    sels = _max_matchings(g)
     return Matching(g, sels[int(rng.integers(0, len(sels)))])
+
+
+def eps_threshold(g: WeightedGraph, opt: Matching) -> float:
+    """Largest eps below which the 1+eps*w optimum equals the lex optimum opt of g.
+
+    A smaller-but-heavier matching M beats the lex optimum M* once
+    eps > (|M*| - |M|) / (w(M) - w(M*)); enumerate all matchings and take
+    the minimum such ratio (inf if none competes).
+    """
+    _check_cap(g, _OPT_EDGE_CAP)
+    size0, w0 = opt.size, opt.weight
+    if g.m >= _ARRAY_EDGES:
+        _, sizes, weights = _matching_table(g)
+        beats = (sizes < size0) & (weights > w0)
+        return float(np.min((size0 - sizes[beats]) / (weights[beats] - w0), initial=math.inf))
+    best = math.inf
+    for sel, weight in _matchings(g):
+        if len(sel) < size0 and weight > w0:
+            best = min(best, (size0 - len(sel)) / (weight - w0))
+    return best
 
 
 def perf_of(matching: Matching) -> tuple[Perf, Perf]:

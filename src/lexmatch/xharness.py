@@ -562,21 +562,6 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     ]
 
 
-def _eps_threshold(g: randgraph.WeightedGraph, opt: exact.Matching) -> float:
-    """Largest eps below which the 1+eps*w optimum equals the lex optimum.
-
-    A smaller-but-heavier matching M beats the lex optimum M* once
-    eps > (|M*| - |M|) / (w(M) - w(M*)); enumerate all matchings and take
-    the minimum such ratio (inf if none competes).
-    """
-    size0, w0 = opt.size, opt.weight
-    best = math.inf
-    for sel, weight in exact._matchings(g):
-        if len(sel) < size0 and weight > w0:
-            best = min(best, (size0 - len(sel)) / (weight - w0))
-    return best
-
-
 def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Agreement of 1+eps*w maximum-weight matchings with the lex optimum.
 
@@ -590,7 +575,7 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
         raise HarnessError("could not build the requested tree corpus")
 
     opts = [bp.extract_matching(g, bp.sweep_tree(g, 1)) for g in instances]
-    thresholds = [_eps_threshold(g, m) for g, m in zip(instances, opts)]
+    thresholds = [exact.eps_threshold(g, m) for g, m in zip(instances, opts)]
     curve = []
     below_threshold_violations = 0
     for j in range(cfg.eps_min_exp, cfg.eps_max_exp + 1):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -494,6 +495,95 @@ class TestMatchingEnumerator:
             assert self.enumerated(g) == sorted(subsets)
             for sel, weight in exact._matchings(g):
                 assert weight == sum(g.weights[edges[j]] for j in sel)
+
+
+def table_corpus():
+    """Forests and Erdos-Renyi graphs with cycles, with every edge count up to the cap.
+
+    One forest per m = 0..26 and one graph with m >= n, so with a cycle,
+    per m = 3..26, each weighted by uniform:0:1 and by const:1.0.
+    """
+    forests, cyclic = {0: graph_of(3, {})}, {}
+    for i in range(4000):
+        t = random_small_forest(i) if i % 2 else random_small_tree(i)
+        forests.setdefault(t.m, t)
+        n = 3 + i % 12
+        g = randgraph.erdos_renyi(n, min(n - 1.0, 1.0 + i % 7), RngSeed(91, i))
+        if g.m >= g.n:
+            cyclic.setdefault(g.m, g)
+        if len(forests) == 27 and len(cyclic) == 24:
+            break
+    graphs = [forests[m] for m in range(27)] + [cyclic[m] for m in range(3, 27)]
+    return [
+        assign_weights(g, law, RngSeed(92, j))
+        for j, g in enumerate(graphs)
+        for law in (WeightLaw.uniform(0, 1), WeightLaw.constant(1.0))
+    ]
+
+
+class TestMatchingTable:
+    """The bitmask table against the backtracking search it replaces from _ARRAY_EDGES edges up."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return table_corpus()
+
+    def test_same_matchings_as_search(self, corpus):
+        for g in corpus:
+            masks, sizes, weights = exact._matching_table(g)
+            assert (masks.dtype, sizes.dtype, weights.dtype) == (np.int32, np.int8, np.float64)
+            searched = {tuple(sel): weight for sel, weight in exact._matchings(g)}  # in search order
+            table = {tuple(exact._ids(g.m, k)): w for k, w in zip(masks.tolist(), weights.tolist())}
+            assert len(table) == len(masks) == len(searched)
+            assert table.keys() == searched.keys()
+            assert all(table[sel].hex() == searched[sel].hex() for sel in table)  # bit for bit
+            assert sizes.tolist() == [len(sel) for sel in table]
+            best = int(sizes.max())
+            top = np.sort(masks[sizes == best])[::-1].tolist()
+            assert [tuple(exact._ids(g.m, k)) for k in top] == [sel for sel in searched if len(sel) == best]
+
+    def test_enumerators_agree_across_crossover(self, corpus, monkeypatch):
+        for g in corpus:
+            got = []
+            for edges in (0, exact._OPT_EDGE_CAP + 1):  # all table, all search
+                monkeypatch.setattr(exact, "_ARRAY_EDGES", edges)
+                opt = brute_force_opt(g)
+                row = [opt, exact.eps_threshold(g, opt)]
+                if g.m <= exact._ENUM_EDGE_CAP:
+                    row += [mandatory_blocking(g), [uniform_max_matching(g, RngSeed(93, j)) for j in range(3)]]
+                got.append(row)
+            assert got[0] == got[1]
+
+    @pytest.mark.parametrize("edges", [0, exact._OPT_EDGE_CAP + 1])
+    def test_eps_threshold(self, edges, monkeypatch):
+        monkeypatch.setattr(exact, "_ARRAY_EDGES", edges)
+        g = path([0.1, 0.9, 0.1])  # the middle edge alone outweighs the two ends
+        assert exact.eps_threshold(g, brute_force_opt(g)) == (2 - 1) / (0.9 - 0.2)
+        g = path([0.5, 0.9, 0.5])
+        assert exact.eps_threshold(g, brute_force_opt(g)) == math.inf
+        with pytest.raises(EnumerationLimitError):
+            exact.eps_threshold(path([1.0] * 27), Matching(path([1.0] * 27), []))
+
+    def test_structure_cap(self):
+        g = path([1.0] * (exact._ENUM_EDGE_CAP + 1))
+        with pytest.raises(EnumerationLimitError):
+            mandatory_blocking(g)
+        with pytest.raises(EnumerationLimitError):
+            uniform_max_matching(g, RngSeed(94))
+
+    def test_peak_allocation_per_matching(self):
+        # the 26-edge path has F(28) matchings; the table keeps 13 bytes each
+        # (int32 mask, int8 size, float64 weight) and peaked at 22.2 while built
+        g = path([1.0] * 26)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            masks, _, _ = exact._matching_table(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 317_811
+        assert peak / len(masks) < 24
 
 
 class TestMandatoryBlocking:

@@ -26,7 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lexmatch import bp
+from lexmatch import bp, exact
 from lexmatch.cli import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -126,6 +126,13 @@ def test_outputs_match_golden(name, tmp_path):
 def test_array_forms_match_golden(name, tmp_path, monkeypatch):
     # every forest, however small, swept and extracted in arrays: the same bytes
     monkeypatch.setattr(bp, "_ARRAY_MIN", 1)
+    test_outputs_match_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_matching_tables_match_golden(name, tmp_path, monkeypatch):
+    # every graph, however small, enumerated as a bitmask table: the same bytes
+    monkeypatch.setattr(exact, "_ARRAY_EDGES", 0)
     test_outputs_match_golden(name, tmp_path)
 
 
