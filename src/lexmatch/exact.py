@@ -10,8 +10,8 @@ as a numpy table of bitmasks (`_matching_table`) built edge by edge,
 with the same weights bit for bit and the same choices.  Graphs carry
 one order, their sorted edges: leaf removal visits neighbours ascending
 and numbers live edges in edge order.  A `Matching` is made from edge
-ids of one graph and checked once, then: every producer passes the ids
-it holds, and the weight is summed in ascending id order.
+ids of one graph and checked once: it keeps their ends in ascending id
+order, which is sorted pair order, and sums the weight in that order.
 """
 
 from __future__ import annotations
@@ -62,12 +62,14 @@ class Matching:
     """Vertex-disjoint edge set of a graph, checked when it is made.
 
     Matching(g, ids) takes edge ids of g: NotAMatchingError unless they lie
-    in range(g.m) and no two share a vertex.  edges holds their (lo, hi)
-    pairs, weight sums g.w over them in ascending id order, and n and m are
-    g's vertex and edge counts.
+    in range(g.m) and no two share a vertex.  ends holds their lo ends in
+    ascending id order, then their hi ends (g's edges are sorted: pair
+    order too), and edges builds the set of (lo, hi) pairs when read.
+    weight sums g.w over the ids in ascending order; n and m are g's vertex
+    and edge counts.
     """
 
-    edges: frozenset
+    ends: tuple
     weight: float
     n: int
     m: int
@@ -76,20 +78,23 @@ class Matching:
         ids = sorted(ids)
         if ids and (ids[0] < 0 or ids[-1] >= g.m):
             raise NotAMatchingError(f"edge id {ids[0] if ids[0] < 0 else ids[-1]} not in range({g.m})")
-        us, vs = [g.lo[i] for i in ids], [g.hi[i] for i in ids]
-        ends = us + vs
+        ends = (*[g.lo[i] for i in ids], *[g.hi[i] for i in ids])
         if len(set(ends)) < len(ends):
             v = next(x for x, c in Counter(ends).items() if c > 1)
             raise NotAMatchingError(f"two matched edges share vertex {v}")
         weight = sum(map(g.w.__getitem__, ids))
-        vars(self).update(edges=frozenset(zip(us, vs)), weight=weight, n=g.n, m=g.m)  # frozen: set once, here
+        vars(self).update(ends=ends, weight=weight, n=g.n, m=g.m)  # frozen: set once, here
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(zip(self.ends[: self.size], self.ends[self.size :]))
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.ends) // 2
 
     def covers(self, v: int) -> bool:
-        return any(v in e for e in self.edges)
+        return v in self.ends
 
 
 @dataclass(frozen=True)
@@ -326,16 +331,10 @@ def tree_opt_dp(g: WeightedGraph):
         for c in kids[v]:
             gains[(c, v)] = top2 if c == arg else top1
     matching = Matching(g, matched)
-    _assert_no_easy_improvement(g, matched)
-    return matching, gains
-
-
-def _assert_no_easy_improvement(g: WeightedGraph, ids) -> None:
-    covered = [False] * g.n
-    for e in ids:
-        covered[g.lo[e]] = covered[g.hi[e]] = True
-    if any(not (covered[u] or covered[v]) for u, v in zip(g.lo, g.hi)):
+    covered = set(matching.ends)
+    if any(u not in covered and v not in covered for u, v in zip(g.lo, g.hi)):
         raise AssertionError("tree DP left an augmentable edge exposed")
+    return matching, gains
 
 
 def leaf_removal(g: WeightedGraph, seed: RngSeed):
@@ -523,7 +522,7 @@ def perf_of(matching: Matching) -> tuple[Perf, Perf]:
 
 
 def matching_to_text(matching: Matching) -> str:
-    lines = [f"size={matching.size} weight={matching.weight:.17g}"]
-    for u, v in sorted(matching.edges):
-        lines.append(f"{u} {v}")
+    k, ends = matching.size, matching.ends
+    lines = [f"size={k} weight={matching.weight:.17g}"]
+    lines += map("{} {}".format, ends[:k], ends[k:])  # ascending ids: sorted pairs
     return "\n".join(lines) + "\n"

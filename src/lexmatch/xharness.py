@@ -583,7 +583,7 @@ def run_eps_sweep(cfg: ExperimentConfig) -> list[ResultRecord]:
         disagree = 0
         for g, opt, thr in zip(instances, opts, thresholds):
             _, m = bp.scalar_sweep_eps(g, eps)
-            if m.edges != opt.edges:
+            if m.ends != opt.ends:
                 disagree += 1
                 if eps < thr * (1.0 - 1e-9):
                     below_threshold_violations += 1

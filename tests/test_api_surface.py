@@ -101,23 +101,40 @@ def test_tracer_targets_resolve():
     assert spans.TARGETS and unresolved == []
 
 
-def test_solve_workload_round_passes_its_checks(tmp_path):
-    # one traced round of the benchmark's solve workload: its checks compare
-    # plateaus across rounds with != and its tracer hooks read
-    # CdfSystem.residuals and the pool_size and iters arguments
+def _traced_round(name: str, workdir: pathlib.Path):
+    """(workload, tracer, results) of one traced round of a benchmark workload, as bench/run.py runs it."""
     spans, workloads = _load(SPANS), _load(BENCH / "workloads.py")
-    modules = {name: importlib.import_module(f"lexmatch.{name}") for name in spans.MODULES}
-    wl = workloads.WORKLOADS["solve"](1, str(tmp_path))
+    modules = {mod: importlib.import_module(f"lexmatch.{mod}") for mod in spans.MODULES}
+    wl = workloads.WORKLOADS[name](1, str(workdir))
     tracer = spans.Tracer(modules)
     tracer.install()
     try:
         results = {label: op() for label, op in wl.operations()}
     finally:
         tracer.uninstall()
+    wl.after_round(results)
+    return wl, tracer, results
+
+
+def test_solve_workload_round_passes_its_checks(tmp_path):
+    # one traced round of the benchmark's solve workload: its checks compare
+    # plateaus across rounds with != and its tracer hooks read
+    # CdfSystem.residuals and the pool_size and iters arguments
+    wl, tracer, results = _traced_round("solve", tmp_path)
     assert tracer.check_counts(wl.expected_calls()) == []
     assert wl.check([results]) == []
     solved = [results["solve_k1"], results["solve_k2"]]
     assert tracer.counts["solver_iterations"] == sum(len(s.residuals) for s in solved)
+
+
+@pytest.mark.parametrize("name", ["oracles", "large"])
+def test_matching_workload_round_passes_its_checks(name, tmp_path):
+    # one traced round of each workload that builds matchings: its checks
+    # compare swept and brute-force .edges, and the CLI's matching file
+    # against exact.tree_opt_dp
+    wl, tracer, results = _traced_round(name, tmp_path)
+    assert tracer.check_counts(wl.expected_calls()) == []
+    assert wl.check([results]) == []
 
 
 def test_decay_workload_round_makes_its_traced_calls(tmp_path):

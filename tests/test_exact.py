@@ -167,6 +167,13 @@ class TestTreeDp:
         with pytest.raises(CycleError):
             tree_opt_dp(g)
 
+    def test_maximality_check(self, monkeypatch):
+        # the check reads the returned matching: one that lost an edge is refused
+        made = exact.Matching
+        monkeypatch.setattr(exact, "Matching", lambda g, ids: made(g, list(ids)[1:]))
+        with pytest.raises(AssertionError, match=r"^tree DP left an augmentable edge exposed$"):
+            tree_opt_dp(path([1.0, 2.0]))
+
 
 class TestLeafRemoval:
     def test_forest_exact(self):
@@ -730,3 +737,65 @@ class TestMatchingWeight:
             m, _, core = leaf_removal(g, RngSeed(9))
             assert core > 0 or c < 2
             self.assert_id_order_weight(g, m)
+
+
+class TestStoredForm:
+    """A Matching keeps its ends in id order; its pairs, size, covers and text read them."""
+
+    @staticmethod
+    def corpus():
+        trees = [random_small_tree(i, max_depth=5) for i in range(20)]
+        forests = []  # ER forests: csr-numbered, several components each
+        for i in range(30):
+            g = randgraph.erdos_renyi(60, 0.8, RngSeed(31, i))
+            try:
+                roots = list(exact._orient_forest(g)[0]).count(-1)
+            except CycleError:
+                continue
+            assert roots > 1
+            forests.append(g)
+        cyclic = [randgraph.erdos_renyi(30, 3.0, RngSeed(32, i)) for i in range(10)]
+        assert all(g.tree for g in trees) and not any(g.tree for g in forests + cyclic)
+        assert len(forests) >= 10 and all(g.m >= g.n for g in cyclic)
+        return trees + forests + cyclic
+
+    @staticmethod
+    def disjoint_ids(g, rng):
+        """A random vertex-disjoint set of g's edge ids, in random order."""
+        used, ids = set(), []
+        for i in rng.permutation(g.m).tolist():
+            if g.lo[i] not in used and g.hi[i] not in used and rng.random() < 0.7:
+                used.update((g.lo[i], g.hi[i]))
+                ids.append(i)
+        return ids
+
+    def test_readers(self):
+        rng = np.random.default_rng(33)
+        for g in self.corpus():
+            for _ in range(5):
+                ids = self.disjoint_ids(g, rng)
+                m = Matching(g, ids)
+                covered = {g.lo[i] for i in ids} | {g.hi[i] for i in ids}
+                assert m.edges == {(g.lo[i], g.hi[i]) for i in ids} and m.size == len(ids)
+                assert [m.covers(v) for v in range(g.n)] == [v in covered for v in range(g.n)]
+                shuffled = Matching(g, rng.permutation(np.array(ids, dtype=int)).tolist())
+                assert shuffled == m and hash(shuffled) == hash(m)
+                assert "edges" not in vars(m)
+                head, *lines = exact.matching_to_text(m).splitlines()
+                assert head == f"size={len(ids)} weight={m.weight:.17g}"
+                assert [tuple(map(int, ln.split())) for ln in lines] == sorted(m.edges)
+
+    def test_shared_vertex_names_the_first_repeat(self):
+        # the first vertex that repeats among the lo ends in ascending id order, then the hi ends
+        rng = np.random.default_rng(34)
+        for g in self.corpus():
+            for v in range(g.n):
+                _, eids = g.incident(v)
+                if len(eids) < 2:
+                    continue
+                ids = self.disjoint_ids(g, rng) + rng.choice(eids, 2, replace=False).tolist()
+                rng.shuffle(ids)
+                ends = [g.lo[i] for i in sorted(ids)] + [g.hi[i] for i in sorted(ids)]
+                first = next(x for x in ends if ends.count(x) > 1)
+                with pytest.raises(NotAMatchingError, match=rf"^two matched edges share vertex {first}$"):
+                    Matching(g, ids)

@@ -78,6 +78,16 @@ CASES = {
          "--out", "{out}/tree.txt"],
         ["match", "--graph", "{out}/tree.txt"],
     ],
+    # forests not numbered breadth first: match orients them by BFS over the csr
+    "gen-match-er": [
+        ["gen", "--model", "er", "--n", "300", "--c", "0.5", "--seed", "1", "--out", "{out}/g.txt"],
+        ["match", "--graph", "{out}/g.txt"],
+    ],
+    "gen-match-config": [
+        ["gen", "--model", "config", "--n", "300", "--law", "poisson:0.5", "--seed", "1",
+         "--out", "{out}/g.txt"],
+        ["match", "--graph", "{out}/g.txt"],
+    ],
 }
 
 
