@@ -7,10 +7,12 @@ satisfy, on every interior directed edge,
     msg(u, v) = maxlex( (0,0), maxlex_{u' ~ v, u' != u} (k, w(v,u')) - msg(v, u') )
 
 where pair arithmetic is componentwise and the maximum of an empty list
-is the bottom element (-1, -inf).  An edge {u, v} belongs to the matching
-iff msg(u, v) + msg(v, u) < (k, w(u, v)) lexicographically; equivalently
-(vertex rule) u is matched to the argmax over v ~ u of
-(k, w(u,v)) - msg(u, v) whenever that maximum exceeds (0, 0).
+is the bottom element (-1, -inf).  A matching is decoded top-down: each
+vertex's best child c maximises (k, w(v, c)) - msg(v, c), the first on
+ties, and in BFS order a vertex its parent did not take takes its best
+child when that candidate exceeds (0, 0).  The upward messages are the LP
+dual of the with/without-root program (Bayati, Shah and Sharma 2008), so
+this is optimal under any ties, and their levels certify its size.
 
 On truncated balls the unknown exterior enters only through the messages
 (parent(b), b) at boundary vertices b; pinning those to (0,0) ["the
@@ -26,9 +28,9 @@ A forest's directed edge is fixed by its child endpoint v and its
 direction, so a sweep keeps each message as an int level and a float z
 in two sequences indexed by vertex, no tuple per message; every
 directed-edge mapping returned here is a view keyed (u, v) over them.
-Forests of fewer than _ARRAY_MIN vertices are swept and read one vertex
-at a time, in lists; larger ones a BFS depth at a time, in numpy arrays
-whose results land in typed arrays.  The array sweep takes its upward
+Forests of fewer than _ARRAY_MIN vertices are swept and decoded one
+vertex at a time, in lists; larger ones a BFS depth at a time, in numpy
+arrays whose results land in typed arrays.  The array sweep takes its upward
 maxima with _lex_reduce, the segment reduction of rde's population
 dynamics.
 """
@@ -65,7 +67,7 @@ def top_msg(k: int):
 
 
 class FieldInconsistencyError(AssertionError):
-    """Edge rule and vertex rule disagreed on a supposedly valid field."""
+    """A pinned vertex with children, or levels that do not certify the decoded size."""
 
 
 class EdgeMap(Mapping):
@@ -399,128 +401,87 @@ def sweep_bounded(g: WeightedGraph, k: int, boundary_spec) -> MessageField:
 
 
 def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
-    """Edges where msg(u,v) + msg(v,u) < (k, w) lexicographically.
+    """The matching M decoded top-down from the field's messages.
 
-    Validates structural disjointness and cross-checks the equivalent
-    vertex rule; a disagreement means the field is not a valid fixed
-    point of the recursion and raises FieldInconsistencyError.  Exact
-    weight ties (possible only under atomic weight laws) can break the
-    strict decision rule and are reported the same way: extraction
-    assumes atomless weights.  The matching is made from the ids of the
-    chosen edges, each the parent edge of its child endpoint.  A forest
-    of _ARRAY_MIN vertices or more is read in arrays, with the same
-    result and the same error text.
+    Without pins its levels certify |M| with no tolerance: y_v is level[v]
+    at a non-root and its best candidate's level at a root; y_u + y_v >= k
+    on every edge bounds every matching by sum(y) / k, so sum(y) = k |M|
+    proves M of maximum size; otherwise FieldInconsistencyError.  Forests
+    that _sweep sweeps in arrays are decoded in arrays, to the same M.
     """
-    if g.n >= _ARRAY_MIN:
-        return _array_extract(g, field)
-    k = field.k
-    msgs = field.messages
-    parent, level, z = msgs.parent, msgs.level, msgs.z
-    n = g.n
-    weights = g.w
-    chosen = []
-    matched_of = [None] * n
-    # edge rule, one edge per child vertex v with parent p:
-    # (level, z) of msg(p,v) + msg(v,p) < (k, w)
-    for v, p, e in zip(range(n), parent, msgs.pe):
-        if p < 0:
-            continue
-        lv = level[v] + level[n + v]
-        if lv < k or (lv == k and z[v] + z[n + v] < weights[e]):
-            if matched_of[p] is not None or matched_of[v] is not None:
-                raise FieldInconsistencyError("edge rule selected incident edges")
-            chosen.append(e)
-            matched_of[p], matched_of[v] = v, p
-
-    # vertex rule: u matched to the argmax over its neighbours x of
-    # (k, w(u,x)) - msg(u, x) when that exceeds (0,0), the smallest such x
-    # on ties.  The edge to a child v gives its parent p the candidate
-    # toward v and v the candidate toward p.  Pinned boundary vertices are
-    # skipped: their exterior candidates are invisible here, and the edge
-    # rule already accounts for them through the pinned message.
-    best_level, best_z, arg = [0] * n, [0.0] * n, [None] * n
-    for v, p, e in zip(range(n), parent, msgs.pe):
-        if p < 0:
-            continue
-        for u, x, i in ((p, v, v), (v, p, n + v)):  # msg(u, x) is at i
-            lv, zv = k - level[i], weights[e] - z[i]
-            if lv > best_level[u] or lv == best_level[u] and (
-                zv > best_z[u] or zv == best_z[u] and arg[u] is not None and x < arg[u]
-            ):
-                best_level[u], best_z[u], arg[u] = lv, zv, x
-    pinned = field.boundary_spec
-    for u, (rule, edge_rule) in enumerate(zip(arg, matched_of)):
-        if rule != edge_rule and u not in pinned:
-            _disagree(u, rule, edge_rule)
-    return Matching(g, chosen)
+    return Matching(g, _decode(field.messages, field.k, g.w, not field.boundary_spec))
 
 
-def _disagree(u: int, rule, edge_rule):
-    raise FieldInconsistencyError(f"vertex rule ({u} -> {rule}) disagrees with edge rule ({u} -> {edge_rule})")
+def _decode(msgs: EdgeMap, k: int, weights, certify: bool) -> list:
+    """The ids of the edges decoded from msgs, certified by their levels when certify is set."""
+    parent, order, pe, level, z = msgs.parent, msgs.order, msgs.pe, msgs.level, msgs.z
+    n = len(parent)
+    levels = _levels(parent, order) if n >= _ARRAY_MIN else None
+    if levels is not None:
+        return _array_decode(msgs, k, weights, certify, levels[0], levels[2])
+    # (bl, bz) is the best candidate at each vertex above (0, 0), best the child giving it
+    bl, bz, best = [0] * n, [0.0] * n, [-1] * n
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            lc, zc = k - level[v], weights[pe[v]] - z[v]
+            if lc > bl[p] or lc == bl[p] and zc > bz[p]:
+                bl[p], bz[p], best[p] = lc, zc, v
+    ids, taken = [], [False] * n  # taken: matched to its parent
+    for v in order:
+        c = best[v]
+        if c >= 0 and not taken[v]:
+            ids.append(pe[c])
+            taken[c] = True
+    if certify:
+        y = [level[v] if p >= 0 else bl[v] for v, p in enumerate(parent)]
+        for v, p in enumerate(parent):
+            if p >= 0 and y[p] + y[v] < k:
+                _uncertified(f"y[{p}] + y[{v}] = {y[p] + y[v]} < k = {k}")
+        if sum(y) != k * len(ids):
+            _uncertified(f"sum(y) = {sum(y)}, not k |M| = {k * len(ids)}")
+    return ids
 
 
-def _array_extract(g: WeightedGraph, field: MessageField) -> Matching:
-    """extract_matching's two rules on arrays, for the same matching or error."""
-    k, msgs, n = field.k, field.messages, g.n
+def _uncertified(detail: str):
+    raise FieldInconsistencyError(f"levels do not certify a maximum matching ({detail})")
+
+
+def _array_decode(msgs: EdgeMap, k: int, weights, certify: bool, vert, bounds) -> list:
+    """_decode in arrays: best children by one reduceat over the BFS order, where each
+    vertex's children are consecutive and ascending, then taken a depth of vert at a time."""
     parent, order, pe = _ints(msgs.parent), _ints(msgs.order), _ints(msgs.pe)
     level, z = np.asarray(msgs.level), np.asarray(msgs.z, dtype=float)
-    w = np.asarray(g.w, dtype=float)
-    # edge rule, on the parent edge of each child vertex, in vertex order as the loop
-    kid = np.flatnonzero(parent >= 0)
-    ls = level[kid] + level[n + kid]
-    with np.errstate(invalid="ignore"):  # inf + -inf under exotic pins: nan, never < w
-        chosen = kid[(ls < k) | (ls == k) & (z[kid] + z[n + kid] < w[pe[kid]])]
-    del kid, ls
-    ends = np.concatenate((parent[chosen], chosen))
-    if np.bincount(ends, minlength=n).max(initial=0) > 1:
-        raise FieldInconsistencyError("edge rule selected incident edges")
-    matched = np.full(n, -1)
-    matched[ends] = np.concatenate((chosen, parent[chosen]))
-    ids = pe[chosen].tolist()
-    del ends, chosen
-    arg = _vertex_rule(k, parent, order, pe, level, z, w)
-    held = [b for b in field.boundary_spec if 0 <= b < n]
-    arg[held] = matched[held]  # pinned vertices are skipped, as in the loop
-    wrong = np.flatnonzero(arg != matched)
-    if wrong.size:
-        u = int(wrong[0])
-        _disagree(u, None if arg[u] < 0 else int(arg[u]), None if matched[u] < 0 else int(matched[u]))
-    del arg, matched
-    return Matching(g, ids)
-
-
-def _vertex_rule(k: int, parent, order, pe, level, z, w) -> np.ndarray:
-    """The neighbour each vertex is matched to by the vertex rule, -1 for none.
-
-    The candidates toward the children are reduced per parent in BFS
-    order, where each vertex's children are consecutive and ascending, so
-    the first maximum is the smallest neighbour id, as in the loop; the
-    candidate toward the parent wins when larger, or when equal and the
-    parent's id is smaller.
-    """
     n = len(parent)
-    best = np.full(n, complex(-np.inf, 0.0))
-    arg = parent.copy()
-    v = order[parent[order] >= 0]
-    if v.size:
-        pv, wv = parent[v], w[pe[v]]
-        cand = np.empty(len(v), dtype=complex)
-        cand.real, cand.imag = k - level[n + v], wv - z[n + v]
-        best[v] = cand
-        cand.real, cand.imag = k - level[v], wv - z[v]  # toward v, at its parent
-        del wv
-        first = np.flatnonzero(np.concatenate(([True], pv[1:] != pv[:-1])))
-        owner = pv[first]
-        del pv
-        top = np.maximum.reduceat(cand, first)
-        hits = np.flatnonzero(cand == np.repeat(top, np.diff(first, append=len(v))))
-        child = v[hits[np.searchsorted(hits, first)]]  # the first maximum of each group
-        del cand, hits, v, first
-        mine = best[owner]
-        take = (top > mine) | (top == mine) & (child < arg[owner])
-        best[owner[take]], arg[owner[take]] = top[take], child[take]
-    arg[~(best > 0)] = -1
-    return arg
+    kids = order[parent[order] >= 0]
+    cand = np.empty(len(kids), dtype=complex)
+    cand.real, cand.imag = k - level[kids], np.asarray(weights, dtype=float)[pe[kids]] - z[kids]
+    first = np.flatnonzero(np.diff(parent[kids], prepend=-1))
+    top = np.maximum.reduceat(cand, first)
+    hits = np.flatnonzero(cand == np.repeat(top, np.diff(first, append=len(kids))))
+    good = top > 0
+    owner = parent[kids[first[good]]]
+    bl, best = np.zeros(n, dtype=np.int64), np.full(n, -1)
+    best[owner] = kids[hits[np.searchsorted(hits, first[good])]]  # the first maximum
+    bl[owner] = top.real[good]
+    taken, chosen = np.zeros(n, dtype=bool), []
+    for d in range(len(bounds) - 1):
+        v = vert[bounds[d] : bounds[d + 1]]
+        c = best[v]
+        c = c[(c >= 0) & ~taken[v]]
+        taken[c] = True
+        chosen.append(c)
+    ids = pe[np.concatenate(chosen)].tolist()
+    if certify:
+        y = np.where(parent >= 0, level[:n], bl)
+        kid = np.flatnonzero(parent >= 0)
+        bad = np.flatnonzero(y[parent[kid]] + y[kid] < k)
+        if bad.size:
+            v, p = int(kid[bad[0]]), int(parent[kid[bad[0]]])
+            _uncertified(f"y[{p}] + y[{v}] = {y[p] + y[v]} < k = {k}")
+        if y.sum() != k * len(ids):
+            _uncertified(f"sum(y) = {y.sum()}, not k |M| = {k * len(ids)}")
+    return ids
 
 
 @dataclass
@@ -600,15 +561,14 @@ def classify_edges_from_levels(g: WeightedGraph, levels: Mapping, certified: Map
 def scalar_sweep_eps(g: WeightedGraph, eps: float):
     """One-dimensional sweep for weights 1 + eps*w and its matching.
 
-    Z(u, v) = max(0, max_{u' ~ v} (1 + eps*w(v,u') - Z(v, u'))) with the
-    inclusion rule 1 + eps*w(u,v) > Z(u,v) + Z(v,u); Z is the z part of
-    the k = 0 message sweep on the weights 1 + eps*w.  Returns (Z, matching)
+    Z(u, v) = max(0, max_{u' ~ v} (1 + eps*w(v,u') - Z(v, u'))) is the z
+    part of the k = 0 message sweep on the weights 1 + eps*w, and the
+    matching is decoded from it as extract_matching decodes, unchecked:
+    at k = 0 every level is 0 and certifies nothing.  Returns (Z, matching)
     with Z a read-only mapping keyed (u, v).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     weps = [1.0 + eps * w for w in g.w]
     msgs = _sweep(g, 0, {}, weights=weps)
-    n, z = g.n, msgs.z
-    chosen = [e for v, p, e in zip(range(n), msgs.parent, msgs.pe) if p >= 0 and z[v] + z[n + v] < weps[e]]
-    return _PairView(msgs, msgs, lambda a, b: a[1]), Matching(g, chosen)
+    return _PairView(msgs, msgs, lambda a, b: a[1]), Matching(g, _decode(msgs, 0, weps, False))

@@ -82,7 +82,7 @@ class Matching:
         if len(set(ends)) < len(ends):
             v = next(x for x, c in Counter(ends).items() if c > 1)
             raise NotAMatchingError(f"two matched edges share vertex {v}")
-        weight = sum(map(g.w.__getitem__, ids))
+        weight = sum(map(g.w.__getitem__, ids), 0.0)
         vars(self).update(ends=ends, weight=weight, n=g.n, m=g.m)  # frozen: set once, here
 
     @property

@@ -509,6 +509,11 @@ def run_separation(cfg: ExperimentConfig) -> list[ResultRecord]:
     g0 = _star_of_stars(p)
     base = cfg.base_seed()
     wlaw_a, wlaw_b = cfg.weight_law(), parse_weight_law(cfg.weights_b)
+    # the reference 1 - (1 - 1/(p+1))^(p+1) is the chance that some hub's edge to the
+    # root is the heaviest of its p + 1 edges, 1/(p+1) per hub only when no draws tie
+    for spec, wlaw in ((cfg.weights, wlaw_a), (cfg.weights_b, wlaw_b)):
+        if not wlaw.atomless:
+            raise HarnessError(f"separation experiment needs an atomless weight law, got {spec}")
 
     def weighted_estimate(wlaw: WeightLaw, seed: RngSeed) -> tuple[float, float]:
         hits = 0
@@ -615,7 +620,9 @@ def run_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     wlaw = cfg.weight_law()
     results = {}
 
-    # recursion self-consistency + disjointness + rule equivalence
+    # recursion self-consistency, and the top-down decode with its level certificate:
+    # extract_matching raises unless the levels prove the matching of maximum size
+    # (the second record keeps the name that the outputs carry)
     residuals = 0
     violations = 0
     for g in itertools.islice(_small_trees(base.child(0), wlaw), 100):

@@ -772,9 +772,9 @@ class TestStoredForm:
     def test_readers(self):
         rng = np.random.default_rng(33)
         for g in self.corpus():
-            for _ in range(5):
-                ids = self.disjoint_ids(g, rng)
+            for ids in [[]] + [self.disjoint_ids(g, rng) for _ in range(5)]:
                 m = Matching(g, ids)
+                assert type(m.weight) is float  # the empty matching's included: 0.0, not 0
                 covered = {g.lo[i] for i in ids} | {g.hi[i] for i in ids}
                 assert m.edges == {(g.lo[i], g.hi[i]) for i in ids} and m.size == len(ids)
                 assert [m.covers(v) for v in range(g.n)] == [v in covered for v in range(g.n)]

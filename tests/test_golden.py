@@ -78,6 +78,12 @@ CASES = {
          "--out", "{out}/tree.txt"],
         ["match", "--graph", "{out}/tree.txt"],
     ],
+    # atomic weights: every matching of a size ties, and match reads the optimum all the same
+    "gen-match-const": [
+        ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "4", "--weights", "const:1.0",
+         "--seed", "1", "--out", "{out}/tree.txt"],
+        ["match", "--graph", "{out}/tree.txt"],
+    ],
     # forests not numbered breadth first: match orients them by BFS over the csr
     "gen-match-er": [
         ["gen", "--model", "er", "--n", "300", "--c", "0.5", "--seed", "1", "--out", "{out}/g.txt"],

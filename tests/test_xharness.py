@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexmatch
-from lexmatch import genfn, rde, xharness
+from lexmatch import exact, genfn, rde, xharness
 from lexmatch.cli import cli
 from lexmatch.randgraph import GraphError, WeightedGraph, graph_from_text, graph_to_text
 from lexmatch.xharness import (
@@ -496,13 +496,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_match_tied_weights_one_line_error(self, tmp_path, capsys):
+    def test_match_tied_weights_read_the_optimum(self, tmp_path, capsys):
         gpath = tmp_path / "tied.txt"
         gen = ["gen", "--model", "ubgw", "--law", "poisson:2.0", "--depth", "4"]
         assert cli(gen + ["--weights", "const:1.0", "--seed", "1", "--out", str(gpath)]) == 0
-        assert cli(["match", "--graph", str(gpath)]) == 1
+        assert cli(["match", "--graph", str(gpath)]) == 0
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        dp, _ = exact.tree_opt_dp(graph_from_text(gpath.read_text()))
+        assert captured.err == "" and captured.out.splitlines()[0] == "size=13 weight=13" and dp.size == 13
+
+    def test_check_tied_weights_pass(self, capsys):
+        # every matching of a size ties under const:1.0; the decode still reads the optimum
+        assert cli(["check", "--weights", "const:1.0"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_mandatory_depth_zero_one_line_error(self, capsys):
         assert cli(["mandatory", "--depth", "0", "--samples", "50"]) == 1
@@ -663,6 +669,14 @@ class TestCli:
             (["solve", "--grid-t", "-1"], "solve experiment needs a positive finite grid_t, got -1.0"),
             (["solve", "--grid-t", "nan"], "solve experiment needs a positive finite grid_t, got nan"),
             (["solve", "--weights", "const:1.0"], "solve experiment needs an atomless weight law, got const:1.0"),
+            (
+                ["separation", "--weights", "const:1.0"],
+                "separation experiment needs an atomless weight law, got const:1.0",
+            ),
+            (
+                ["separation", "--weights-b", "const:2.0"],
+                "separation experiment needs an atomless weight law, got const:2.0",
+            ),
             (["solve", "--law", "pmf:0.5,nan"], "pmf entries must be finite and non-negative"),
             (["solve", "--law", "pmf:inf,0"], "pmf entries must be finite and non-negative"),
             (
@@ -739,6 +753,8 @@ class TestCli:
             "solve-grid-t-negative",
             "solve-grid-t-nan",
             "solve-weights-const",
+            "separation-weights-const",
+            "separation-weights-b-const",
             "solve-pmf-nan",
             "solve-pmf-inf",
             "gen-uniform-inf",
