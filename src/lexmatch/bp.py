@@ -28,11 +28,13 @@ A forest's directed edge is fixed by its child endpoint v and its
 direction, so a sweep keeps each message as an int level and a float z
 in two sequences indexed by vertex, no tuple per message; every
 directed-edge mapping returned here is a view keyed (u, v) over them.
-Forests of fewer than _ARRAY_MIN vertices are swept and decoded one
-vertex at a time, in lists; larger ones a BFS depth at a time, in numpy
-arrays whose results land in typed arrays.  The array sweep takes its upward
-maxima with _lex_reduce, the segment reduction of rde's population
-dynamics.
+_orient alone picks the form: it orients a forest once and, from
+_ARRAY_MIN vertices up, orders it by depth once; every sweep of that
+orientation and every decode of its messages read that order.  Forests
+without it are swept and decoded one vertex at a time, in lists; the
+others a BFS depth at a time, in numpy arrays whose results land in typed
+arrays.  The array sweep takes its upward maxima with _lex_reduce, the
+segment reduction of rde's population dynamics.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ __all__ = [
 
 ZERO = (0, 0.0)
 UNKNOWN = "unknown"
-# forests of this many vertices or more are swept and extracted in arrays, unless
-# they have more than one BFS depth per _ARRAY_MIN // 8 vertices: on Poisson(2)
-# trees the two forms cross near 1 300 vertices for the sweep and 650 for sweep and
-# extraction, and on caterpillars near 120 vertices per depth (timings in CHANGES.md)
+# _orient orders forests of this many vertices or more by depth, for the array forms,
+# unless they have more than one BFS depth per _ARRAY_MIN // 8 vertices: on Poisson(2)
+# trees the two forms cross near 1 000 vertices for the sweep and 800 for sweep and
+# decode, and on caterpillars near 105 and 70 vertices per depth (timings in CHANGES.md)
 _ARRAY_MIN = 1000
 
 
@@ -74,16 +76,18 @@ class EdgeMap(Mapping):
     """Messages on the directed edges of an oriented forest, keyed (u, v), read-only.
 
     With n = len(parent), msg(parent(v), v) is (level[v], z[v]) and
-    msg(v, parent(v)) is (level[n + v], z[n + v]); parent, order and pe
-    (the edge to the parent) come from _orient_forest.  Keys run in BFS
-    order, (p, v) then (v, p) for each non-root v.  level and z are lists
-    or typed arrays ('q', 'd'), so reads give int and float either way.
+    msg(v, parent(v)) is (level[n + v], z[n + v]); parent, order, pe (the
+    edge to the parent) and levels come from _orient.  Keys run in BFS
+    order, (p, v) then (v, p) for each non-root v.  level and z are lists,
+    where levels is None, or typed arrays ('q', 'd') of the array sweep,
+    so reads give int and float either way.
     """
 
-    __slots__ = ("parent", "order", "pe", "level", "z")
+    __slots__ = ("parent", "order", "pe", "levels", "level", "z")
 
-    def __init__(self, parent, order, pe, level, z):
-        self.parent, self.order, self.pe, self.level, self.z = parent, order, pe, level, z
+    def __init__(self, parent, order, pe, levels, level, z):
+        self.parent, self.order, self.pe, self.levels = parent, order, pe, levels
+        self.level, self.z = level, z
 
     def _locate(self, key) -> int:
         u, v = key
@@ -189,45 +193,37 @@ def _levels(parent, order):
     depth in BFS order, so each vertex's children stay consecutive and
     every depth lists its children in the order of their parents; up[r]
     is the rank in vert of vert[r]'s parent, -1 at roots; depth d holds
-    the ranks bounds[d]:bounds[d + 1].
+    the ranks bounds[d]:bounds[d + 1].  Depths come by pointer jumping
+    (Wyllie 1979): depth[v] is v's distance to anc[v], and each round adds
+    anc[v]'s own and jumps anc[v] to anc[anc[v]], all vertices at once, so
+    ceil(log2(depth + 1)) rounds reach every root.
     """
     parent, order = _ints(parent), _ints(order)
     n = len(order)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    isroot = parent[order] < 0
-    ppos = pos[parent[order]]  # the parent's BFS position, -1 at roots
-    ppos[isroot] = -1
-    del pos
-    roots, kids = np.flatnonzero(isroot), np.flatnonzero(~isroot)
-    # BFS lists children by their parents' positions, so first[i], the first child of
-    # a vertex at position i or later, starts the depth after the one that holds i
-    first = np.append(kids, n)[np.searchsorted(ppos[kids], np.arange(n + 1))]
-    del kids
-    # each component's depths, all components at once: the next depth starts at
-    # the first child of this one, and is empty when that lies past the component
-    start, end = roots, np.append(roots[1:], n)
-    depth = np.zeros(n, dtype=np.int64)
-    for _ in range(max(1, 8 * n // _ARRAY_MIN)):
-        start = np.minimum(first[start], end)
-        live = start < end
-        start, end = start[live], end[live]
-        if not start.size:
-            break
-        depth[start] = 1
-    else:
+    anc = np.append(parent, -1)  # a root's parent -1 reads the last entry: its own, at depth 0
+    depth = (anc >= 0).astype(np.int64)
+    while anc.max() >= 0:
+        depth += depth[anc]
+        anc = anc[anc]
+    depth = depth[order]
+    if depth.max(initial=0) + 1 > max(1, 8 * n // _ARRAY_MIN):
         return None
-    del first
-    np.cumsum(depth, out=depth)
-    depth -= depth[roots][np.cumsum(isroot) - 1]
-    by_depth = np.argsort(depth, kind="stable")
+    vert = order[np.argsort(depth, kind="stable")]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
-    del depth
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_depth] = np.arange(n)
-    up = rank[ppos[by_depth]]
-    up[isroot[by_depth]] = -1
-    return order[by_depth], up, bounds
+    rank = np.full(n + 1, -1)  # a root's parent -1 reads the last entry, -1
+    rank[vert] = np.arange(n)
+    return vert, rank[parent[vert]], bounds
+
+
+def _orient(g: WeightedGraph, avoid) -> tuple:
+    """_orient_forest(g, avoid) and the forest's _levels, or None for the loops.
+
+    Forests of _ARRAY_MIN vertices or more are ordered by depth, unless
+    _levels declines them as too deep; the others are swept and decoded
+    in lists, where the order would cost more than it saves.
+    """
+    parent, order, pe = _orient_forest(g, avoid=avoid)
+    return parent, order, pe, _levels(parent, order) if g.n >= _ARRAY_MIN else None
 
 
 def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) -> EdgeMap:
@@ -236,24 +232,20 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
     pinned maps a boundary vertex b to the exogenous message (parent(b), b);
     pinned vertices must not have children inside g (true for radius
     boundaries of tree balls).  `oriented` is a precomputed
-    _orient_forest(g, avoid=pinned), with the orientation's _levels as a
-    fourth entry where two sweeps share them, and `weights`, indexed by
-    edge id, replaces g.w.  Messages (level, z) are compared
+    _orient(g, pinned), where two sweeps share one, and `weights`, indexed
+    by edge id, replaces g.w.  Messages (level, z) are compared
     lexicographically.
     Every sweep of this module runs here, so k >= 0 is checked here once.
-    A forest of _ARRAY_MIN vertices or more is swept in arrays unless it
-    is too deep for them; both forms give the same messages.
+    The forest is swept in arrays exactly when the orientation has
+    levels; both forms give the same messages.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    oriented = oriented or _orient_forest(g, avoid=frozenset(pinned))
-    parent, order, pe = oriented[:3]  # the whole tuple, not a copy, when it has three entries
+    parent, order, pe, levels = oriented or _orient(g, frozenset(pinned))
     if weights is None:
         weights = g.w
-    if g.n >= _ARRAY_MIN:
-        swept = _array_sweep(parent, order, pe, k, pinned, weights, *oriented[3:])
-        if swept is not None:
-            return EdgeMap(parent, order, pe, *swept)
+    if levels is not None:
+        return EdgeMap(parent, order, pe, levels, *_array_sweep(parent, order, pe, levels, k, pinned, weights))
     n = g.n
     # upward pass: the running maxima top1 >= top2 of the candidates at
     # each vertex (arg = the child giving top1) start at (0, 0); once v's
@@ -294,28 +286,27 @@ def _sweep(g: WeightedGraph, k: int, pinned: dict, oriented=None, weights=None) 
             l1[v], z1[v], arg[v] = lc, zc, -1
         elif lc > l2[v] or lc == l2[v] and zc > z2[v]:
             l2[v], z2[v] = lc, zc
-    return EdgeMap(parent, order, pe, level, z)
+    return EdgeMap(parent, order, pe, None, level, z)
 
 
-def _array_sweep(parent, order, pe, k: int, pinned: dict, weights, *levels):
+def _array_sweep(parent, order, pe, levels, k: int, pinned: dict, weights):
     """_sweep's messages (level, z) as typed arrays ('q', 'd'), a BFS depth at a time.
 
-    None when the forest has more than one depth per _ARRAY_MIN // 8
-    vertices, where the loop is faster.  `levels`, when given, holds the
-    forest's _levels.  The arrays are indexed by rank in _levels' order.
-    Going up, each depth's candidates (k, w) - msg are reduced per parent
-    by _lex_reduce into top1, which is msg(parent(v), v) at v, and again
-    with the candidates equal to top1 masked out (level k + 1 makes them
-    negative) into top2, or top1 where two of them tie: the second
-    largest with two (0, 0) added.  Going down, each vertex
+    levels is the forest's _levels, and the working arrays are indexed by
+    rank in its order.  Going up, each depth's candidates (k, w) - msg are
+    reduced per parent by _lex_reduce into top1, which is msg(parent(v), v)
+    at v, and again with the candidates equal to top1 masked out (level
+    k + 1 makes them negative) into top2, or top1 where two of them tie:
+    the second largest with two (0, 0) added.  Going down, each vertex
     merges the candidate from its parent into those two, and each child v
     reads msg(v, parent(v)) from its parent's pair by one gather: top2 if
     v's candidate equals top1, else top1.  Ties give equal values either
     way, so the messages are the loop's.
     """
-    levels = levels[0] if levels else _levels(parent, order)
     parent, order = _ints(parent), _ints(order)
+    vert, up, bounds = levels
     n = len(parent)
+    l1, z1, l2, z2 = np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n)
     pins = {b: pin for b, pin in pinned.items() if 0 <= b < n}
     if pins:
         held = np.zeros(n, dtype=bool)
@@ -325,22 +316,13 @@ def _array_sweep(parent, order, pe, k: int, pinned: dict, weights, *levels):
         if bad.size:
             p = int(parent[order[bad[-1]]])
             raise FieldInconsistencyError(f"pinned boundary vertex {p} has interior children")
-    if levels is None:
-        return None
-    vert, up, bounds = levels
+        at = np.flatnonzero(held[vert])  # the pins' ranks
+        l1[at], z1[at] = zip(*map(pins.get, vert[at].tolist()))
     kid = up >= 0
     we = np.zeros(n)  # the weight of each vertex's edge to its parent
     we[kid] = np.asarray(weights, dtype=float)[_ints(pe)[vert[kid]]]
     kids = np.bincount(up[kid], minlength=n)  # children per rank
     del kid
-    l1, z1 = np.zeros(n, dtype=np.int64), np.zeros(n)
-    if pins:
-        rank = np.empty(n, dtype=np.int64)
-        rank[vert] = np.arange(n)
-        at = rank[list(pins)]
-        l1[at], z1[at] = zip(*pins.values())
-        del rank, at
-    l2, z2 = np.zeros(n, dtype=np.int64), np.zeros(n)
     depths = len(bounds) - 1
     for d in range(depths - 1, 0, -1):
         s, q = slice(bounds[d], bounds[d + 1]), slice(bounds[d - 1], bounds[d])
@@ -407,18 +389,17 @@ def extract_matching(g: WeightedGraph, field: MessageField) -> Matching:
     at a non-root and its best candidate's level at a root; y_u + y_v >= k
     on every edge bounds every matching by sum(y) / k, so sum(y) = k |M|
     proves M of maximum size; otherwise FieldInconsistencyError.  Forests
-    that _sweep sweeps in arrays are decoded in arrays, to the same M.
+    that _sweep swept in arrays are decoded in arrays, to the same M.
     """
     return Matching(g, _decode(field.messages, field.k, g.w, not field.boundary_spec))
 
 
 def _decode(msgs: EdgeMap, k: int, weights, certify: bool) -> list:
     """The ids of the edges decoded from msgs, certified by their levels when certify is set."""
+    if msgs.levels is not None:
+        return _array_decode(msgs, k, weights, certify)
     parent, order, pe, level, z = msgs.parent, msgs.order, msgs.pe, msgs.level, msgs.z
     n = len(parent)
-    levels = _levels(parent, order) if n >= _ARRAY_MIN else None
-    if levels is not None:
-        return _array_decode(msgs, k, weights, certify, levels[0], levels[2])
     # (bl, bz) is the best candidate at each vertex above (0, 0), best the child giving it
     bl, bz, best = [0] * n, [0.0] * n, [-1] * n
     for v in order:
@@ -447,7 +428,7 @@ def _uncertified(detail: str):
     raise FieldInconsistencyError(f"levels do not certify a maximum matching ({detail})")
 
 
-def _array_decode(msgs: EdgeMap, k: int, weights, certify: bool, vert, bounds) -> list:
+def _array_decode(msgs: EdgeMap, k: int, weights, certify: bool) -> list:
     """_decode in arrays: best children by one reduceat over the BFS order, where each
     vertex's children are consecutive and ascending, then taken a depth of vert at a time."""
     parent, order, pe = _ints(msgs.parent), _ints(msgs.order), _ints(msgs.pe)
@@ -465,6 +446,7 @@ def _array_decode(msgs: EdgeMap, k: int, weights, certify: bool, vert, bounds) -
     best[owner] = kids[hits[np.searchsorted(hits, first[good])]]  # the first maximum
     bl[owner] = top.real[good]
     taken, chosen = np.zeros(n, dtype=bool), []
+    vert, _, bounds = msgs.levels
     for d in range(len(bounds) - 1):
         v = vert[bounds[d] : bounds[d + 1]]
         c = best[v]
@@ -499,9 +481,7 @@ def _extremal_sweeps(g: WeightedGraph, k: int, weights=None) -> tuple[EdgeMap, E
 
     Without boundary vertices the two sweeps are the same sweep, run once.
     """
-    oriented = _orient_forest(g, avoid=g.boundary)
-    if g.n >= _ARRAY_MIN:
-        oriented += (_levels(*oriented[:2]),)
+    oriented = _orient(g, g.boundary)
     lo = _sweep(g, k, dict.fromkeys(g.boundary, ZERO), oriented, weights)
     if not g.boundary:
         return lo, lo

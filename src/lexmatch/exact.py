@@ -515,7 +515,7 @@ def perf_of(matching: Matching) -> tuple[Perf, Perf]:
     The identity perf_V = (2|E|/n) * perf_E holds exactly on finite graphs.
     """
     n, m = max(matching.n, 1), matching.m
-    perf_v = Perf(2.0 * matching.size / n, 2.0 * matching.weight / n)
+    perf_v = Perf(2.0 * matching.size / n, 2.0 * (matching.weight / n))  # 2 w may overflow
     if m == 0:
         return perf_v, Perf(0.0, 0.0)
     return perf_v, Perf(matching.size / m, matching.weight / m)

@@ -292,12 +292,16 @@ class WeightLaw:
     def uniform(a: float = 0.0, b: float = 1.0) -> "WeightLaw":
         if not (math.isfinite(a) and math.isfinite(b) and b > a):
             raise GraphError(f"uniform law needs finite a < b, got {a:g}, {b:g}")
+        if math.isinf(b - a):  # numpy draws a + (b - a) * u
+            raise GraphError(f"uniform law needs a finite width b - a, got {a:g}, {b:g}")
         return WeightLaw("uniform", (float(a), float(b)))
 
     @staticmethod
     def exponential(rate: float = 1.0) -> "WeightLaw":
         if not 0 < rate < math.inf:
             raise GraphError(f"exponential rate must be positive and finite, got {rate:g}")
+        if math.isinf(1.0 / rate):
+            raise GraphError(f"exponential law needs a finite mean 1/rate, got rate {rate:g}")
         return WeightLaw("exponential", (float(rate),))
 
     @staticmethod

@@ -707,6 +707,11 @@ def run_solve(cfg: ExperimentConfig) -> tuple[list[ResultRecord], rde.CdfSystem]
     wlaw = cfg.weight_law()
     if not wlaw.atomless:
         raise HarnessError(f"solve experiment needs an atomless weight law, got {cfg.weights}")
+    # rde.solve_system's default grid half-width
+    if cfg.grid_t is None and not 0 < (half := 8.0 * (wlaw.mean + 1.0)) < math.inf:
+        raise HarnessError(
+            f"solve experiment needs a positive finite grid half-width 8 * (mean + 1), got {half:g} for {cfg.weights}"
+        )
     if not law.mean >= _SOLVE_MIN_MEAN:
         raise HarnessError(
             f"solve experiment needs a law with mean >= {_SOLVE_MIN_MEAN:g}, got {cfg.law}"

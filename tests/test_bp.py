@@ -244,7 +244,7 @@ class TestKernelDifferential:
                 for spec in ("zero", "top", sampled):
                     pinned = bp._resolve_boundary(g, k, spec)
                     self.same(bp._sweep(g, k, pinned), reference_sweep(g, k, pinned))
-                    oriented = exact._orient_forest(g, avoid=frozenset(pinned))
+                    oriented = bp._orient(g, frozenset(pinned))
                     self.same(bp._sweep(g, k, pinned, oriented), reference_sweep(g, k, pinned))
         assert pinned_balls > 60 and forests > 10
 
@@ -340,8 +340,7 @@ class TestArrayForms:
             runs += [(1, "zero", [0.0] * g.m), (1, "top", [0.0] * g.m), (0, {}, [1.0 + 0.25 * w for w in g.w])]
             for k, spec, weights in runs:
                 pinned = bp._resolve_boundary(g, k, spec)
-                oriented = exact._orient_forest(g, avoid=frozenset(pinned))
-                sweep = lambda: bp._sweep(g, k, pinned, oriented, weights)
+                sweep = lambda: bp._sweep(g, k, pinned, bp._orient(g, frozenset(pinned)), weights)
                 loop, arrays = in_form(monkeypatch, LOOPS, sweep), in_form(monkeypatch, ARRAYS, sweep)
                 assert type(loop.level) is list and type(arrays.level) is array
                 assert list(arrays.level) == loop.level and list(arrays.z) == loop.z
@@ -359,22 +358,23 @@ class TestArrayForms:
         g = random_tree(seed, depth=4)
         g = relabelled(g, seed) if seed % 2 else g
         pins = {int(b): ZERO for b in rng.choice(g.n, size=max(1, g.n // 4), replace=False)}
-        oriented = exact._orient_forest(g, avoid=frozenset(pins))
-        sweep = lambda: bp._sweep(g, 1, pins, oriented)
+        sweep = lambda: bp._sweep(g, 1, pins, bp._orient(g, frozenset(pins)))
         loop, arrays = in_form(monkeypatch, LOOPS, sweep), in_form(monkeypatch, ARRAYS, sweep)
         assert isinstance(loop, str) and "has interior children" in loop
         assert arrays == loop
 
     def test_extraction_equal(self, monkeypatch):
+        # each form sweeps and decodes: the decode follows the sweep's form
         rng = np.random.default_rng(29)
         outcomes = set()
         for g in self.forests():
-            fields = [sweep_tree(g, 1), sweep_tree(g, 2)]
-            fields += [sweep_bounded(g, 1, spec) for spec in ("zero", "top") if g.boundary]
+            sweeps = [lambda: sweep_tree(g, 1), lambda: sweep_tree(g, 2)]
+            sweeps += [lambda spec=spec: sweep_bounded(g, 1, spec) for spec in ("zero", "top") if g.boundary]
             sampled = {b: (int(rng.integers(0, 2)), float(rng.random())) for b in g.boundary}
-            fields += [sweep_bounded(g, 1, sampled), replace(sweep_bounded(g, 1, "top"), boundary_spec={})]
-            for f in fields:
-                extract = lambda: extract_matching(g, f)
+            sweeps.append(lambda: sweep_bounded(g, 1, sampled))
+            sweeps.append(lambda: replace(sweep_bounded(g, 1, "top"), boundary_spec={}))
+            for sweep in sweeps:
+                extract = lambda: extract_matching(g, sweep())
                 loop, arrays = in_form(monkeypatch, LOOPS, extract), in_form(monkeypatch, ARRAYS, extract)
                 if isinstance(loop, str):
                     assert arrays == loop
@@ -389,8 +389,7 @@ class TestArrayForms:
         seed = RngSeed(1)
         g = ubgw_tree(OffspringLaw.poisson(2.0), "vertex", 4, seed)
         g = assign_weights(g, WeightLaw.constant(1.0), seed.child(1))
-        f = sweep_tree(g, 1)
-        extract = lambda: extract_matching(g, f)
+        extract = lambda: extract_matching(g, sweep_tree(g, 1))
         loop, arrays = in_form(monkeypatch, LOOPS, extract), in_form(monkeypatch, ARRAYS, extract)
         dp, _ = exact.tree_opt_dp(g)
         assert loop.ends == arrays.ends
@@ -412,24 +411,24 @@ class TestArrayForms:
         assert len(small) > 100 and len(large) >= 4
         for oracle, trees in ((brute_force_opt, small), (lambda g: exact.tree_opt_dp(g)[0], large[:4])):
             for g in (t for g in trees for t in tied(g)):
-                f = sweep_tree(g, k)
                 best = oracle(g)
                 for cut in (LOOPS, ARRAYS):
-                    m = in_form(monkeypatch, cut, lambda: extract_matching(g, f))
+                    m = in_form(monkeypatch, cut, lambda: extract_matching(g, sweep_tree(g, k)))
                     assert (m.size, m.weight) == (best.size, best.weight)
 
     def test_deep_forests_stay_in_the_loop(self, monkeypatch):
-        # a path has one vertex per depth: the array sweep declines it, with the same messages
+        # a path has one vertex per depth: _orient orders it by no depth, with the same messages
         g = path(list(np.random.default_rng(5).random(3 * bp._ARRAY_MIN)))
-        assert bp._array_sweep(*exact._orient_forest(g), 1, {}, g.w) is None
+        assert g.n >= bp._ARRAY_MIN and bp._orient(g, frozenset())[3] is None
         loop = in_form(monkeypatch, LOOPS, lambda: sweep_tree(g, 1))
         monkeypatch.undo()
         assert list(sweep_tree(g, 1).messages.items()) == list(loop.messages.items())
 
 
 def test_extremal_sweeps_order_depths_once(monkeypatch):
-    # squeeze and macroscopic_squeeze sweep one orientation twice, in arrays at
-    # this size: _levels runs once for both, and the views read as the loops' do
+    # squeeze and macroscopic_squeeze sweep one orientation twice, and sweep_tree with
+    # extract_matching, like scalar_sweep_eps, sweeps and decodes one: in arrays at
+    # this size _levels runs once for each, and the results read as the loops' do
     g = random_tree(0, depth=10)
     assert g.n >= bp._ARRAY_MIN and g.boundary
 
@@ -440,13 +439,77 @@ def test_extremal_sweeps_order_depths_once(monkeypatch):
     def macroscopic():
         return [dict(view) for view in macroscopic_squeeze(g)]
 
-    loops = [in_form(monkeypatch, LOOPS, run) for run in (squeezed, macroscopic)]
+    def extracted():
+        return extract_matching(g, sweep_tree(g, 1)).ends
+
+    def scalar():
+        z, m = scalar_sweep_eps(g, 0.5)
+        return [dict(z), m.ends]
+
+    runs = (squeezed, macroscopic, extracted, scalar)
+    loops = [in_form(monkeypatch, LOOPS, run) for run in runs]
     monkeypatch.undo()
     levels, calls = bp._levels, []
     monkeypatch.setattr(bp, "_levels", lambda *args: calls.append(args) or levels(*args))
-    for run, loop in zip((squeezed, macroscopic), loops):
+    for run, loop in zip(runs, loops):
         calls.clear()
         assert run() == loop and len(calls) == 1
+
+
+def reference_levels(parent, order):
+    """The first-child frontier walk that bp._levels' pointer jumping replaced, kept as its oracle."""
+    parent, order = bp._ints(parent), bp._ints(order)
+    n = len(order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    isroot = parent[order] < 0
+    ppos = pos[parent[order]]  # the parent's BFS position, -1 at roots
+    ppos[isroot] = -1
+    roots, kids = np.flatnonzero(isroot), np.flatnonzero(~isroot)
+    # BFS lists children by their parents' positions, so first[i], the first child of
+    # a vertex at position i or later, starts the depth after the one that holds i
+    first = np.append(kids, n)[np.searchsorted(ppos[kids], np.arange(n + 1))]
+    # each component's depths, all components at once: the next depth starts at
+    # the first child of this one, and is empty when that lies past the component
+    start, end = roots, np.append(roots[1:], n)
+    depth = np.zeros(n, dtype=np.int64)
+    for _ in range(max(1, 8 * n // bp._ARRAY_MIN)):
+        start = np.minimum(first[start], end)
+        live = start < end
+        start, end = start[live], end[live]
+        if not start.size:
+            break
+        depth[start] = 1
+    else:
+        return None
+    np.cumsum(depth, out=depth)
+    depth -= depth[roots][np.cumsum(isroot) - 1]
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_depth] = np.arange(n)
+    up = rank[ppos[by_depth]]
+    up[isroot[by_depth]] = -1
+    return order[by_depth], up, bounds
+
+
+def test_levels_equal_the_frontier_oracle(monkeypatch):
+    # pointer jumping against the frontier walk on pinned, relabelled and many-component
+    # forests, with the depth guard at several _ARRAY_MIN: the same arrays, or None on both
+    outcomes = {"levels": 0, "too deep": 0}
+    for g in TestArrayForms.forests():
+        for avoid in {frozenset(), g.boundary}:
+            parent, order, _ = exact._orient_forest(g, avoid=avoid)
+            for cut in (1, 16, 128, 1024):
+                monkeypatch.setattr(bp, "_ARRAY_MIN", cut)
+                got, want = bp._levels(parent, order), reference_levels(parent, order)
+                if want is None:
+                    assert got is None
+                    outcomes["too deep"] += 1
+                else:
+                    assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
+                    outcomes["levels"] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 class TestEdgeMap:

@@ -456,6 +456,13 @@ class TestCli:
         assert "perf_vertex=" in out and "perf_edge=" in out
         assert mpath.read_text().startswith("size=")
 
+    def test_match_perf_of_a_weight_near_the_largest_double(self, tmp_path, capsys):
+        # 2 * 1.5e308 overflows, 2 * (1.5e308 / 3) = 1e308 does not
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("lexmatch-graph v1 n=3 m=2 root=vertex:0\n0 1 1.5e308\n0 2 1e300\n")
+        assert cli(["match", "--graph", str(gpath), "--out", str(tmp_path / "m.txt")]) == 0
+        assert capsys.readouterr().out == "perf_vertex=(0.666666666667,1e+308) perf_edge=(0.5,7.5e+307)\n"
+
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         # the reader of stdout is gone before the first write: exit 1 and nothing
         # on stderr, neither an error line nor an ignored exception at shutdown
@@ -697,6 +704,43 @@ class TestCli:
                 "constant weight must be finite, got nan",
             ),
             (["gen", "--model", "ubgw", "--weights", "uniform:1:0"], "uniform law needs finite a < b, got 1, 0"),
+            # draws that overflow: a width b - a past the largest double, a mean 1/rate of inf
+            (
+                ["gen", "--model", "ubgw", "--law", "poisson:2", "--depth", "2", "--weights", "uniform:-1e308:1e308"],
+                "uniform law needs a finite width b - a, got -1e+308, 1e+308",
+            ),
+            (
+                ["check", "--weights", "uniform:-1e308:1e308"],
+                "uniform law needs a finite width b - a, got -1e+308, 1e+308",
+            ),
+            (
+                ["gen", "--model", "ubgw", "--law", "poisson:2", "--depth", "2", "--weights", "exp:1e-320"],
+                "exponential law needs a finite mean 1/rate, got rate 9.99989e-321",
+            ),
+            (
+                ["separation", "--weights", "exp:1e-320"],
+                "exponential law needs a finite mean 1/rate, got rate 9.99989e-321",
+            ),
+            (
+                ["decay", "--weights", "exp:1e-320"],
+                "exponential law needs a finite mean 1/rate, got rate 9.99989e-321",
+            ),
+            # the default grid half-width 8 * (mean + 1) must be positive and finite
+            (
+                ["solve", "--weights", "uniform:-10:-5"],
+                "solve experiment needs a positive finite grid half-width 8 * (mean + 1), got "
+                "-52 for uniform:-10:-5",
+            ),
+            (
+                ["solve", "--weights", "uniform:-3:1"],
+                "solve experiment needs a positive finite grid half-width 8 * (mean + 1), got "
+                "0 for uniform:-3:1",
+            ),
+            (
+                ["solve", "--weights", "uniform:0:1e308"],
+                "solve experiment needs a positive finite grid half-width 8 * (mean + 1), got "
+                "inf for uniform:0:1e308",
+            ),
             (["match", "--graph", "tree.txt", "--k", "-1"], "match needs k >= 1, got -1"),
             # k = 0 is the maximum-weight recursion, not the (size, weight) optimum
             (["match", "--graph", "tree.txt", "--k", "0"], "match needs k >= 1, got 0"),
@@ -762,6 +806,14 @@ class TestCli:
             "gen-exp-inf",
             "gen-const-nan",
             "gen-uniform-reversed",
+            "gen-uniform-width-overflow",
+            "check-uniform-width-overflow",
+            "gen-exp-mean-overflow",
+            "separation-exp-mean-overflow",
+            "decay-exp-mean-overflow",
+            "solve-half-width-negative",
+            "solve-half-width-zero",
+            "solve-half-width-inf",
             "match-k",
             "match-k-zero",
             "match-not-utf8",
